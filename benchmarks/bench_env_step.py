@@ -10,7 +10,7 @@ loops (B = 64).
 
 Set ``REPRO_ENV_STEP_JSON=/some/file.json`` to also write the measured
 rows as a machine-readable artifact (CI uploads this from the
-wallclock-smoke job).
+host-bench-smoke job).
 """
 
 import json

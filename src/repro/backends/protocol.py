@@ -14,8 +14,9 @@ the four software baselines (paper Section 5.1).  It exposes:
   :meth:`Backend.train_step`, :meth:`Backend.sync_step`) and their
   cause-bucket attribution (:meth:`Backend.attribution`);
 * a discrete-event simulation instance (:meth:`Backend.build_sim`) with
-  the same duck-typed surface :mod:`repro.platforms.throughput` drives
-  (``inference``/``train``/``sync`` process bodies);
+  the duck-typed surface :mod:`repro.platforms.throughput` drives
+  (``inference``/``train``/``sync`` process bodies, or a per-agent
+  ``agent_chain``);
 * the deterministic seeding contract (:func:`derive_agent_seed`).
 
 The analytic queries are *side-effect free*: they never record metrics,

@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
-import warnings
 
 from repro.ale import GAME_NAMES, make_game
 from repro.core import A3CConfig, A3CTrainer, RecurrentA3CAgent
@@ -92,14 +91,6 @@ def cmd_train(args) -> int:
     trainer = _build_trainer(args)
     variant = "A3C-LSTM" if args.lstm else "A3C"
     actors = args.actors
-    if args.backend is not None:
-        warnings.warn("--backend is deprecated; use --actors (the "
-                      "'backend' name now means the compute platform — "
-                      "see --platform)", DeprecationWarning, stacklevel=2)
-        print("note: --backend is deprecated, use --actors",
-              file=sys.stderr)
-        if actors is None:
-            actors = args.backend
     if actors is None and args.serial:
         actors = "serial"
     runlog = _open_runlog(
@@ -275,20 +266,14 @@ def cmd_backends_list(args) -> int:
 def cmd_bench(args) -> int:
     from repro.obs.prof import baseline as bench
 
-    modes = sum(1 for mode in (args.wallclock, args.latency,
-                               args.ablation) if mode)
-    if modes > 1:
-        print("bench: --wallclock, --latency, and --ablation are "
-              "mutually exclusive")
+    if args.latency and args.ablation:
+        print("bench: --latency and --ablation are mutually exclusive")
         return 2
     runlog = _open_runlog(args, "bench",
-                          wallclock=bool(args.wallclock),
                           latency=bool(args.latency),
                           ablation=args.ablation or "")
     if args.ablation:
         code = _cmd_bench_ablation(args, runlog)
-    elif args.wallclock:
-        code = _cmd_bench_wallclock(args, bench, runlog)
     elif args.latency:
         code = _cmd_bench_latency(args, bench, runlog)
     else:
@@ -388,79 +373,6 @@ def _cmd_bench_modelled(args, bench, runlog=None) -> int:
             return 1
         print(f"\nperf gate OK: {len(scenarios)} scenarios within "
               "tolerance of " + str(args.file))
-    return 0
-
-
-def _cmd_bench_wallclock(args, bench, runlog=None) -> int:
-    """Host-time bench: routines/sec per scenario, loose gate.
-
-    Unlike the modelled-IPS gate this measures wall clock, so the check
-    is informational with a wide tolerance (see
-    ``DEFAULT_WALLCLOCK_RTOL``) — CI treats it as a smoke signal, not a
-    hard gate.
-    """
-    path = args.file or bench.DEFAULT_WALLCLOCK_BASELINE
-    names = list(args.scenarios) if args.scenarios else None
-    base = None
-    if args.check:
-        try:
-            base = bench.load_wallclock(path)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot load wall-clock baseline {path}: "
-                  f"{exc}")
-            return 2
-        if names is None:
-            names = sorted(base.get("scenarios") or {})
-    if names is None and args.platform:
-        names = bench.scenario_names(backend=args.platform)
-    elif names is not None and args.platform:
-        allowed = set(bench.scenario_names(backend=args.platform))
-        names = [name for name in names if name in allowed]
-
-    failures: typing.List[str] = []
-    try:
-        current = bench.collect_wallclock(names, repeats=args.repeats)
-    except ValueError as exc:
-        print(f"bench: {exc}")
-        return 2
-    for name, entry in current["scenarios"].items():
-        print(f"{name}: {entry['routines_per_second']:.1f} routines/s "
-              f"({entry['wall_seconds']:.4f}s)")
-    print(f"total: {current['total_wall_seconds']:.4f}s")
-    if runlog is not None:
-        runlog.update(scenarios=current["scenarios"],
-                      total_wall_seconds=current["total_wall_seconds"])
-
-    if args.baseline:
-        bench.write_snapshot(current, path)
-        print(f"wall-clock baseline: "
-              f"{len(current['scenarios'])} scenarios -> {path}")
-    if args.check:
-        compare = base
-        if names is not None:
-            # Only gate the requested subset; flag requested scenarios
-            # the baseline has never recorded.
-            recorded = base.get("scenarios") or {}
-            for name in names:
-                if name not in recorded:
-                    failures.append(f"{name}: not in baseline {path}")
-            compare = dict(base)
-            compare["scenarios"] = {name: entry for name, entry
-                                    in recorded.items()
-                                    if name in set(names)}
-        failures.extend(bench.check_wallclock(compare, current))
-        if failures:
-            print(f"\nWALL-CLOCK SMOKE FAILED ({len(failures)} "
-                  "finding(s)):")
-            for failure in failures:
-                print(f"  - {failure}")
-            print("Wall clock is host-dependent; refresh with "
-                  "`repro bench --wallclock --baseline` if the "
-                  "hardware or the intended performance changed.")
-            return 1
-        print(f"\nwall-clock smoke OK: "
-              f"{len(current['scenarios'])} scenarios within "
-              f"tolerance of {path}")
     return 0
 
 
@@ -799,11 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="actor execution model (default: threads, "
                             "or serial when --serial is given)")
-    # Deprecated alias of --actors, kept for old scripts; hidden so the
-    # name no longer collides with the compute-backend registry.
-    train.add_argument("--backend",
-                       choices=["threads", "procs", "serial"],
-                       default=None, help=argparse.SUPPRESS)
     train.add_argument("--platform", choices=backend_names,
                        default=None,
                        help="compute backend from the repro.backends "
@@ -889,20 +796,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--check", action="store_true",
                        help="diff against --file; non-zero exit on "
                             "regression")
-    bench.add_argument("--wallclock", action="store_true",
-                       help="measure host-side wall clock instead of "
-                            "modelled IPS (loose, informational gate)")
     bench.add_argument("--latency", action="store_true",
                        help="record the modelled per-request latency "
                             "distribution instead of IPS "
                             "(informational p99 gate)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="wall-clock repeats per scenario; best-of "
-                            "is recorded (default: 3)")
     bench.add_argument("--file", default=None,
                        help="baseline snapshot path (default: "
-                            "BENCH_fa3c.json; BENCH_wallclock.json "
-                            "with --wallclock; BENCH_latency.json "
+                            "BENCH_fa3c.json; BENCH_latency.json "
                             "with --latency)")
     bench.add_argument("--scenarios", nargs="+", default=None,
                        help="subset of scenario names to run")

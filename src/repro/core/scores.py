@@ -4,9 +4,8 @@ The paper's Figure 12 plots the moving average over 1,000 game scores
 against the number of processed inference steps; :class:`ScoreTracker`
 records exactly that series.
 
-(Previously ``repro.core.evaluation``; renamed to stop the confusion
-with :mod:`repro.core.evaluate`, which rolls out a trained policy.
-``repro.core.evaluation`` remains as a deprecation shim.)
+Not to be confused with :mod:`repro.core.evaluate`, which rolls out a
+trained policy.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ import queue as queue_module
 import threading
 import time
 import typing
-import warnings
 
 import numpy as np
 
@@ -174,7 +173,6 @@ class A3CTrainer:
               progress: typing.Optional[
                   typing.Callable[[int, ScoreTracker], None]] = None,
               progress_interval: int = 10_000,
-              backend: typing.Optional[str] = None,
               runlog=None) -> TrainResult:
         """Run until ``max_steps`` global inference steps.
 
@@ -183,9 +181,7 @@ class A3CTrainer:
         ``workers`` forked processes, default ``num_agents``), or
         ``"serial"`` (deterministic round-robin).  When ``actors`` is
         ``None`` the legacy ``threads`` flag picks between ``"threads"``
-        and ``"serial"``.  ``backend`` is a deprecated alias of
-        ``actors`` (the term now names the *compute* backend — see the
-        constructor's ``platform`` argument).
+        and ``"serial"``.
 
         ``progress(global_step, tracker)`` is invoked roughly every
         ``progress_interval`` steps (only in round-robin mode is the exact
@@ -195,14 +191,6 @@ class A3CTrainer:
         ``actors="procs"`` each worker process then writes heartbeat and
         telemetry shards into the run directory.
         """
-        if backend is not None:
-            warnings.warn(
-                "train(backend=...) is deprecated; the execution mode "
-                "is now train(actors=...) — 'backend' names the "
-                "compute platform (A3CTrainer(platform=...))",
-                DeprecationWarning, stacklevel=2)
-            if actors is None:
-                actors = backend
         if max_steps is not None:
             self.config.max_steps = max_steps
         if actors is None:
@@ -294,7 +282,7 @@ class A3CTrainer:
             raise RuntimeError(
                 "the 'procs' backend needs the fork start method (workers "
                 "inherit env/network factories without pickling); use "
-                "backend='threads' on this platform")
+                "actors='threads' on this platform")
         ctx = multiprocessing.get_context("fork")
         num_workers = workers or self.config.num_agents
         num_workers = max(1, min(num_workers, self.config.num_agents))

@@ -4,14 +4,15 @@ A :class:`~repro.perf.stageplan.StagePlan` is pure data shared by every
 simulator instance; a :class:`BoundStage` is that plan *bound* to one
 :class:`~repro.fpga.simloop.FPGASim` — channel resources resolved to the
 sim's CU pair, attribution counter cells pre-resolved lazily so the
-fast-path replay increments cells instead of re-sorting label dicts per
-stage.  :class:`BoundTask` caches a whole task's bound stages plus its
-PCIe bookends.
+replay increments cells instead of re-sorting label dicts per stage.
+:class:`BoundTask` caches a whole task's bound stages plus its PCIe
+bookends.
 
-Both classes record *exactly* the integer arithmetic of the derivation
-path in :mod:`repro.fpga.simloop` (``_count_dma`` + ``_record_stage``):
-the perf gate and the fast/legacy equivalence tests assert bit-identical
-attribution.
+The attribution is the integer arithmetic of
+:func:`repro.obs.prof.buckets.fpga_stage_buckets` on the stage's
+snapped cycle count.  The golden digests in ``tests/test_sim_golden.py``
+pin every counter bit-for-bit; ``BENCH_fa3c.json`` pins the bucket
+shares.
 """
 
 from __future__ import annotations
@@ -88,8 +89,14 @@ class BoundStage:
         return cells
 
     def record(self, metrics, elapsed: float) -> None:
-        """Fast-path equivalent of ``_count_dma`` + ``_record_stage``:
-        identical integer arithmetic, pre-resolved label keys."""
+        """Count one executed stage's DRAM bytes/bursts and attribute
+        its cycles to cause buckets.
+
+        The simulated duration is snapped to integer cycles (DMA burst
+        times are fractional-cycle at the modelled efficiency, so up to
+        half a cycle per stage is rounded away); the total counter is
+        incremented by the bucket sum, so buckets sum to the total
+        exactly."""
         cells = self._cells
         if cells is None or cells[0] is not metrics:
             cells = self._build_cells(metrics)

@@ -14,10 +14,7 @@ from __future__ import annotations
 import typing
 
 from repro.fpga.binding import BoundTask
-from repro.fpga.timing import GLOBAL, LOCAL, StageTiming
 from repro.obs import runtime as _obs
-from repro.obs.prof import buckets as _prof
-from repro.perf import runtime as _fast
 from repro.perf import stageplan as _stageplan
 from repro.sim import Engine, Resource, Tracer
 from repro.sim.events import Event
@@ -34,12 +31,11 @@ class FPGASim:
     channel is shared platform-wide (the single global θ copy).  Agents
     are assigned to pairs round-robin, as the host runtime does.
 
-    Tasks run on one of two equivalent paths: the default *fast path*
-    replays memoized :mod:`repro.perf.stageplan` plans through
-    callback-chained channel holds; with ``REPRO_FASTPATH=0`` the
-    original derivation path re-builds stages per task.  Both produce
-    bit-identical simulated times, grant orders, and attribution — the
-    perf gate and the equivalence tests assert it.
+    Each task replays its memoized :mod:`repro.perf.stageplan` plan
+    through callback-chained channel holds.  The golden digests in
+    ``tests/test_sim_golden.py`` pin the simulated times, grant orders,
+    spans, and attribution bit-for-bit, with the plan cache cold and
+    warm; ``BENCH_fa3c.json`` pins the rounded IPS and bucket shares.
     """
 
     def __init__(self, platform: "FA3CPlatform", engine: Engine,
@@ -81,125 +77,7 @@ class FPGASim:
     def _pair(self, agent_id: int) -> int:
         return agent_id % self.platform.config.cu_pairs
 
-    def _dma_plan(self, stage: StageTiming, pair: int):
-        """(channel resource, hold seconds, words) triples for one
-        stage's DMA."""
-        platform = self.platform
-        plan = []
-        local_words = stage.words(LOCAL)
-        if local_words:
-            plan.append((self.local_channels[pair],
-                         platform._words_seconds(local_words),
-                         local_words))
-        global_words = stage.words(GLOBAL)
-        if global_words:
-            # Striped across the global channels in parallel.
-            share = -(-global_words // len(self.global_channels))
-            duration = platform._words_seconds(share)
-            for channel in self.global_channels:
-                plan.append((channel, duration, share))
-        return plan
-
-    def _count_dma(self, stage: StageTiming, pair: int) -> None:
-        """Per-channel byte/burst counters for one stage's transfers."""
-        metrics = _obs.metrics()
-        traffic = metrics.counter("fpga.dram.bytes")
-        bursts = metrics.counter("fpga.dram.bursts")
-        stripe = len(self.global_channels)
-        config = self.platform.config
-        word_bytes = config.word_bytes
-        words_per_beat = config.words_per_beat
-        for direction, words_by_channel in (("load", stage.loads),
-                                            ("store", stage.stores)):
-            local_words = words_by_channel.get(LOCAL, 0)
-            if local_words:
-                name = self.local_channels[pair].name
-                traffic.inc(local_words * word_bytes, channel=name,
-                            dir=direction)
-                bursts.inc(-(-local_words // words_per_beat),
-                           channel=name)
-            global_words = words_by_channel.get(GLOBAL, 0)
-            if global_words:
-                share = -(-global_words // stripe)
-                for channel in self.global_channels:
-                    traffic.inc(share * word_bytes, channel=channel.name,
-                                dir=direction)
-                    bursts.inc(-(-share // words_per_beat),
-                               channel=channel.name)
-
-    def _run_stage(self, stage: StageTiming, pair: int):
-        """Process body: one stage = compute overlapped with channel DMA
-        (or serialised after it when double buffering is disabled)."""
-        platform = self.platform
-        compute_seconds = stage.compute_cycles / platform.config.clock_hz
-        plan = self._dma_plan(stage, pair)
-        if _obs.enabled():
-            self._count_dma(stage, pair)
-        if platform.config.double_buffering:
-            events = [self.engine.timeout(compute_seconds)]
-            events.extend(self.engine.process(resource.use(duration),
-                                              name=f"dma-{stage.name}")
-                          for resource, duration, _words in plan)
-            yield self.engine.all_of(events)
-        else:
-            # No overlap: the PEs stall until every transfer finishes.
-            for resource, duration, _words in plan:
-                yield from resource.use(duration)
-            yield self.engine.timeout(compute_seconds)
-
-    def _record_stage(self, stage: StageTiming, cu_name: str, task: str,
-                      elapsed: float) -> None:
-        """Attribute one executed stage's cycles to cause buckets.
-
-        The simulated duration is snapped to integer cycles (DMA burst
-        times are fractional-cycle at the modelled efficiency, so up to
-        half a cycle per stage is rounded away) and decomposed by
-        :func:`repro.obs.prof.buckets.fpga_stage_buckets`; the total
-        counter is incremented by the bucket sum itself, making the
-        buckets-sum-to-total invariant exact by construction.
-        """
-        config = self.platform.config
-        cycles = int(round(elapsed * config.clock_hz))
-        total = max(cycles, stage.compute_cycles)
-        buckets = _prof.fpga_stage_buckets(stage, total,
-                                           config.double_buffering)
-        kind, layer = _prof.split_stage_name(stage.name)
-        metrics = _obs.metrics()
-        counter = metrics.counter(_prof.FPGA_CYCLES_METRIC)
-        recorded = 0
-        for bucket, value in buckets.items():
-            counter.inc(value, cu=cu_name, task=task, stage=kind,
-                        layer=layer, bucket=bucket)
-            recorded += value
-        metrics.counter(_prof.FPGA_CYCLES_TOTAL_METRIC).inc(recorded,
-                                                            cu=cu_name)
-
-    def _run_task(self, stages: typing.Sequence[StageTiming],
-                  cu: Resource, pair: int, task: str = "task"):
-        """Process body: acquire the CU, run all stages, release."""
-        yield cu.acquire()
-        observing = _obs.enabled()
-        task_start = self.engine.now
-        try:
-            for stage in stages:
-                start = self.engine.now
-                yield from self._run_stage(stage, pair)
-                if self.tracer is not None:
-                    self.tracer.record(cu.name, stage.name, start,
-                                       self.engine.now)
-                if observing:
-                    self._record_stage(stage, cu.name, task,
-                                       self.engine.now - start)
-        finally:
-            cu.release()
-            if observing:
-                metrics = _obs.metrics()
-                metrics.counter("fpga.cu.busy_seconds").inc(
-                    self.engine.now - task_start, cu=cu.name)
-                metrics.counter("fpga.cu.tasks").inc(cu=cu.name,
-                                                     task=task)
-
-    # -- the fast path: memoized plan replay --------------------------------
+    # -- memoized plan replay ------------------------------------------------
 
     def _bound_task(self, kind: str, batch: int, pair: int) -> BoundTask:
         """The task's plan bound to this sim's pair resources.
@@ -232,10 +110,9 @@ class FPGASim:
         acquire -> hold ``duration`` -> release -> ``finish``.
 
         The release happens while the hold timeout is being processed
-        and ``finish`` runs one queue hop later (via the chain event) —
-        exactly where the derivation path's process-end event sits, so
-        same-timestamp resume ordering between agents is preserved
-        bit-for-bit."""
+        and ``finish`` runs one queue hop later (via the chain event).
+        That hop fixes the same-timestamp resume order between agents,
+        which the golden digests pin."""
         engine = self.engine
 
         def _granted(_event):
@@ -252,8 +129,8 @@ class FPGASim:
         """Start one double-buffered stage; returns its stage-end event.
 
         Compute overlaps every channel hold; the join counts the compute
-        timeout plus each hold's post-release chain event, mirroring the
-        derivation path's ``AllOf`` over (timeout, DMA processes)."""
+        timeout plus each hold's post-release chain event, like an
+        ``AllOf`` over (compute timeout, DMA processes)."""
         engine = self.engine
         holds = bound.holds
         done = Event(engine)
@@ -272,7 +149,7 @@ class FPGASim:
     def _serial_stage(self, bound):
         """Process body for one stage without double buffering: each
         channel hold completes before the next starts, then compute runs
-        — hop-identical to the derivation path's serial generators."""
+        (the PEs stall until every transfer finishes)."""
         for resource, duration in bound.holds:
             yield resource.acquire()
             try:
@@ -282,7 +159,11 @@ class FPGASim:
         yield self.engine.timeout(bound.compute_seconds)
 
     def _replay_task(self, bound: BoundTask, cu: Resource):
-        """Fast-path process body mirroring ``_run_task``."""
+        """Process body: acquire the CU, run every stage, release.
+
+        Stage spans go to the tracer and cycle attribution to the
+        metrics registry only when one is attached or collection is on;
+        otherwise the loop only waits on the stage events."""
         yield cu.acquire()
         engine = self.engine
         tracer = self.tracer
@@ -316,7 +197,8 @@ class FPGASim:
                                   engine.now - task_start)
 
     def _replay_sync(self, bound: BoundTask, pair: int):
-        """Fast-path process body mirroring the ``sync`` stage loop."""
+        """Process body for a parameter sync: the stage loop of
+        :meth:`_replay_task` on the pair's DMA path, with no CU held."""
         engine = self.engine
         tracer = self.tracer
         observing = _obs.enabled()
@@ -343,10 +225,6 @@ class FPGASim:
 
     # -- the task interface used by the throughput simulation ---------------
 
-    def _pcie_seconds(self, num_bytes: float) -> float:
-        config = self.platform.config
-        return config.pcie_latency + num_bytes / config.pcie_bandwidth
-
     def inference(self, agent_id: int, batch: int = 1):
         """Process body for one inference task of ``agent_id``.
 
@@ -354,50 +232,20 @@ class FPGASim:
         with the (tiny) output DMA back to the host (Section 4.1).
         """
         pair = self._pair(agent_id)
-        if _fast.enabled():
-            bound = self._bound_task("inference", batch, pair)
-            yield self.engine.timeout(bound.pcie_in_seconds)
-            yield from self._replay_task(bound, self.infer_cus[pair])
-            yield self.engine.timeout(bound.pcie_out_seconds)
-            return
-        timing = self.platform.timing
-        word_bytes = self.platform.config.word_bytes
-        yield self.engine.timeout(
-            self._pcie_seconds(batch * timing.input_words(1) * word_bytes))
-        stages = timing.inference_task(batch)
-        yield from self._run_task(stages, self.infer_cus[pair], pair,
-                                  task="inference")
-        last = self.platform.topology.layers[-1]
-        yield self.engine.timeout(
-            self._pcie_seconds(batch * last.num_outputs * word_bytes))
+        bound = self._bound_task("inference", batch, pair)
+        yield self.engine.timeout(bound.pcie_in_seconds)
+        yield from self._replay_task(bound, self.infer_cus[pair])
+        yield self.engine.timeout(bound.pcie_out_seconds)
 
     def train(self, agent_id: int, batch: int):
         """Process body for one training task."""
         pair = self._pair(agent_id)
-        if _fast.enabled():
-            bound = self._bound_task("train", batch, pair)
-            yield from self._replay_task(bound, self.train_cus[pair])
-            return
-        stages = self.platform.timing.training_task(batch)
-        yield from self._run_task(stages, self.train_cus[pair], pair,
-                                  task="train")
+        yield from self._replay_task(self._bound_task("train", batch, pair),
+                                     self.train_cus[pair])
 
     def sync(self, agent_id: int):
         """Process body for one parameter-sync task (runs on the training
         CU's DMA path; occupies channels but not PEs)."""
         pair = self._pair(agent_id)
-        if _fast.enabled():
-            yield from self._replay_sync(self._bound_task("sync", 0,
-                                                          pair), pair)
-            return
-        stages = self.platform.timing.sync_task()
-        observing = _obs.enabled()
-        for stage in stages:
-            start = self.engine.now
-            yield from self._run_stage(stage, pair)
-            if self.tracer is not None:
-                self.tracer.record(f"sync{pair}", stage.name, start,
-                                   self.engine.now)
-            if observing:
-                self._record_stage(stage, f"sync{pair}", "sync",
-                                   self.engine.now - start)
+        yield from self._replay_sync(self._bound_task("sync", 0, pair),
+                                     pair)

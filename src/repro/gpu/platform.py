@@ -1,9 +1,8 @@
 """The four software baseline platforms (paper Section 5.1).
 
-Each platform exposes the same simulation interface as
-:class:`repro.fpga.platform.FPGASim` — process bodies for ``inference``,
-``train`` and ``sync`` — so the throughput experiment drives every platform
-identically.
+Each platform's discrete-event sim exposes ``agent_chain``: one agent's
+A3C routines compiled into a callback chain (see :class:`_AgentChainBase`)
+that :class:`repro.platforms.ThroughputSetup` starts once per agent.
 
 * :class:`A3CcuDNNPlatform` — direct cuDNN/cuBLAS invocation; one shared
   GPU serialises all agents' tasks.
@@ -27,7 +26,6 @@ from repro.gpu.specs import P100, XEON_E5_2630_PAIR, GPUSpec, HostSpec
 from repro.nn.network import NetworkTopology
 from repro.obs import runtime as _obs
 from repro.obs.prof import buckets as _prof
-from repro.perf import runtime as _fast
 from repro.perf.hotpath import hot_path
 from repro.sim import Engine, Resource, Store
 from repro.sim.events import Event
@@ -68,8 +66,8 @@ class _GPUPlatformBase:
         # (kind, task, batch) -> seconds / buckets.  Latencies are pure
         # functions of (topology, calibration, batch), all fixed at
         # construction (GPUCalibration is frozen), so memoizing them is
-        # value-preserving; the fast-path switch gates it only so
-        # REPRO_FASTPATH=0 measures the true re-deriving cost.
+        # value-preserving; the golden digests in tests/test_sim_golden.py
+        # run every case cold and warm to keep it so.
         self._task_cache: typing.Dict[tuple, typing.Any] = {}
 
     # Per-platform multipliers (TensorFlow adds overheads).
@@ -187,12 +185,10 @@ class _GPUPlatformBase:
         Dispatches through the instance methods, so platform subclasses
         that override a latency model are still honoured.  The entry is
         built with collection suspended (the build's own per-kernel
-        recordings happen exactly once otherwise) and the cached
-        observation rows are replayed per call instead, so the metrics
-        a run collects are identical on both paths.
+        recordings would happen once per entry, not once per task) and
+        the cached observation rows are replayed per call instead, so
+        every simulated task records its kernels.
         """
-        if not _fast.enabled():
-            return self._build_seconds(task, batch)
         key = ("seconds", task, batch)
         entry = self._task_cache.get(key)
         if entry is None:
@@ -216,8 +212,6 @@ class _GPUPlatformBase:
         (callers annotate the dict in place).  Bucket builders use
         :meth:`KernelCostModel.sequence_buckets`, which records nothing,
         so no replay is needed here."""
-        if not _fast.enabled():
-            return self._build_buckets(task, batch)
         key = ("buckets", task, batch)
         value = self._task_cache.get(key)
         if value is None:
@@ -328,16 +322,17 @@ class A3CTFCPUPlatform(_GPUPlatformBase):
 
 
 class _AgentChainBase:
-    """Callback-compiled agent routine (the fused DES fast path).
+    """Callback-compiled agent routine.
 
-    Replays ``repro.platforms.throughput._agent_process`` event-for-event
-    without the generator machinery: every ``Event``/``Timeout`` is
-    created at the same execution point, in the same order, as the
-    generator path would create it, so heap sequence numbers, resource
-    grant order and therefore every modelled time are bit-identical.
-    Only the per-event ``generator.send`` resume (the simulator's
-    dominant host cost at large agent counts) is bypassed — each event
-    fires a bound-method continuation instead.
+    Runs the Figure 2 routine that
+    ``repro.platforms.throughput._agent_process`` runs for the FPGA sim
+    (sync, ``t_max`` step + inference pairs, bootstrap inference,
+    objective prep, train) without the generator machinery: each event
+    fires a bound-method continuation instead of a ``generator.send``
+    resume, the simulator's dominant host cost at large agent counts.
+    The order in which the chain creates events fixes heap sequence
+    numbers and resource grant order, so it is part of the model; the
+    golden digests in ``tests/test_sim_golden.py`` pin it.
 
     Subclasses compile the routine into a flat micro-op program in
     ``self.ops``; :meth:`_advance` interprets it, returning whenever an
@@ -394,7 +389,7 @@ class _GPUAgentChain(_AgentChainBase):
         # A device task is flattened into its three wait points —
         # ("acq", name, batch, tracked, dur?) / ("hold",) /
         # ("rel", tracked) — mirroring Resource.use; ("sleep", s) is a
-        # host-side timeout.  The op order matches _agent_process exactly.
+        # host-side timeout, in routine order.
         # The acq slot caches the task latency once computed (the value is
         # a pure function of the frozen platform): with observability off
         # there is nothing to record per call, so skipping the memoized
@@ -518,10 +513,10 @@ class _GA3CAgentChain(_AgentChainBase):
 
     def _compile(self, t_max: int, host, needs_sync: bool,
                  needs_bootstrap: bool) -> list:
-        # GA3CSim.sync is a zero-length timeout; ("predict", tracked) /
-        # ("lat", tracked) bracket the reply-event round trip through the
-        # predictor queue; ("train",) enqueues a rollout and waits out the
-        # non-blocking zero timeout.
+        # GA3C has no local model, so a sync is a zero-length sleep;
+        # ("predict", tracked) / ("lat", tracked) bracket the reply-event
+        # round trip through the predictor queue; ("train",) enqueues a
+        # rollout and waits out a zero delay (training does not block).
         tracked = self.latencies is not None
 
         def predict(track):
@@ -590,11 +585,12 @@ class _GA3CAgentChain(_AgentChainBase):
 
 
 class _GA3CPredictorChain:
-    """Callback-compiled predictor server (fast-path GA3CSim only).
+    """Callback-compiled GA3C predictor server.
 
-    State-for-state replica of :meth:`GA3CSim._predictor`: same events,
-    created at the same execution points, so batching behaviour and
-    modelled times are bit-identical to the generator.
+    Loop: wait for a request (an agent's reply event) on the predict
+    queue, drain up to ``max_prediction_batch - 1`` more, serialise the
+    per-request Python handling (``ga3c_request_overhead`` each), run
+    one batched inference on the device, then succeed every reply.
     """
 
     __slots__ = ("sim", "engine", "_state", "_batch", "_dur")
@@ -615,7 +611,7 @@ class _GA3CPredictorChain:
         platform = sim.platform
         state = self._state
         if state == 1:
-            # first = yield predict_queue.get() has fired.
+            # The blocking get for the batch's first request has fired.
             batch = [event._value] + sim.predict_queue.get_batch(
                 platform.max_prediction_batch - 1)
             self._batch = batch
@@ -677,8 +673,11 @@ class _GA3CPredictorChain:
 
 
 class _GA3CTrainerChain:
-    """Callback-compiled trainer server (fast-path GA3CSim only);
-    replicates :meth:`GA3CSim._trainer` event-for-event."""
+    """Callback-compiled GA3C trainer server.
+
+    Loop: wait for a rollout on the train queue, drain up to
+    ``training_batch_rollouts - 1`` more, and run one training task over
+    their summed length on the device.  Agents never wait on it."""
 
     __slots__ = ("sim", "engine", "_state", "_dur")
 
@@ -754,35 +753,10 @@ class GPUSim:
         """Device occupancy (drives the power model)."""
         return self.device.utilisation()
 
-    def inference(self, agent_id: int, batch: int = 1):
-        del agent_id
-        if _obs.enabled():
-            _record_task_profile(self.platform.name, "inference",
-                                 self.platform.task_buckets("inference",
-                                                            batch))
-        yield from self.device.use(
-            self.platform.task_seconds("inference", batch))
-
-    def train(self, agent_id: int, batch: int):
-        del agent_id
-        if _obs.enabled():
-            _record_task_profile(self.platform.name, "train",
-                                 self.platform.task_buckets("train",
-                                                            batch))
-        yield from self.device.use(
-            self.platform.task_seconds("train", batch))
-
-    def sync(self, agent_id: int):
-        del agent_id
-        if _obs.enabled():
-            _record_task_profile(self.platform.name, "sync",
-                                 self.platform.task_buckets("sync"))
-        yield from self.device.use(self.platform.task_seconds("sync"))
-
     def agent_chain(self, agent_id: int, t_max: int, routines: int,
                     host, meter, needs_sync: bool, needs_bootstrap: bool,
                     latencies: typing.Optional[list] = None) -> Event:
-        """Fused equivalent of ``throughput._agent_process``: returns an
+        """Start one agent's routines as a callback chain; returns an
         event that succeeds once ``routines`` routines have run."""
         del agent_id
         return _GPUAgentChain(self, self.engine, t_max, routines, host,
@@ -826,78 +800,21 @@ class GA3CSim:
         self.device = Resource(engine, capacity=1, name="gpu")
         self.predict_queue = Store(engine, name="predict")
         self.train_queue = Store(engine, name="train")
-        if _fast.enabled():
-            _GA3CPredictorChain(self, engine)
-            _GA3CTrainerChain(self, engine)
-        else:
-            engine.process(self._predictor(), name="ga3c-predictor")
-            engine.process(self._trainer(), name="ga3c-trainer")
+        _GA3CPredictorChain(self, engine)
+        _GA3CTrainerChain(self, engine)
 
     def utilisation(self) -> float:
         """Device occupancy (drives the power model)."""
         return self.device.utilisation()
 
-    def _predictor(self):
-        platform = self.platform
-        while True:
-            first = yield self.predict_queue.get()
-            batch = [first] + self.predict_queue.get_batch(
-                platform.max_prediction_batch - 1)
-            # Per-request Python-side handling (dequeue, batch assembly,
-            # result scatter) serialises in the predictor thread.
-            if _obs.enabled():
-                buckets = platform.task_buckets("inference", len(batch))
-                buckets[_prof.GPU_FRAMEWORK] = (
-                    buckets.get(_prof.GPU_FRAMEWORK, 0.0)
-                    + len(batch) * platform.cal.ga3c_request_overhead)
-                _record_task_profile(platform.name, "predict", buckets)
-            yield self.engine.timeout(
-                len(batch) * platform.cal.ga3c_request_overhead)
-            yield from self.device.use(
-                platform.task_seconds("inference", len(batch)))
-            for reply in batch:
-                reply.succeed()
-
-    def _trainer(self):
-        platform = self.platform
-        while True:
-            first = yield self.train_queue.get()
-            extra = self.train_queue.get_batch(
-                platform.training_batch_rollouts - 1)
-            total = int(first) + sum(int(b) for b in extra)
-            if _obs.enabled():
-                _record_task_profile(platform.name, "train",
-                                     platform.task_buckets("train", total))
-            yield from self.device.use(
-                platform.task_seconds("train", total))
-
-    # -- agent-facing interface ------------------------------------------
-
-    def inference(self, agent_id: int, batch: int = 1):
-        """Submit one state and wait for the batched prediction."""
-        del agent_id, batch
-        reply = self.engine.event()
-        self.predict_queue.put(reply)
-        yield reply
-
-    def train(self, agent_id: int, batch: int):
-        """Queue a rollout for the trainer; does not block the agent."""
-        del agent_id
-        self.train_queue.put(batch)
-        yield self.engine.timeout(0.0)
-
-    def sync(self, agent_id: int):
-        """GA3C has no local models, hence no parameter sync."""
-        del agent_id
-        yield self.engine.timeout(0.0)
-
     def agent_chain(self, agent_id: int, t_max: int, routines: int,
                     host, meter, needs_sync: bool, needs_bootstrap: bool,
                     latencies: typing.Optional[list] = None) -> Event:
-        """Fused equivalent of ``throughput._agent_process``: returns an
-        event that succeeds once ``routines`` routines have run.  The
-        predictor and trainer stay generator processes — they run once
-        per *batch*, so their resume overhead is already amortised."""
+        """Start one agent's routines as a callback chain; returns an
+        event that succeeds once ``routines`` routines have run.  Agents
+        talk to the device only through :attr:`predict_queue` (a reply
+        event per inference) and :attr:`train_queue` (a rollout length
+        per training task)."""
         del agent_id
         return _GA3CAgentChain(self, self.engine, t_max, routines, host,
                                meter, needs_sync, needs_bootstrap,

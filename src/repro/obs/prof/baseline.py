@@ -20,7 +20,6 @@ Workflow (see docs/observability.md):
 from __future__ import annotations
 
 import json
-import time
 import typing
 
 from repro import obs
@@ -35,25 +34,15 @@ DEFAULT_IPS_RTOL = 0.05
 #: Allowed absolute drift of one bucket's share (0.02 = 2 points).
 DEFAULT_SHARE_ATOL = 0.02
 
-#: The committed wall-clock snapshot (host time, not modelled time).
-DEFAULT_WALLCLOCK_BASELINE = "BENCH_wallclock.json"
-WALLCLOCK_VERSION = 1
-
-#: Wall clock is hardware- and load-dependent, so the check is loose and
-#: informational — it catches order-of-magnitude regressions (a fast
-#: path accidentally disabled), not noise.  The modelled-IPS gate above
-#: stays strict.
-DEFAULT_WALLCLOCK_RTOL = 0.5
-
 #: The committed per-scenario latency-distribution snapshot.
 DEFAULT_LATENCY_BASELINE = "BENCH_latency.json"
 LATENCY_VERSION = 1
 
-#: The p99 gate is informational (like the wall-clock gate): sim-time
-#: latencies are deterministic, but HDR quantisation means a one-bucket
-#: shift can move a percentile by ~12 %, so the tolerance is wider than
-#: the IPS gate's.  Exact distribution changes still show up in the
-#: committed ``hdr`` counts, which diff bit-for-bit.
+#: The p99 gate is informational: sim-time latencies are deterministic,
+#: but HDR quantisation means a one-bucket shift can move a percentile by
+#: ~12 %, so the tolerance is wider than the IPS gate's.  Exact
+#: distribution changes still show up in the committed ``hdr`` counts,
+#: which diff bit-for-bit.
 DEFAULT_LATENCY_RTOL = 0.25
 
 
@@ -148,100 +137,6 @@ def run_scenario(name: str) -> typing.Tuple[typing.Dict[str, object],
                     for bucket, share in sorted(shares.items())},
     }
     return entry, report
-
-
-def run_wallclock_scenario(name: str, repeats: int = 3
-                           ) -> typing.Dict[str, object]:
-    """Best-of-``repeats`` host-side timing of one scenario.
-
-    Telemetry stays in its ambient state (off for the committed
-    snapshot): this measures the production fast path, and the first
-    repeat warms the stage-plan caches so the best-of reflects the
-    steady state.  Modelled numbers are ignored here — only host
-    routines/second matter.
-    """
-    try:
-        scenario = _BY_NAME[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; known: "
-            f"{', '.join(scenario_names())}") from None
-    from repro.platforms import ThroughputSetup
-    setup = ThroughputSetup(scenario.build(), scenario.build_host())
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        setup.measure(scenario.num_agents, t_max=scenario.t_max,
-                      routines_per_agent=scenario.routines)
-        best = min(best, time.perf_counter() - started)
-    routines = scenario.num_agents * scenario.routines
-    return {
-        "wall_seconds": round(best, 4),
-        "routines_per_second": round(routines / best, 1),
-    }
-
-
-def collect_wallclock(names: typing.Optional[
-                          typing.Sequence[str]] = None,
-                      repeats: int = 3,
-                      rtol: float = DEFAULT_WALLCLOCK_RTOL
-                      ) -> typing.Dict[str, object]:
-    """Run the wall-clock matrix and assemble a snapshot document."""
-    scenarios = {}
-    total = 0.0
-    for name in names or scenario_names():
-        entry = run_wallclock_scenario(name, repeats=repeats)
-        scenarios[name] = entry
-        total += float(entry["wall_seconds"])
-    return {
-        "version": WALLCLOCK_VERSION,
-        "tolerances": {"wallclock_rtol": rtol},
-        "total_wall_seconds": round(total, 4),
-        "scenarios": scenarios,
-    }
-
-
-def load_wallclock(path) -> typing.Dict[str, object]:
-    with open(path, "r", encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    version = snapshot.get("version")
-    if version != WALLCLOCK_VERSION:
-        raise ValueError(f"unsupported wall-clock baseline version "
-                         f"{version!r} in {path}")
-    return snapshot
-
-
-def check_wallclock(baseline: typing.Mapping[str, object],
-                    current: typing.Mapping[str, object],
-                    rtol: typing.Optional[float] = None
-                    ) -> typing.List[str]:
-    """Loose wall-clock comparison; returns failure messages.
-
-    Only slowdowns beyond ``rtol`` fail (faster runs pass), and the
-    default tolerance is wide — see :data:`DEFAULT_WALLCLOCK_RTOL`.
-    """
-    if rtol is None:
-        tolerances = baseline.get("tolerances") or {}
-        rtol = float(tolerances.get("wallclock_rtol",
-                                    DEFAULT_WALLCLOCK_RTOL))
-    failures = []
-    base_scenarios = baseline.get("scenarios") or {}
-    cur_scenarios = current.get("scenarios") or {}
-    for name in sorted(base_scenarios):
-        cur = cur_scenarios.get(name)
-        if cur is None:
-            failures.append(f"{name}: scenario missing from current run")
-            continue
-        base_rps = float(base_scenarios[name]
-                         .get("routines_per_second", 0.0))
-        cur_rps = float(cur.get("routines_per_second", 0.0))
-        floor = base_rps * (1.0 - rtol)
-        if cur_rps < floor:
-            failures.append(
-                f"{name}: routines/s regressed {base_rps:.1f} -> "
-                f"{cur_rps:.1f} ({100.0 * (cur_rps / base_rps - 1.0):+.1f}%"
-                f", tolerance -{100.0 * rtol:.0f}%)")
-    return failures
 
 
 def run_latency_scenario(name: str) -> typing.Dict[str, object]:

@@ -1,17 +1,14 @@
 """Wall-clock fast path: memoized stage plans for the simulators.
 
 ``repro.perf`` makes the harness faster **without changing any modelled
-number**.  The discrete-event FPGA simulator re-derives identical stage
-schedules, DMA plans, and attribution templates on every routine even
-though they are pure functions of (topology, batch, direction, platform
-config); :mod:`repro.perf.stageplan` computes them once and lets
-:class:`repro.fpga.platform.FPGASim` replay them.
-
-The fast path is on by default and can be disabled for A/B verification
-with ``REPRO_FASTPATH=0`` (or :func:`repro.perf.runtime.disable`); the
-``repro bench --check`` gate against ``BENCH_fa3c.json`` is the
-correctness harness proving both paths produce bit-identical IPS and
-cycle attribution.
+number**.  A stage schedule, DMA plan, and attribution template is a
+pure function of (topology, batch, direction, platform config), so
+:mod:`repro.perf.stageplan` computes each one once and
+:class:`repro.fpga.simloop.FPGASim` replays it on every task.  The
+golden digests in ``tests/test_sim_golden.py`` pin the replayed numbers
+bit-for-bit, from a cold and a warm cache; ``BENCH_fa3c.json`` and
+``BENCH_latency.json`` pin the rounded bench view under ``repro bench
+--check``.
 
 ``stageplan`` imports the FPGA timing model, which imports platform
 modules that themselves consult this package — so its names are exposed
@@ -20,7 +17,6 @@ submodules.
 """
 
 from repro.perf.hotpath import hot_path
-from repro.perf.runtime import disable, disabled_scope, enable, enabled
 
 #: Names resolved from :mod:`repro.perf.stageplan` on first access.
 _STAGEPLAN_NAMES = ("CACHE", "PlanCache", "StagePlan", "TaskPlan",
@@ -32,10 +28,6 @@ __all__ = [
     "StagePlan",
     "TaskPlan",
     "config_key",
-    "disable",
-    "disabled_scope",
-    "enable",
-    "enabled",
     "hot_path",
     "task_plan",
 ]
@@ -43,8 +35,8 @@ __all__ = [
 
 def __getattr__(name: str):
     import importlib
-    if name == "stageplan" or name == "runtime":
-        return importlib.import_module(f"repro.perf.{name}")
+    if name == "stageplan":
+        return importlib.import_module("repro.perf.stageplan")
     if name in _STAGEPLAN_NAMES:
         module = importlib.import_module("repro.perf.stageplan")
         return getattr(module, name)

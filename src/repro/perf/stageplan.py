@@ -1,11 +1,12 @@
 """Memoized stage plans keyed on (topology, batch, direction, config).
 
-A *stage plan* is everything :class:`repro.fpga.platform.FPGASim` needs
+A *stage plan* is everything :class:`repro.fpga.simloop.FPGASim` needs
 to execute one :class:`~repro.fpga.timing.StageTiming` — compute
 seconds, per-channel DMA hold durations, byte/burst counter increments,
-and the cycle-attribution template — precomputed with exactly the same
-arithmetic the simulator's per-stage derivation path uses, so replaying
-a plan is bit-identical to re-deriving it.
+and the cycle-attribution template — computed once per key and replayed
+by every task that needs it.  The golden digests in
+``tests/test_sim_golden.py`` run every case from a cold and a warm cache
+and pin both bit-for-bit.
 
 Plans are pure data: they reference no engine, resources, or metric
 objects, so one global :data:`CACHE` is shared by every simulator
@@ -71,7 +72,7 @@ class StagePlan:
     #: ``(direction, bytes, bursts)`` rows for the pair-local channel.
     local_traffic: typing.Tuple[typing.Tuple[str, int, int], ...]
     #: ``(direction, bytes, bursts)`` rows applied to *each* global
-    #: channel (the striped share, as the derivation path counts it).
+    #: channel (the striped share of that direction's words).
     global_traffic: typing.Tuple[typing.Tuple[str, int, int], ...]
 
 
@@ -91,7 +92,7 @@ class TaskPlan:
 
 
 def build_stage_plan(platform, stage: StageTiming) -> StagePlan:
-    """Precompute one stage's plan with the simulator's own arithmetic."""
+    """Precompute one stage's execution and attribution template."""
     config = platform.config
     compute_seconds = stage.compute_cycles / config.clock_hz
     local_words = stage.words(LOCAL)

@@ -2,8 +2,9 @@
 
 Every platform model (FPGA configurations in :mod:`repro.fpga.platform`,
 GPU/CPU baselines in :mod:`repro.gpu.platform`) exposes ``build_sim``
-returning process bodies for inference / train / sync; this package drives
-them with the A3C agent structure of paper Figure 2 inside the
+returning a discrete-event sim: process bodies for inference / train /
+sync (FPGA) or a per-agent callback chain (GPU, GA3C).  This package
+drives them with the A3C agent structure of paper Figure 2 inside the
 discrete-event engine and measures inferences per second — the metric of
 Figures 8-10.
 """

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.gpu.calibration import GPUCalibration
 from repro.obs import runtime as _obs
-from repro.perf import runtime as _fast
 from repro.platforms.metrics import IPSMeter
 from repro.sim import Engine
 
@@ -90,7 +89,10 @@ def _agent_process(sim, engine: Engine, agent_id: int, t_max: int,
                    routines: int, host: HostModel, meter: IPSMeter,
                    needs_sync: bool, needs_bootstrap: bool,
                    latencies: typing.Optional[list] = None):
-    """One agent's lifetime: ``routines`` full A3C routines."""
+    """One agent's lifetime: ``routines`` full A3C routines, driving the
+    sim's ``sync`` / ``inference`` / ``train`` process bodies (the FPGA
+    sim; the GPU and GA3C sims compile the same routine into an
+    ``agent_chain``)."""
     warmup = routines // 4
     for routine_index in range(routines):
         if needs_sync:
@@ -139,11 +141,9 @@ class ThroughputSetup:
         sim = self.platform.build_sim(engine)
         meter = IPSMeter(t_max)
         latencies: typing.List[float] = []
-        if _fast.enabled() and hasattr(sim, "agent_chain"):
-            # Fused fast path: each agent is a callback chain instead of
-            # a generator process.  The chains create the same events in
-            # the same order, so every modelled number is bit-identical
-            # to the generator path (REPRO_FASTPATH=0).
+        if hasattr(sim, "agent_chain"):
+            # The sim compiles each agent into a callback chain instead
+            # of a generator process (see repro.gpu.platform).
             agents = [
                 sim.agent_chain(agent_id, t_max, routines_per_agent,
                                 self.host, meter, self.needs_sync,

@@ -8,8 +8,6 @@ never record metrics, attribution buckets that sum to the simulated
 total, and a drivable discrete-event sim.
 """
 
-import warnings
-
 import pytest
 
 from repro import backends, obs
@@ -272,17 +270,3 @@ class TestPrecision:
         with pytest.raises(ValueError, match="did you mean 'precision'"):
             backends.capability(backend, "precison")
 
-
-class TestEvaluationShim:
-    def test_scores_rename_keeps_old_imports_working(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import importlib
-
-            import repro.core.evaluation as evaluation
-            importlib.reload(evaluation)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        from repro.core.scores import ScoreTracker, moving_average
-        assert evaluation.ScoreTracker is ScoreTracker
-        assert evaluation.moving_average is moving_average

@@ -191,97 +191,3 @@ class TestScenarioDeterminism:
         second, _ = bench.run_scenario("fa3c-n8")
         assert first == second
 
-
-WALLCLOCK = REPO_ROOT / "BENCH_wallclock.json"
-
-
-def _wallclock(scenarios, rtol=0.5):
-    return {
-        "version": bench.WALLCLOCK_VERSION,
-        "tolerances": {"wallclock_rtol": rtol},
-        "total_wall_seconds": sum(float(e["wall_seconds"])
-                                  for e in scenarios.values()),
-        "scenarios": scenarios,
-    }
-
-
-def _wc_entry(rps):
-    return {"wall_seconds": round(1.0 / rps, 4),
-            "routines_per_second": rps}
-
-
-class TestWallclock:
-    def test_committed_wallclock_baseline_is_loadable(self):
-        doc = bench.load_wallclock(WALLCLOCK)
-        assert set(doc["scenarios"]) == set(bench.scenario_names())
-        for name, entry in doc["scenarios"].items():
-            assert entry["routines_per_second"] > 0, name
-            assert entry["wall_seconds"] > 0, name
-
-    def test_version_mismatch_raises(self, tmp_path):
-        path = tmp_path / "w.json"
-        path.write_text('{"version": 99, "scenarios": {}}')
-        with pytest.raises(ValueError, match="version"):
-            bench.load_wallclock(path)
-
-    def test_unknown_scenario_raises(self):
-        with pytest.raises(ValueError, match="fa3c-n8"):
-            bench.run_wallclock_scenario("no-such-scenario")
-
-    def test_identical_passes(self):
-        doc = _wallclock({"s": _wc_entry(1000.0)})
-        assert bench.check_wallclock(doc, doc) == []
-
-    def test_slowdown_beyond_tolerance_fails(self):
-        base = _wallclock({"s": _wc_entry(1000.0)})
-        cur = _wallclock({"s": _wc_entry(400.0)})
-        failures = bench.check_wallclock(base, cur)
-        assert failures and "regressed" in failures[0]
-
-    def test_speedup_passes(self):
-        base = _wallclock({"s": _wc_entry(1000.0)})
-        cur = _wallclock({"s": _wc_entry(5000.0)})
-        assert bench.check_wallclock(base, cur) == []
-
-    def test_slowdown_within_loose_tolerance_passes(self):
-        base = _wallclock({"s": _wc_entry(1000.0)})
-        cur = _wallclock({"s": _wc_entry(700.0)})
-        assert bench.check_wallclock(base, cur) == []
-
-    def test_missing_scenario_fails(self):
-        base = _wallclock({"s": _wc_entry(1000.0)})
-        cur = _wallclock({})
-        assert "missing" in bench.check_wallclock(base, cur)[0]
-
-    def test_cli_wallclock_baseline_and_check(self, tmp_path, capsys):
-        out = tmp_path / "w.json"
-        rc = main(["bench", "--wallclock", "--baseline",
-                   "--file", str(out), "--repeats", "1",
-                   "--scenarios", "ga3c-tf-n8"])
-        assert rc == 0
-        doc = bench.load_wallclock(out)
-        assert set(doc["scenarios"]) == {"ga3c-tf-n8"}
-        rc = main(["bench", "--wallclock", "--check",
-                   "--file", str(out), "--repeats", "1"])
-        assert rc == 0
-        assert "wall-clock smoke OK" in capsys.readouterr().out
-
-    def test_cli_wallclock_check_subset_and_missing(self, tmp_path,
-                                                    capsys):
-        out = tmp_path / "w.json"
-        main(["bench", "--wallclock", "--baseline", "--file", str(out),
-              "--repeats", "1", "--scenarios", "ga3c-tf-n8"])
-        capsys.readouterr()
-        rc = main(["bench", "--wallclock", "--check", "--file",
-                   str(out), "--repeats", "1",
-                   "--scenarios", "ga3c-tf-n8", "gpu-cudnn-n8"])
-        assert rc == 1
-        assert "not in baseline" in capsys.readouterr().out
-
-    def test_cli_wallclock_missing_baseline_is_usage_error(
-            self, tmp_path, capsys):
-        rc = main(["bench", "--wallclock", "--check",
-                   "--file", str(tmp_path / "nope.json")])
-        assert rc == 2
-        assert "cannot load wall-clock baseline" in \
-            capsys.readouterr().out

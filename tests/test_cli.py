@@ -113,13 +113,6 @@ class TestCommands:
 
 
 class TestRunLogCLI:
-    def test_backend_alias_warns_deprecation(self, capsys):
-        with pytest.warns(DeprecationWarning, match="--backend"):
-            code = main(["train", "--game", "pong", "--steps", "30",
-                         "--agents", "1", "--episode-cap", "50",
-                         "--backend", "serial"])
-        assert code == 0
-
     def test_train_opens_a_run_directory(self, capsys):
         from repro.obs import runlog
 

@@ -129,7 +129,7 @@ class TestProcsBackend:
 
     def test_procs_backend_completes_and_reports(self):
         trainer = self._trainer()
-        result = trainer.train(backend="procs", workers=2)
+        result = trainer.train(actors="procs", workers=2)
         assert result.global_steps >= 2000
         assert result.routines > 0
         assert result.episodes > 0
@@ -140,7 +140,7 @@ class TestProcsBackend:
             assert np.isfinite(value).all()
 
     def test_procs_learning_matches_threaded_sanity(self):
-        result = self._trainer(max_steps=20_000).train(backend="procs",
+        result = self._trainer(max_steps=20_000).train(actors="procs",
                                                        workers=2)
         # Threaded Catch training reaches ~1.0 at this budget; the procs
         # backend must land in the same regime (not bit-identical — the
@@ -149,22 +149,22 @@ class TestProcsBackend:
 
     def test_workers_clamped_to_agent_count(self):
         trainer = self._trainer(max_steps=500)
-        result = trainer.train(backend="procs", workers=64)
+        result = trainer.train(actors="procs", workers=64)
         assert result.global_steps >= 500
 
     def test_unknown_backend_rejected(self):
         trainer = self._trainer(max_steps=10)
         with pytest.raises(ValueError):
-            trainer.train(backend="warp")
+            trainer.train(actors="warp")
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                         reason="scaling smoke needs >= 4 cores")
     def test_procs_scales_with_workers(self):
         # On multi-core hosts four workers must clearly beat one; on the
         # single-core CI container this is skipped (no parallel headroom).
-        solo = self._trainer(max_steps=8000).train(backend="procs",
+        solo = self._trainer(max_steps=8000).train(actors="procs",
                                                    workers=1)
-        quad = self._trainer(max_steps=8000).train(backend="procs",
+        quad = self._trainer(max_steps=8000).train(actors="procs",
                                                    workers=4)
         assert quad.steps_per_second >= 2.0 * solo.steps_per_second
 

@@ -1,13 +1,18 @@
 """Tests for weight initialisers and the GA3C predictor/trainer DES."""
 
+import collections
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.gpu.platform import GA3CTFPlatform
 from repro.nn.initializers import he_uniform, torch_dqn_init, zeros
 from repro.nn.network import A3CNetwork
+from repro.obs.prof.buckets import GPU_TIME_TOTAL_METRIC
+from repro.platforms import measure_ips
 from repro.sim import Engine
 
 
@@ -53,6 +58,10 @@ class TestInitializers:
 
 
 class TestGA3CSim:
+    """The predictor/trainer servers, driven the way agents drive them:
+    an inference is a reply event on ``predict_queue``, a training task
+    a rollout length on ``train_queue``."""
+
     @pytest.fixture
     def sim(self):
         topology = A3CNetwork(6).topology()
@@ -60,59 +69,62 @@ class TestGA3CSim:
         engine = Engine()
         return platform, engine, platform.build_sim(engine)
 
+    @staticmethod
+    def _request(engine, ga3c, served):
+        """Post one prediction request; its service time lands in
+        ``served``."""
+        reply = engine.event()
+        reply.callbacks.append(lambda _event: served.append(engine.now))
+        ga3c.predict_queue.put(reply)
+
     def test_predictor_batches_waiting_requests(self, sim):
         """Requests queued while the predictor is busy are served
         together in one batched kernel."""
         platform, engine, ga3c = sim
-        done_times = []
+        served = []
 
-        def agent(i):
-            yield from ga3c.inference(i)
-            done_times.append(engine.now)
+        def five_more(_event):
+            for _ in range(5):
+                self._request(engine, ga3c, served)
 
-        for i in range(6):
-            engine.process(agent(i))
+        self._request(engine, ga3c, served)
+        # The five arrive while the first batch is still in service.
+        engine.timeout(platform.task_seconds("inference", 1) / 2) \
+            .callbacks.append(five_more)
         engine.run()
-        # First request forms a batch of 1; the other five coalesce.
-        assert len(set(np.round(done_times, 9))) <= 2
-        assert len(done_times) == 6
+        # The first request forms a batch of 1; the other five coalesce.
+        sizes = collections.Counter(np.round(served, 9))
+        assert [sizes[time] for time in sorted(sizes)] == [1, 5]
 
     def test_training_does_not_block_agent(self, sim):
+        """Handing over a rollout is a plain queue put: the agent never
+        waits, and the device trains afterwards."""
         platform, engine, ga3c = sim
-        finished = []
-
-        def agent():
-            yield from ga3c.train(0, 5)
-            finished.append(engine.now)
-
-        engine.process(agent())
+        # A put returns no event, so there is nothing to wait on.
+        assert ga3c.train_queue.put(5) is None
         engine.run()
-        # Agent returns immediately; device work continues afterwards.
-        assert finished[0] == pytest.approx(0.0)
-        assert engine.now > 0.0
+        assert engine.now == pytest.approx(
+            platform.task_seconds("train", 5))
+        assert ga3c.device.total_requests == 1
 
     def test_sync_is_noop(self, sim):
-        platform, engine, ga3c = sim
-
-        def agent():
-            yield from ga3c.sync(0)
-
-        engine.process(agent())
-        engine.run()
-        # No device time consumed: GA3C has no per-agent model to sync.
-        assert ga3c.device.utilisation() == 0.0
+        """GA3C has no per-agent model to sync: a measurement spends
+        device time on predictions and training only."""
+        platform, _engine, _ga3c = sim
+        assert GA3CTFPlatform.needs_sync is False
+        with obs.enabled_scope(reset=True):
+            measure_ips(platform, 4, routines_per_agent=4)
+            rows = [row for row in obs.metrics().snapshot()
+                    if row["name"] == GPU_TIME_TOTAL_METRIC]
+        assert {row["labels"]["task"] for row in rows} \
+            == {"predict", "train"}
 
     def test_batch_capped_at_max(self, sim):
         platform, engine, ga3c = sim
         served = []
-
-        def agent(i):
-            yield from ga3c.inference(i)
-            served.append(engine.now)
-
-        for i in range(20):
-            engine.process(agent(i))
+        for _ in range(20):
+            self._request(engine, ga3c, served)
         engine.run()
-        # max_prediction_batch=8 forces at least ceil(20/8)=3 batches
-        # (the first is a singleton, so at least 4 service instants).
-        assert len(set(np.round(served, 9))) >= 3
+        # max_prediction_batch=8 splits 20 queued requests 8 + 8 + 4.
+        sizes = collections.Counter(np.round(served, 9))
+        assert [sizes[time] for time in sorted(sizes)] == [8, 8, 4]
