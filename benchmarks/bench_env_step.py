@@ -83,8 +83,9 @@ def test_env_step_scaling(show):
                        "rows": rows}, fh, indent=2)
             fh.write("\n")
     by_batch = {row["batch"]: row for row in rows}
-    # The SoA engine must clearly win at rollout-loop widths; at B = 1
-    # it may lose (batch bookkeeping with nothing to amortise it).
+    # The SoA engine must clearly win at rollout-loop widths.  At B = 1
+    # both paths step the same engine (a scalar env is a B = 1 view),
+    # so only the wrapper stack differs and nothing is asserted.
     assert by_batch[64]["speedup"] >= 2.0, by_batch[64]
     assert by_batch[256]["speedup"] >= 2.0, by_batch[256]
 

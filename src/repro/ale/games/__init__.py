@@ -1,50 +1,15 @@
-"""The six simulated Atari 2600 games used in the paper's evaluation."""
+"""The six simulated Atari 2600 games used in the paper's evaluation, one
+environment at a time."""
 
 from __future__ import annotations
 
-import typing
-
-from repro.ale.games.base import ALE_ACTIONS, AtariGame, Screen
-from repro.ale.games.beam_rider import BeamRider
-from repro.ale.games.breakout import Breakout
-from repro.ale.games.pong import Pong
-from repro.ale.games.qbert import Qbert
-from repro.ale.games.seaquest import Seaquest
-from repro.ale.games.space_invaders import SpaceInvaders
-
-_REGISTRY: typing.Dict[str, typing.Type[AtariGame]] = {
-    "beam_rider": BeamRider,
-    "breakout": Breakout,
-    "pong": Pong,
-    "qbert": Qbert,
-    "seaquest": Seaquest,
-    "space_invaders": SpaceInvaders,
-}
-
-#: The paper's six games, in the order of Figure 12.
-GAME_NAMES = ("beam_rider", "breakout", "pong", "qbert", "seaquest",
-              "space_invaders")
+from repro.ale.games.base import AtariGame
+from repro.ale.vec import make_vec_game
 
 
 def make_game(name: str) -> AtariGame:
-    """Instantiate a game by its registry name (e.g. ``"breakout"``)."""
-    key = name.lower().replace("-", "_").replace(" ", "_")
-    if key not in _REGISTRY:
-        raise KeyError(f"unknown game {name!r}; available: "
-                       f"{sorted(_REGISTRY)}")
-    return _REGISTRY[key]()
+    """The game ``name`` (e.g. ``"breakout"``) as a single environment."""
+    return AtariGame(make_vec_game(name, 1))
 
 
-__all__ = [
-    "ALE_ACTIONS",
-    "AtariGame",
-    "BeamRider",
-    "Breakout",
-    "GAME_NAMES",
-    "Pong",
-    "Qbert",
-    "Screen",
-    "Seaquest",
-    "SpaceInvaders",
-    "make_game",
-]
+__all__ = ["AtariGame", "make_game"]

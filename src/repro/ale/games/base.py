@@ -1,10 +1,12 @@
-"""Shared machinery for the simulated Atari games.
+"""One game as an :class:`~repro.envs.Env`: slot 0 of a batch-1 engine.
 
-Each game renders to a 210x160 RGB screen (the real Atari 2600 / ALE frame
-size), exposes a *minimal action set* drawn from the canonical 18 ALE
-actions, tracks lives and score, and implements its dynamics at single-frame
-granularity (frame-skipping is applied by the preprocessing wrappers, as in
-the real pipeline).
+Each game renders to a 210x160 RGB screen (the real Atari 2600 / ALE
+frame size), exposes a *minimal action set* drawn from the canonical 18
+ALE actions, tracks lives and score, and advances one frame per
+:meth:`AtariGame.step` (frame-skipping is applied by the preprocessing
+wrappers, as in the real pipeline).  The dynamics and rendering live in
+the batched engine (:mod:`repro.ale.vec`); this view adds the gym-style
+protocol.
 """
 
 from __future__ import annotations
@@ -13,147 +15,79 @@ import typing
 
 import numpy as np
 
+from repro.ale.vec.base import VecAtariGame
 from repro.envs.base import Env
-from repro.envs.spaces import Box, Discrete
-
-SCREEN_HEIGHT = 210
-SCREEN_WIDTH = 160
-
-# The canonical ALE action meanings, in ALE order.
-ALE_ACTIONS = (
-    "NOOP", "FIRE", "UP", "RIGHT", "LEFT", "DOWN",
-    "UPRIGHT", "UPLEFT", "DOWNRIGHT", "DOWNLEFT",
-    "UPFIRE", "RIGHTFIRE", "LEFTFIRE", "DOWNFIRE",
-    "UPRIGHTFIRE", "UPLEFTFIRE", "DOWNRIGHTFIRE", "DOWNLEFTFIRE",
-)
-
-
-class Screen:
-    """A mutable RGB frame buffer with simple shape-drawing helpers."""
-
-    def __init__(self, height: int = SCREEN_HEIGHT,
-                 width: int = SCREEN_WIDTH):
-        self.height = height
-        self.width = width
-        self.pixels = np.zeros((height, width, 3), dtype=np.uint8)
-
-    def clear(self, color: typing.Tuple[int, int, int] = (0, 0, 0)) -> None:
-        """Fill the whole frame with one colour."""
-        self.pixels[:, :] = color
-
-    def fill_rect(self, top: float, left: float, height: float, width: float,
-                  color: typing.Tuple[int, int, int]) -> None:
-        """Fill an axis-aligned rectangle, clipped to the frame."""
-        t = min(max(int(round(top)), 0), self.height)
-        l = min(max(int(round(left)), 0), self.width)
-        b = min(max(int(round(top + height)), 0), self.height)
-        r = min(max(int(round(left + width)), 0), self.width)
-        if b > t and r > l:
-            self.pixels[t:b, l:r] = color
-
-    def copy(self) -> np.ndarray:
-        """An independent uint8 copy of the frame."""
-        return self.pixels.copy()
 
 
 class AtariGame(Env):
-    """Base class for the six simulated games.
+    """A single-environment view of a ``B = 1`` :class:`VecAtariGame`."""
 
-    Subclasses set :attr:`ACTION_MEANINGS` (their minimal action set) and
-    implement :meth:`_reset_game`, :meth:`_step_frame` and :meth:`_render`.
-    The base class handles scoring, lives, the observation/action spaces and
-    the gym-style protocol.
-    """
+    def __init__(self, engine: VecAtariGame):
+        # Env.__init__ is skipped: the generator is the engine's slot 0
+        # (see :attr:`rng`), not a second stream.
+        if engine.batch != 1:
+            raise ValueError(f"AtariGame views a batch-1 engine, "
+                             f"got batch {engine.batch}")
+        self.engine = engine
+        self.action_space = engine.action_space
+        self.observation_space = engine.observation_space
+        self._slot = np.zeros(1, dtype=np.intp)
+        self._action = np.zeros(1, dtype=np.int64)
 
-    #: Minimal action set (subset of :data:`ALE_ACTIONS`); set by subclass.
-    ACTION_MEANINGS: typing.Tuple[str, ...] = ("NOOP",)
-    #: Number of lives at game start.
-    START_LIVES = 1
-    #: Hard frame limit per episode (guards against degenerate policies).
-    MAX_FRAMES = 20_000
+    @property
+    def rng(self) -> np.random.Generator:
+        """The game's generator (also drawn by sticky actions)."""
+        return self.engine.rngs[0]
 
-    def __init__(self):
-        super().__init__()
-        for meaning in self.ACTION_MEANINGS:
-            if meaning not in ALE_ACTIONS:
-                raise ValueError(f"unknown action meaning {meaning!r}")
-        self.action_space = Discrete(len(self.ACTION_MEANINGS))
-        self.observation_space = Box(0, 255,
-                                     (SCREEN_HEIGHT, SCREEN_WIDTH, 3),
-                                     dtype=np.uint8)
-        self.screen = Screen()
-        self.lives = 0
-        self.score = 0.0
-        self.frame = 0
-        self._game_over = True
-
-    # -- subclass hooks ---------------------------------------------------
-
-    def _reset_game(self) -> None:
-        """Initialise all game state for a new episode."""
-        raise NotImplementedError
-
-    def _step_frame(self, meaning: str) -> float:
-        """Advance the game one frame under ``meaning``; return the reward.
-
-        Life loss is signalled by decrementing :attr:`lives`; the episode
-        ends when lives reach zero (or the subclass sets
-        ``self._game_over``).
-        """
-        raise NotImplementedError
-
-    def _render(self) -> None:
-        """Draw the current state into :attr:`screen`."""
-        raise NotImplementedError
-
-    # -- Env protocol ------------------------------------------------------
+    def seed(self, seed: typing.Optional[int] = None) -> None:
+        self.engine.seed([seed])
 
     def action_meanings(self) -> typing.Tuple[str, ...]:
         """The minimal action set of this game."""
-        return self.ACTION_MEANINGS
+        return self.engine.ACTION_MEANINGS
 
     def reset(self) -> np.ndarray:
-        self.lives = self.START_LIVES
-        self.score = 0.0
-        self.frame = 0
-        self._game_over = False
-        self._reset_game()
-        self._render()
+        self.engine.reset_slots(self._slot)
         return self.screen.copy()
 
     def step(self, action: int):
-        if self._game_over:
+        engine = self.engine
+        if engine.game_over[0]:
             raise RuntimeError("step() called on a finished game; "
                                "call reset()")
         if not self.action_space.contains(action):
             raise ValueError(f"invalid action {action!r} for "
-                             f"{type(self).__name__}")
-        meaning = self.ACTION_MEANINGS[int(action)]
-        reward = float(self._step_frame(meaning))
-        self.frame += 1
-        self.score += reward
-        if self.lives <= 0 or self.frame >= self.MAX_FRAMES:
-            self._game_over = True
-        self._render()
+                             f"{type(engine).__name__}")
+        self._action[0] = action
+        rewards, dones = engine._advance(self._action, self._slot)
         info = {"lives": self.lives, "score": self.score}
-        return self.screen.copy(), reward, self._game_over, info
+        # A fresh frame: MaxAndSkip keeps two and takes their max.
+        return self.screen.copy(), float(rewards[0]), bool(dones[0]), info
+
+    @property
+    def screen(self) -> np.ndarray:
+        """The current ``(210, 160, 3)`` frame (a view into the engine)."""
+        return self.engine.frames[0]
 
     @property
     def game_over(self) -> bool:
         """True once the episode has ended."""
-        return self._game_over
+        return bool(self.engine.game_over[0])
 
-    # -- shared helpers ----------------------------------------------------
+    @property
+    def lives(self) -> int:
+        """Remaining lives."""
+        return int(self.engine.lives[0])
 
-    @staticmethod
-    def decode_move(meaning: str) -> typing.Tuple[int, int, bool]:
-        """Decode an ALE action meaning to (dx, dy, fire).
+    @property
+    def score(self) -> float:
+        """Sum of this episode's rewards."""
+        return float(self.engine.score[0])
 
-        ``dx``/``dy`` are in {-1, 0, 1}; positive x is rightward, positive
-        y is downward (screen coordinates).
-        """
-        fire = "FIRE" in meaning
-        dx = (1 if "RIGHT" in meaning else 0) - \
-            (1 if "LEFT" in meaning else 0)
-        dy = (1 if "DOWN" in meaning else 0) - (1 if "UP" in meaning else 0)
-        return dx, dy, fire
+    @property
+    def frame(self) -> int:
+        """Frames stepped in this episode."""
+        return int(self.engine.frame[0])
+
+    def __repr__(self) -> str:
+        return f"<AtariGame {type(self.engine).__name__}>"

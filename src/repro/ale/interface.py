@@ -13,8 +13,8 @@ import typing
 
 import numpy as np
 
-from repro.ale.games import make_game
-from repro.ale.games.base import ALE_ACTIONS, AtariGame
+from repro.ale.games import AtariGame, make_game
+from repro.ale.vec.base import ALE_ACTIONS
 
 
 class SimulatedALE:

@@ -1,11 +1,12 @@
-"""Structure-of-arrays batched ALE games (CuLE-style).
+"""The six games as one structure-of-arrays engine (CuLE-style).
 
 One :class:`~repro.ale.vec.base.VecAtariGame` holds ``B`` environments
 of the same game in ``(B, ...)`` state arrays and advances all of them
 per :meth:`step`, rendering into a shared ``(B, 210, 160, 3)`` frame
-buffer.  Slot ``i`` is bit-identical to a scalar
-:func:`repro.ale.make_game` env stepped with the same seed and actions
-(see the equivalence suite in ``tests/test_ale_vec_equivalence.py``).
+buffer.  This is the only implementation of the games: a single
+environment (:func:`repro.ale.make_game`) is slot 0 of a ``B = 1``
+engine, and ``tests/test_ale_golden.py`` pins every game's trace by
+digest.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ _REGISTRY: typing.Dict[str, typing.Type[VecAtariGame]] = {
     "space_invaders": VecSpaceInvaders,
 }
 
+#: The paper's six games, in the order of Figure 12.
+GAME_NAMES = tuple(_REGISTRY)
+
 
 def make_vec_game(name: str, batch: int) -> VecAtariGame:
     """Instantiate a batched game by its registry name."""
@@ -41,6 +45,7 @@ def make_vec_game(name: str, batch: int) -> VecAtariGame:
 
 __all__ = [
     "BatchScreen",
+    "GAME_NAMES",
     "VecAtariGame",
     "VecBeamRider",
     "VecBreakout",

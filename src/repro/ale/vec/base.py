@@ -1,30 +1,33 @@
-"""Structure-of-arrays batched Atari games.
+"""The structure-of-arrays Atari engine: the one implementation of the
+six games.
 
 Each game's state lives in ``(B, ...)`` arrays and one :meth:`step`
 advances all ``B`` environments together: elementwise dynamics run as
 vectorized NumPy over the batch axis, and every slot renders into one
 preallocated ``(B, 210, 160, 3)`` frame buffer instead of allocating a
-fresh frame per env per step.
+fresh frame per env per step.  A single environment is slot 0 of a
+``B = 1`` engine (:class:`repro.ale.games.base.AtariGame`).
 
-Bit-exactness contract
-----------------------
+Slot independence
+-----------------
 
-Slot ``i`` of a batched game is bit-identical to a scalar
-:class:`repro.ale.games.base.AtariGame` stepped with the same seed and
-action sequence:
+A slot's trace depends only on its seed and its own actions — never on
+the batch width or on which other slots step alongside it:
 
-* every slot owns an independent ``np.random.Generator``, seeded exactly
-  like the scalar env, and draws are made only for the slots (and in the
-  per-slot order) the scalar game would make them;
+* every slot owns an independent ``np.random.Generator``, and draws are
+  made only for the slots (and in the per-slot order) that need them;
 * elementwise float64 arithmetic (``+ - * /``, ``np.clip``, ``abs``) is
-  IEEE-identical whether applied to a Python/NumPy scalar or an array
-  lane, so bulk dynamics vectorize without changing a single bit;
-* operations whose reduction order could differ from the scalar code
-  (e.g. ``np.linalg.norm``) and rare discrete events (serves, launches,
-  enemy hops) run per affected slot with the scalar game's exact
-  expression sequence;
-* rendering issues the same ``fill_rect`` sequence per slot, with
-  batch-constant rectangles stamped across slots in one masked write.
+  IEEE-identical whether applied to a scalar or an array lane, so bulk
+  dynamics vectorize without changing a single bit;
+* operations whose reduction order could depend on the batch (e.g.
+  ``np.linalg.norm``) and rare discrete events (serves, launches, enemy
+  hops) run per affected slot;
+* rendering draws the same pixels per slot whatever the batch; what
+  the listed slots share is stamped across them in one masked write,
+  or drawn once and copied in.
+
+``tests/test_ale_golden.py`` pins every game's trace by digest, at
+``B = 1`` and under random sub-batch stepping.
 """
 
 from __future__ import annotations
@@ -33,23 +36,39 @@ import typing
 
 import numpy as np
 
-from repro.ale.games.base import (
-    ALE_ACTIONS,
-    SCREEN_HEIGHT,
-    SCREEN_WIDTH,
-    AtariGame,
-)
 from repro.envs.spaces import Box, Discrete
 from repro.perf.hotpath import hot_path
+
+SCREEN_HEIGHT = 210
+SCREEN_WIDTH = 160
+
+# The canonical ALE action meanings, in ALE order.
+ALE_ACTIONS = (
+    "NOOP", "FIRE", "UP", "RIGHT", "LEFT", "DOWN",
+    "UPRIGHT", "UPLEFT", "DOWNRIGHT", "DOWNLEFT",
+    "UPFIRE", "RIGHTFIRE", "LEFTFIRE", "DOWNFIRE",
+    "UPRIGHTFIRE", "UPLEFTFIRE", "DOWNRIGHTFIRE", "DOWNLEFTFIRE",
+)
+
+
+def decode_move(meaning: str) -> typing.Tuple[int, int, bool]:
+    """Decode an ALE action meaning to (dx, dy, fire).
+
+    ``dx``/``dy`` are in {-1, 0, 1}; positive x is rightward, positive
+    y is downward (screen coordinates).
+    """
+    fire = "FIRE" in meaning
+    dx = (1 if "RIGHT" in meaning else 0) - (1 if "LEFT" in meaning else 0)
+    dy = (1 if "DOWN" in meaning else 0) - (1 if "UP" in meaning else 0)
+    return dx, dy, fire
 
 
 class BatchScreen:
     """A shared ``(B, H, W, 3)`` frame buffer with per-slot drawing.
 
-    The per-slot :meth:`fill_rect` reproduces
-    :meth:`repro.ale.games.base.Screen.fill_rect`'s rounding and clipping
-    exactly; :meth:`fill_rect_slots` stamps one batch-constant rectangle
-    into many slots with a single masked write.
+    :meth:`fill_rect` draws into one slot; :meth:`fill_rect_slots`
+    stamps one batch-constant rectangle into many slots with a single
+    masked write.  Both round and clip the rectangle identically.
     """
 
     def __init__(self, batch: int, height: int = SCREEN_HEIGHT,
@@ -80,6 +99,10 @@ class BatchScreen:
             frame = np.empty((self.height, self.width, 3), dtype=np.uint8)
             frame[:] = color
             self._clear_frames[color] = frame
+        self.copy_slots(slots, frame)
+
+    def copy_slots(self, slots: np.ndarray, frame: np.ndarray) -> None:
+        """Copy one ``(H, W, 3)`` frame into every listed slot."""
         if slots.size == self.batch:
             self.pixels[:] = frame
         else:
@@ -107,28 +130,33 @@ class BatchScreen:
 class VecAtariGame:
     """Base class for the batched games.
 
-    Subclasses point :attr:`SCALAR_GAME` at their scalar counterpart
-    (action set, lives and frame limit are inherited from it) and
-    implement :meth:`_alloc`, :meth:`_reset_slots`, :meth:`_step_slots`
-    and :meth:`_render_slots`, all operating on ``(B,)``-leading arrays.
+    Subclasses set the game's :attr:`ACTION_MEANINGS`, lives, frame
+    limit and tunables, and implement :meth:`_alloc`,
+    :meth:`_reset_slots`, :meth:`_step_slots` and :meth:`_render_slots`,
+    all operating on ``(B,)``-leading arrays.  Tunables are read through
+    ``self``, so an instance may override one.
 
     Unlike :class:`~repro.envs.base.Env`, stepping takes an optional
     ``slots`` index array so callers (the batched frame-skip loop) can
     advance a sub-batch while other slots sit on a finished frame.
     """
 
-    #: The scalar game this engine reproduces bit-for-bit per slot.
-    SCALAR_GAME: typing.Type[AtariGame] = AtariGame
+    #: Minimal action set (subset of :data:`ALE_ACTIONS`).
+    ACTION_MEANINGS: typing.Tuple[str, ...] = ("NOOP",)
+    #: Number of lives at game start.
+    START_LIVES = 1
+    #: Hard frame limit per episode (guards against degenerate policies).
+    MAX_FRAMES = 20_000
 
     def __init__(self, batch: int):
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
-        scalar = self.SCALAR_GAME
+        meanings = self.ACTION_MEANINGS
+        for meaning in meanings:
+            if meaning not in ALE_ACTIONS:
+                raise ValueError(f"unknown action meaning {meaning!r}")
         self.batch = batch
-        self.action_meanings = scalar.ACTION_MEANINGS
-        self.start_lives = scalar.START_LIVES
-        self.max_frames = scalar.MAX_FRAMES
-        self.action_space = Discrete(len(self.action_meanings))
+        self.action_space = Discrete(len(meanings))
         self.observation_space = Box(0, 255,
                                      (SCREEN_HEIGHT, SCREEN_WIDTH, 3),
                                      dtype=np.uint8)
@@ -139,11 +167,7 @@ class VecAtariGame:
         self.game_over = np.ones(batch, dtype=bool)
         self.rngs = [np.random.default_rng() for _ in range(batch)]
         # Per-action lookup tables for vectorized decode_move.
-        meanings = self.action_meanings
-        for meaning in meanings:
-            if meaning not in ALE_ACTIONS:
-                raise ValueError(f"unknown action meaning {meaning!r}")
-        decoded = [AtariGame.decode_move(m) for m in meanings]
+        decoded = [decode_move(m) for m in meanings]
         self._act_dx = np.array([d[0] for d in decoded], dtype=np.int64)
         self._act_dy = np.array([d[1] for d in decoded], dtype=np.int64)
         self._act_fire = np.array([d[2] for d in decoded], dtype=bool)
@@ -175,8 +199,9 @@ class VecAtariGame:
 
     # -- batched protocol --------------------------------------------------
 
-    def seed(self, seeds: typing.Sequence[int]) -> None:
-        """Seed every slot's generator (one seed per slot)."""
+    def seed(self, seeds: typing.Sequence[typing.Optional[int]]) -> None:
+        """Seed every slot's generator (one seed per slot; ``None`` draws
+        fresh entropy)."""
         if len(seeds) != self.batch:
             raise ValueError(f"expected {self.batch} seeds, "
                              f"got {len(seeds)}")
@@ -190,7 +215,7 @@ class VecAtariGame:
     def reset_slots(self, slots: np.ndarray) -> None:
         """Start a new episode in the listed slots only."""
         slots = np.asarray(slots, dtype=np.intp)
-        self.lives[slots] = self.start_lives
+        self.lives[slots] = self.START_LIVES
         self.score[slots] = 0.0
         self.frame[slots] = 0
         self.game_over[slots] = False
@@ -203,9 +228,9 @@ class VecAtariGame:
              ) -> typing.Tuple[np.ndarray, np.ndarray]:
         """Advance the listed slots (default: all) one frame each.
 
-        Returns ``(rewards, dones)`` aligned with ``slots``.  Finished
-        slots must be :meth:`reset_slots` before they are stepped again,
-        mirroring the scalar env's step-after-game-over error.
+        ``actions`` must be integers.  Returns ``(rewards, dones)``
+        aligned with ``slots``.  Finished slots must be
+        :meth:`reset_slots` before they are stepped again.
         """
         if slots is None:
             slots = self._all_slots
@@ -214,18 +239,32 @@ class VecAtariGame:
         if self.game_over[slots].any():
             raise RuntimeError("step() called on a finished slot; "
                                "call reset_slots()")
-        actions = np.asarray(actions, dtype=np.int64)
+        actions = np.asarray(actions)
+        if actions.dtype.kind not in "iu":
+            raise ValueError(f"actions must be integers, got dtype "
+                             f"{actions.dtype}")
         if actions.shape != (slots.size,):
             raise ValueError(f"expected {slots.size} actions, "
                              f"got shape {actions.shape}")
-        if ((actions < 0) | (actions >= len(self.action_meanings))).any():
+        if ((actions < 0) | (actions >= self.action_space.n)).any():
             raise ValueError(f"invalid action for "
                              f"{type(self).__name__}")
+        return self._advance(actions, slots)
+
+    @hot_path
+    def _advance(self, actions: np.ndarray, slots: np.ndarray
+                 ) -> typing.Tuple[np.ndarray, np.ndarray]:
+        """One frame for ``slots`` under already-checked ``actions``.
+
+        The core that :meth:`step` and
+        :meth:`repro.ale.games.base.AtariGame.step` share after their
+        own argument checks.
+        """
         rewards = self._step_slots(slots, actions)
         self.frame[slots] += 1
         self.score[slots] += rewards
         dones = (self.lives[slots] <= 0) | \
-            (self.frame[slots] >= self.max_frames)
+            (self.frame[slots] >= self.MAX_FRAMES)
         self.game_over[slots] = dones
         self._render_slots(slots)
         return rewards, dones

@@ -1,39 +1,60 @@
-"""Batched Beam Rider: SoA lane/sector state, per-slot dynamics.
+"""Beam Rider.
+
+The player ship sits at the bottom of five energy beams and can jump
+between adjacent beams; enemy saucers descend along the beams in sectors of
+15 ships.  Shooting a saucer scores 44 points (the real game's base value);
+clearing a sector awards a bonus and starts a faster one.  Collision with a
+saucer costs a life.  Minimal action set mirrors the core of ALE Beam
+Rider's nine actions.
 
 Enemy sets are ragged and spawn timing feeds the RNG, so frame dynamics
-run per slot with the scalar game's exact expression sequence over
-``(B,)``-array fields; rendering shares the batched frame buffer.
+run one slot at a time over ``(B,)``-array fields; rendering shares the
+batched frame buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ale.games.beam_rider import (
-    _BEAM,
-    _BEAM_BOTTOM,
-    _BEAM_TOP,
-    _BG,
-    _ENEMY,
-    _ENEMY_SIZE,
-    _N_BEAMS,
-    _PLAYER,
-    _PLAYER_H,
-    _PLAYER_W,
-    _PLAYER_Y,
-    _SHOT,
-    _SHOT_SPEED,
-    _beam_x,
-    BeamRider,
-)
-from repro.ale.vec.base import VecAtariGame
+from repro.ale.vec.base import SCREEN_WIDTH, VecAtariGame
 from repro.perf.hotpath import hot_path
+
+_BG = (0, 0, 24)
+_BEAM = (60, 60, 120)
+_PLAYER = (210, 210, 64)
+_ENEMY = (200, 72, 72)
+_SHOT = (236, 236, 236)
+
+_N_BEAMS = 5
+_BEAM_TOP = 40.0
+_BEAM_BOTTOM = 180.0
+_PLAYER_Y = 180.0
+_PLAYER_W = 10.0
+_PLAYER_H = 8.0
+_ENEMY_SIZE = 8.0
+_SHOT_SPEED = 5.0
+
+
+def _beam_x(beam: int) -> float:
+    """Horizontal centre of a beam at the bottom of the screen."""
+    spacing = SCREEN_WIDTH / (_N_BEAMS + 1)
+    return spacing * (beam + 1)
 
 
 class VecBeamRider(VecAtariGame):
-    """Structure-of-arrays Beam Rider."""
+    """Lane-based shooter with sectors of 15 enemies."""
 
-    SCALAR_GAME = BeamRider
+    ACTION_MEANINGS = ("NOOP", "FIRE", "RIGHT", "LEFT",
+                       "RIGHTFIRE", "LEFTFIRE")
+    START_LIVES = 3
+    MAX_FRAMES = 40_000
+
+    SECTOR_SIZE = 15
+    ENEMY_SCORE = 44.0
+    SECTOR_BONUS = 100.0
+    ENEMY_SPEED = 1.1
+    SPAWN_PERIOD = 55      # frames between enemy spawns
+    MOVE_COOLDOWN = 10     # frames between beam jumps
 
     def _alloc(self, batch: int) -> None:
         self.player_beam = np.zeros(batch, dtype=np.int64)
@@ -57,10 +78,10 @@ class VecBeamRider(VecAtariGame):
     def _start_sector_slot(self, k: int) -> None:
         self.enemies[k] = []
         self.shot[k] = None
-        self.spawn_timer[k] = BeamRider.SPAWN_PERIOD
+        self.spawn_timer[k] = self.SPAWN_PERIOD
         self.move_cooldown[k] = 0
-        self.sector_remaining[k] = BeamRider.SECTOR_SIZE
-        self.sector_to_spawn[k] = BeamRider.SECTOR_SIZE
+        self.sector_remaining[k] = self.SECTOR_SIZE
+        self.sector_to_spawn[k] = self.SECTOR_SIZE
 
     @hot_path
     def _spawn_enemy_slot(self, k: int) -> None:
@@ -68,7 +89,7 @@ class VecBeamRider(VecAtariGame):
         if self.spawn_timer[k] > 0 or self.sector_to_spawn[k] == 0:
             return
         self.spawn_timer[k] = max(
-            BeamRider.SPAWN_PERIOD - 4 * int(self.sector[k]), 25)
+            self.SPAWN_PERIOD - 4 * int(self.sector[k]), 25)
         beam = int(self.rngs[k].integers(_N_BEAMS))
         self.enemies[k].append(np.array([float(beam), _BEAM_TOP]))
         self.sector_to_spawn[k] -= 1
@@ -88,7 +109,7 @@ class VecBeamRider(VecAtariGame):
                                    _N_BEAMS - 1))
             if new_beam != self.player_beam[k]:
                 self.player_beam[k] = new_beam
-                self.move_cooldown[k] = BeamRider.MOVE_COOLDOWN
+                self.move_cooldown[k] = self.MOVE_COOLDOWN
         if fire and self.shot[k] is None:
             self.shot[k] = np.array([float(self.player_beam[k]),
                                      _PLAYER_Y - 2])
@@ -97,7 +118,7 @@ class VecBeamRider(VecAtariGame):
         self._spawn_enemy_slot(k)
 
         # Enemies descend along their beams.
-        enemy_speed = BeamRider.ENEMY_SPEED * \
+        enemy_speed = self.ENEMY_SPEED * \
             (1.0 + 0.15 * int(self.sector[k]))
         remaining = []
         for enemy in self.enemies[k]:
@@ -125,12 +146,12 @@ class VecBeamRider(VecAtariGame):
                             abs(enemy[1] - shot[1]) < _ENEMY_SIZE:
                         del self.enemies[k][index]
                         self.shot[k] = None
-                        reward += BeamRider.ENEMY_SCORE
+                        reward += self.ENEMY_SCORE
                         self.sector_remaining[k] -= 1
                         break
 
         if self.sector_remaining[k] == 0:
-            reward += BeamRider.SECTOR_BONUS
+            reward += self.SECTOR_BONUS
             self.sector[k] += 1
             self._start_sector_slot(k)
         return reward

@@ -1,44 +1,57 @@
-"""Batched Breakout: vectorized ball/brick dynamics, masked brick render.
+"""Breakout.
+
+Six rows of bricks (scores 7/7/4/4/1/1 from top to bottom, as on the real
+cartridge), a paddle, a ball served by FIRE, and five lives.  The minimal
+action set is the real ALE Breakout set: NOOP, FIRE, RIGHT, LEFT.
 
 Brick hits resolve with fancy indexing over the ``(B, 6, 18)`` brick
 array; launches (an RNG draw) and paddle bounces (``np.linalg.norm``,
-whose reduction order must match the scalar game exactly) run per
-affected slot.
+whose reduction order must not depend on the batch) run per affected
+slot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ale.games.base import SCREEN_HEIGHT, SCREEN_WIDTH
-from repro.ale.games.breakout import (
-    _BALL,
-    _BALL_SIZE,
-    _BG,
-    _BRICK_H,
-    _BRICK_TOP,
-    _BRICK_W,
-    _COURT_TOP,
-    _N_COLS,
-    _N_ROWS,
-    _PADDLE,
-    _PADDLE_H,
-    _PADDLE_W,
-    _PADDLE_Y,
-    _ROW_COLORS,
-    _ROW_SCORES,
-    _WALL,
-    _WALL_W,
-    Breakout,
+from repro.ale.vec.base import (
+    SCREEN_HEIGHT,
+    SCREEN_WIDTH,
+    BatchScreen,
+    VecAtariGame,
 )
-from repro.ale.vec.base import VecAtariGame
 from repro.perf.hotpath import hot_path
+
+_BG = (0, 0, 0)
+_WALL = (142, 142, 142)
+_PADDLE = (200, 72, 72)
+_BALL = (200, 72, 72)
+_ROW_COLORS = ((200, 72, 72), (198, 108, 58), (180, 122, 48),
+               (162, 162, 42), (72, 160, 72), (66, 72, 200))
+_ROW_SCORES = (7, 7, 4, 4, 1, 1)
+
+_N_ROWS = 6
+_N_COLS = 18
+_BRICK_TOP = 57
+_BRICK_H = 6
+_WALL_W = 8
+_BRICK_W = (SCREEN_WIDTH - 2 * _WALL_W) / _N_COLS
+_PADDLE_Y = 189.0
+_PADDLE_W = 16.0
+_PADDLE_H = 4.0
+_BALL_SIZE = 3.0
+_COURT_TOP = 32
 
 
 class VecBreakout(VecAtariGame):
-    """Structure-of-arrays Breakout."""
+    """Brick-breaking with five lives and row-dependent scores."""
 
-    SCALAR_GAME = Breakout
+    ACTION_MEANINGS = ("NOOP", "FIRE", "RIGHT", "LEFT")
+    START_LIVES = 5
+    MAX_FRAMES = 40_000
+
+    PADDLE_SPEED = 4.0
+    BALL_SPEED = 2.2
 
     def _alloc(self, batch: int) -> None:
         self.paddle_x = np.zeros(batch)
@@ -48,6 +61,16 @@ class VecBreakout(VecAtariGame):
         self.ball_in_play = np.zeros(batch, dtype=bool)
         self.clears = np.zeros(batch, dtype=np.int64)
         self._row_scores = np.array(_ROW_SCORES, dtype=np.float64)
+        # The background and walls never change: each frame starts from
+        # this backdrop in a one-slot screen (see _render_slots).
+        common = BatchScreen(1)
+        common.pixels[0] = _BG
+        common.fill_rect(0, _COURT_TOP - 6, 0, 6, SCREEN_WIDTH, _WALL)
+        common.fill_rect(0, _COURT_TOP, 0, SCREEN_HEIGHT, _WALL_W, _WALL)
+        common.fill_rect(0, _COURT_TOP, SCREEN_WIDTH - _WALL_W,
+                         SCREEN_HEIGHT, _WALL_W, _WALL)
+        self._common = common
+        self._backdrop = common.pixels[0].copy()
 
     def _reset_slots(self, slots: np.ndarray) -> None:
         self.paddle_x[slots] = SCREEN_WIDTH / 2 - _PADDLE_W / 2
@@ -59,8 +82,8 @@ class VecBreakout(VecAtariGame):
         self.ball[k, 0] = self.paddle_x[k] + _PADDLE_W / 2
         self.ball[k, 1] = _PADDLE_Y - _BALL_SIZE - 1
         angle = self.rngs[k].uniform(np.pi * 0.25, np.pi * 0.75)
-        self.ball_vel[k, 0] = np.cos(angle) * Breakout.BALL_SPEED
-        self.ball_vel[k, 1] = -np.sin(angle) * Breakout.BALL_SPEED
+        self.ball_vel[k, 0] = np.cos(angle) * self.BALL_SPEED
+        self.ball_vel[k, 1] = -np.sin(angle) * self.BALL_SPEED
         self.ball_in_play[k] = True
 
     @hot_path
@@ -70,8 +93,8 @@ class VecBreakout(VecAtariGame):
         right = self._act_right[actions]
         left = self._act_left[actions] & ~right
         px = self.paddle_x[s]
-        px[right] += Breakout.PADDLE_SPEED
-        px[left] -= Breakout.PADDLE_SPEED
+        px[right] += self.PADDLE_SPEED
+        px[left] -= self.PADDLE_SPEED
         px = np.clip(px, _WALL_W, SCREEN_WIDTH - _WALL_W - _PADDLE_W)
         self.paddle_x[s] = px
 
@@ -128,7 +151,7 @@ class VecBreakout(VecAtariGame):
                 vel[cleared] *= 1.1
             self.bricks[s] = bricks
 
-        # Paddle bounce (rare; scalar expression order preserved).
+        # Paddle bounce (rare; one slot at a time).
         pad = act & (vel[:, 1] > 0) & \
             (_PADDLE_Y - _BALL_SIZE <= by) & (by <= _PADDLE_Y + _PADDLE_H) & \
             (px - _BALL_SIZE <= bx) & (bx <= px + _PADDLE_W)
@@ -153,34 +176,31 @@ class VecBreakout(VecAtariGame):
 
     @hot_path
     def _render_slots(self, slots: np.ndarray) -> None:
+        # What every listed slot shares (the backdrop and the bricks that
+        # are on in all of them) is drawn once and copied: one frame copy
+        # per slot is far cheaper than a masked stamp per brick across
+        # the batch.  Nothing drawn per slot overlaps a brick, so the
+        # draw order does not change a pixel.
+        common = self._common
+        common.pixels[0] = self._backdrop
+        # One reduction per frame, not two per brick.
+        bricks = self.bricks[slots]
+        on_all = bricks.all(axis=0)
+        for row, col in np.argwhere(on_all).tolist():
+            common.fill_rect(0, _BRICK_TOP + row * _BRICK_H,
+                             _WALL_W + col * _BRICK_W, _BRICK_H - 1,
+                             _BRICK_W - 1, _ROW_COLORS[row])
         scr = self.screen
-        scr.clear_slots(slots, _BG)
-        scr.fill_rect_slots(slots, _COURT_TOP - 6, 0, 6, SCREEN_WIDTH,
-                            _WALL)
-        scr.fill_rect_slots(slots, _COURT_TOP, 0, SCREEN_HEIGHT, _WALL_W,
-                            _WALL)
-        scr.fill_rect_slots(slots, _COURT_TOP, SCREEN_WIDTH - _WALL_W,
-                            SCREEN_HEIGHT, _WALL_W, _WALL)
+        scr.copy_slots(slots, common.pixels[0])
+        for row, col in np.argwhere(bricks.any(axis=0) & ~on_all).tolist():
+            scr.fill_rect_slots(slots[bricks[:, row, col]],
+                                _BRICK_TOP + row * _BRICK_H,
+                                _WALL_W + col * _BRICK_W, _BRICK_H - 1,
+                                _BRICK_W - 1, _ROW_COLORS[row])
         for k in slots:
             k = int(k)
             for i in range(self.lives[k]):
                 scr.fill_rect(k, 10, 10 + 8 * i, 5, 5, _PADDLE)
-        bricks = self.bricks[slots]
-        for row in range(_N_ROWS):
-            color = _ROW_COLORS[row]
-            top = _BRICK_TOP + row * _BRICK_H
-            for col in range(_N_COLS):
-                on = bricks[:, row, col]
-                if on.all():
-                    scr.fill_rect_slots(slots, top,
-                                        _WALL_W + col * _BRICK_W,
-                                        _BRICK_H - 1, _BRICK_W - 1, color)
-                elif on.any():
-                    scr.fill_rect_slots(slots[on], top,
-                                        _WALL_W + col * _BRICK_W,
-                                        _BRICK_H - 1, _BRICK_W - 1, color)
-        for k in slots:
-            k = int(k)
             scr.fill_rect(k, _PADDLE_Y, self.paddle_x[k], _PADDLE_H,
                           _PADDLE_W, _PADDLE)
             if self.ball_in_play[k]:

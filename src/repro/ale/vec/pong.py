@@ -1,39 +1,50 @@
-"""Batched Pong: fully vectorized paddle/ball dynamics.
+"""Pong.
 
-Serves draw from the serving slot's generator with the scalar game's
-exact draw order; everything else is elementwise float64 math over the
-batch axis (bit-identical to the scalar ops lane by lane).
+The agent controls the right paddle; a scripted opponent with limited paddle
+speed controls the left.  Like ALE Pong the minimal action set has six
+actions (RIGHT/LEFT move the paddle up/down on the original hardware), the
+reward is +1 when the opponent misses and -1 when the agent misses, and the
+game ends when either side reaches 21 points.
+
+Serves draw from the serving slot's generator; everything else is
+elementwise float64 math over the batch axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ale.games.base import SCREEN_WIDTH
-from repro.ale.games.pong import (
-    _AGENT,
-    _AGENT_X,
-    _BALL,
-    _BALL_SIZE,
-    _BG,
-    _COURT_BOTTOM,
-    _COURT_TOP,
-    _OPPONENT,
-    _OPPONENT_X,
-    _PADDLE_H,
-    _PADDLE_W,
-    _WALL,
-    _WIN_SCORE,
-    Pong,
-)
-from repro.ale.vec.base import VecAtariGame
+from repro.ale.vec.base import SCREEN_WIDTH, VecAtariGame
 from repro.perf.hotpath import hot_path
+
+_BG = (17, 72, 144)
+_AGENT = (92, 186, 92)
+_OPPONENT = (213, 130, 74)
+_BALL = (236, 236, 236)
+_WALL = (236, 236, 236)
+
+_COURT_TOP = 34
+_COURT_BOTTOM = 194
+_PADDLE_H = 16.0
+_PADDLE_W = 4.0
+_BALL_SIZE = 4.0
+_AGENT_X = SCREEN_WIDTH - 16.0
+_OPPONENT_X = 12.0
+_WIN_SCORE = 21
 
 
 class VecPong(VecAtariGame):
-    """Structure-of-arrays Pong."""
+    """Two-paddle Pong against a tracking opponent."""
 
-    SCALAR_GAME = Pong
+    ACTION_MEANINGS = ("NOOP", "FIRE", "RIGHT", "LEFT",
+                       "RIGHTFIRE", "LEFTFIRE")
+    START_LIVES = 1
+    MAX_FRAMES = 40_000
+
+    PADDLE_SPEED = 4.0
+    OPPONENT_SPEED = 2.6
+    BALL_SPEED_X = 2.4
+    BALL_SPEED_Y_MAX = 2.8
 
     def _alloc(self, batch: int) -> None:
         self.agent_y = np.zeros(batch)
@@ -62,7 +73,7 @@ class VecPong(VecAtariGame):
         self.ball[k, 0] = SCREEN_WIDTH / 2
         self.ball[k, 1] = rng.uniform(_COURT_TOP + 20, _COURT_BOTTOM - 20)
         vy = rng.uniform(-1.5, 1.5)
-        self.ball_vel[k, 0] = Pong.BALL_SPEED_X * self.serve_direction[k]
+        self.ball_vel[k, 0] = self.BALL_SPEED_X * self.serve_direction[k]
         self.ball_vel[k, 1] = vy
         self.serve_delay[k] = 20
 
@@ -73,8 +84,8 @@ class VecPong(VecAtariGame):
         right = self._act_right[actions]
         left = self._act_left[actions] & ~right
         agent_y = self.agent_y[s]
-        agent_y[right] -= Pong.PADDLE_SPEED
-        agent_y[left] += Pong.PADDLE_SPEED
+        agent_y[right] -= self.PADDLE_SPEED
+        agent_y[left] += self.PADDLE_SPEED
         agent_y = np.clip(agent_y, _COURT_TOP, _COURT_BOTTOM - _PADDLE_H)
         ball = self.ball[s]
         vel = self.ball_vel[s]
@@ -82,8 +93,8 @@ class VecPong(VecAtariGame):
         opp = self.opponent_y[s]
         delta = (ball[:, 1] - _PADDLE_H / 2) - opp
         track = np.abs(delta) > 4
-        track_step = np.clip(delta, -Pong.OPPONENT_SPEED,
-                             Pong.OPPONENT_SPEED)
+        track_step = np.clip(delta, -self.OPPONENT_SPEED,
+                             self.OPPONENT_SPEED)
         opp[track] += track_step[track]
         opp = np.clip(opp, _COURT_TOP, _COURT_BOTTOM - _PADDLE_H)
 
@@ -114,12 +125,12 @@ class VecPong(VecAtariGame):
             offset = (ball[hit_a, 1] + _BALL_SIZE / 2 - agent_y[hit_a]
                       - _PADDLE_H / 2) / (_PADDLE_H / 2)
             vel[hit_a, 0] = np.clip(-vel[hit_a, 0] * 1.03, -4.0, 4.0)
-            vel[hit_a, 1] = np.clip(offset * Pong.BALL_SPEED_Y_MAX,
-                                    -Pong.BALL_SPEED_Y_MAX,
-                                    Pong.BALL_SPEED_Y_MAX)
+            vel[hit_a, 1] = np.clip(offset * self.BALL_SPEED_Y_MAX,
+                                    -self.BALL_SPEED_Y_MAX,
+                                    self.BALL_SPEED_Y_MAX)
             ball[hit_a, 0] = _AGENT_X - _BALL_SIZE
         miss_a = cond_a & ~hit_a & (ball[:, 0] > SCREEN_WIDTH)
-        # Opponent side (left) — the scalar game's elif chain.
+        # Opponent side (left), for slots the agent-side test skipped.
         cond_o = act & ~cond_a & (vel[:, 0] < 0) & \
             (ball[:, 0] <= _OPPONENT_X + _PADDLE_W)
         hit_o = cond_o & (opp - _BALL_SIZE <= ball[:, 1]) & \
@@ -128,9 +139,9 @@ class VecPong(VecAtariGame):
             offset = (ball[hit_o, 1] + _BALL_SIZE / 2 - opp[hit_o]
                       - _PADDLE_H / 2) / (_PADDLE_H / 2)
             vel[hit_o, 0] = np.clip(-vel[hit_o, 0] * 1.03, -4.0, 4.0)
-            vel[hit_o, 1] = np.clip(offset * Pong.BALL_SPEED_Y_MAX,
-                                    -Pong.BALL_SPEED_Y_MAX,
-                                    Pong.BALL_SPEED_Y_MAX)
+            vel[hit_o, 1] = np.clip(offset * self.BALL_SPEED_Y_MAX,
+                                    -self.BALL_SPEED_Y_MAX,
+                                    self.BALL_SPEED_Y_MAX)
             ball[hit_o, 0] = _OPPONENT_X + _PADDLE_W
         miss_o = cond_o & ~hit_o & (ball[:, 0] < -_BALL_SIZE)
 

@@ -1,4 +1,11 @@
-"""Batched Q*bert: vectorized timers/hops, per-slot enemy RNG events.
+"""Q*bert.
+
+A 7-row pyramid of cubes; hopping onto a cube flips it to the target colour
+for +25 points; colouring the whole pyramid awards a bonus and starts the
+next (faster) round.  A purple ball spawns at the top and bounces down,
+costing a life on contact.  Hops take several frames (the real game's hop
+animation), which makes the control problem non-trivial under frame skip.
+Minimal action set matches ALE Q*bert: NOOP, FIRE, UP, RIGHT, LEFT, DOWN.
 
 Hop bookkeeping, the pyramid-completion test and the collision check are
 integer masks over the batch; hop resolution and enemy hops (the only
@@ -8,29 +15,57 @@ RNG consumers) run per affected slot every ``HOP_FRAMES`` /
 
 from __future__ import annotations
 
+import typing
+
 import numpy as np
 
-from repro.ale.games.qbert import (
-    _BG,
-    _CUBE_H,
-    _CUBE_OFF,
-    _CUBE_ON,
-    _CUBE_W,
-    _ENEMY,
-    _HOPS,
-    _N_ROWS,
-    _PLAYER,
-    _cube_center,
-    Qbert,
-)
-from repro.ale.vec.base import VecAtariGame
+from repro.ale.vec.base import SCREEN_WIDTH, VecAtariGame
 from repro.perf.hotpath import hot_path
+
+_BG = (40, 40, 40)
+_CUBE_OFF = (182, 138, 20)
+_CUBE_ON = (60, 120, 210)
+_PLAYER = (210, 100, 30)
+_ENEMY = (146, 70, 192)
+
+_N_ROWS = 7
+_CUBE_W = 18.0
+_CUBE_H = 14.0
+_TOP_X = SCREEN_WIDTH / 2
+_TOP_Y = 40.0
+
+# Diagonal hops: (d_row, d_col) in pyramid coordinates.
+_HOPS = {
+    "UP": (-1, 0),       # up-right on screen
+    "LEFT": (-1, -1),    # up-left
+    "DOWN": (1, 1),      # down-right
+    "RIGHT": (1, 0),     # down-left... see note below
+}
+# Note: the real game maps the four diagonals to the joystick diagonals;
+# here each of the four directions is one diagonal hop, which preserves the
+# control structure (choose one of four neighbours) without diagonal
+# joystick actions.
+
+
+def _cube_center(row: int, col: int) -> typing.Tuple[float, float]:
+    """Pixel position of cube (row, col); row 0 is the apex."""
+    x = _TOP_X + (col - row / 2.0) * _CUBE_W
+    y = _TOP_Y + row * _CUBE_H
+    return x, y
 
 
 class VecQbert(VecAtariGame):
-    """Structure-of-arrays Q*bert."""
+    """Pyramid-hopping with a pursuing enemy ball."""
 
-    SCALAR_GAME = Qbert
+    ACTION_MEANINGS = ("NOOP", "FIRE", "UP", "RIGHT", "LEFT", "DOWN")
+    START_LIVES = 4
+    MAX_FRAMES = 40_000
+
+    HOP_FRAMES = 8          # frames a hop takes
+    ENEMY_HOP_FRAMES = 12   # enemy is slower than the player
+    ENEMY_SPAWN_DELAY = 120
+    CUBE_SCORE = 25.0
+    ROUND_BONUS = 100.0
 
     def _alloc(self, batch: int) -> None:
         self.colored = np.zeros((batch, _N_ROWS, _N_ROWS), dtype=bool)
@@ -46,7 +81,7 @@ class VecQbert(VecAtariGame):
         self.enemy_timer = np.zeros(batch, dtype=np.int64)
         self.round_ = np.zeros(batch, dtype=np.int64)
         self.respawn = np.zeros(batch, dtype=np.int64)
-        meanings = self.action_meanings
+        meanings = self.ACTION_MEANINGS
         self._hop_is = np.array([m in _HOPS for m in meanings], dtype=bool)
         self._hop_drow = np.array([_HOPS.get(m, (0, 0))[0]
                                    for m in meanings], dtype=np.int64)
@@ -63,7 +98,7 @@ class VecQbert(VecAtariGame):
         self.enemy_present[k] = False
         self.hop_timer[k] = 0
         self.pending_present[k] = False
-        self.enemy_timer[k] = Qbert.ENEMY_SPAWN_DELAY
+        self.enemy_timer[k] = self.ENEMY_SPAWN_DELAY
         self.respawn[k] = 0
         self.colored[k, 0, 0] = True
 
@@ -98,7 +133,7 @@ class VecQbert(VecAtariGame):
             self.pending_col[tgt] = self.player_col[tgt] + \
                 self._hop_dcol[actions[new_hop]]
             self.pending_present[tgt] = True
-            ht[new_hop] = Qbert.HOP_FRAMES
+            ht[new_hop] = self.HOP_FRAMES
         self.hop_timer[s] = ht
         for kc in np.nonzero(resolve)[0]:
             k = int(s[kc])
@@ -110,7 +145,7 @@ class VecQbert(VecAtariGame):
                 self.player_col[k] = col
                 if not self.colored[k, row, col]:
                     self.colored[k, row, col] = True
-                    rewards[kc] += Qbert.CUBE_SCORE
+                    rewards[kc] += self.CUBE_SCORE
             else:
                 # Hopped off the pyramid.
                 self.lives[k] -= 1
@@ -133,11 +168,11 @@ class VecQbert(VecAtariGame):
             self.enemy_row[tgt] = 0
             self.enemy_col[tgt] = 0
             self.enemy_present[tgt] = True
-            self.enemy_timer[tgt] = Qbert.ENEMY_HOP_FRAMES
+            self.enemy_timer[tgt] = self.ENEMY_HOP_FRAMES
         for kc in np.nonzero(hop_now)[0]:
             k = int(s[kc])
             self.enemy_timer[k] = max(
-                Qbert.ENEMY_HOP_FRAMES - int(self.round_[k]), 6)
+                self.ENEMY_HOP_FRAMES - int(self.round_[k]), 6)
             row = int(self.enemy_row[k])
             col = int(self.enemy_col[k])
             # The ball bounces downhill, drifting toward the player.
@@ -151,7 +186,7 @@ class VecQbert(VecAtariGame):
             else:
                 # Fell off the bottom; respawn at the top after a delay.
                 self.enemy_present[k] = False
-                self.enemy_timer[k] = Qbert.ENEMY_SPAWN_DELAY
+                self.enemy_timer[k] = self.ENEMY_SPAWN_DELAY
 
         # Collision with the player.
         coll = act & self.enemy_present[s] & \
@@ -163,7 +198,7 @@ class VecQbert(VecAtariGame):
             self.lives[tgt] -= 1
             self.respawn[tgt] = 30
             self.enemy_present[tgt] = False
-            self.enemy_timer[tgt] = Qbert.ENEMY_SPAWN_DELAY
+            self.enemy_timer[tgt] = self.ENEMY_SPAWN_DELAY
             self.player_row[tgt] = 0
             self.player_col[tgt] = 0
 
@@ -171,7 +206,7 @@ class VecQbert(VecAtariGame):
         done = act & (self.colored[s] | ~self._pyramid).all(axis=(1, 2))
         for kc in np.nonzero(done)[0]:
             k = int(s[kc])
-            rewards[kc] += Qbert.ROUND_BONUS
+            rewards[kc] += self.ROUND_BONUS
             self.round_[k] += 1
             self._start_round_slot(k)
         return rewards

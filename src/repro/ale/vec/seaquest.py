@@ -1,44 +1,61 @@
-"""Batched Seaquest: SoA sub/oxygen state, per-slot entity dynamics.
+"""Seaquest.
+
+A submarine hunts sharks (+20 each) and rescues divers while managing an
+oxygen tank: oxygen drains underwater and refills at the surface; running
+dry costs a life.  Surfacing with rescued divers scores a bonus.  The
+minimal action set here is the six-action movement/fire subset (the real
+cartridge exposes all 18; the strategy space — shoot, rescue, surface — is
+preserved).
 
 Seaquest draws from its RNG every frame (spawn rolls) and keeps ragged
-shark/diver lists, so its frame dynamics run per slot with the scalar
-game's exact expression sequence; the scalar fields live in ``(B,)``
-arrays and all slots share the batched frame buffer.
+shark/diver lists, so its frame dynamics run one slot at a time; the
+per-slot fields live in ``(B,)`` arrays and all slots share the batched
+frame buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ale.games.base import SCREEN_HEIGHT, SCREEN_WIDTH
-from repro.ale.games.seaquest import (
-    _DIVER,
-    _DIVER_H,
-    _DIVER_W,
-    _FLOOR_Y,
-    _OXYGEN_BAR,
-    _OXYGEN_LOW,
-    _SHARK,
-    _SHARK_H,
-    _SHARK_W,
-    _SKY,
-    _SUB,
-    _SUB_H,
-    _SUB_W,
-    _SURFACE_Y,
-    _TORPEDO,
-    _TORPEDO_SPEED,
-    _WATER,
-    Seaquest,
-)
-from repro.ale.vec.base import VecAtariGame
+from repro.ale.vec.base import SCREEN_HEIGHT, SCREEN_WIDTH, VecAtariGame
 from repro.perf.hotpath import hot_path
+
+_SKY = (120, 180, 240)
+_WATER = (24, 59, 157)
+_SUB = (210, 210, 64)
+_SHARK = (92, 186, 92)
+_DIVER = (236, 200, 96)
+_TORPEDO = (236, 236, 236)
+_OXYGEN_BAR = (214, 214, 214)
+_OXYGEN_LOW = (200, 72, 72)
+
+_SURFACE_Y = 46.0
+_FLOOR_Y = 194.0
+_SUB_W = 12.0
+_SUB_H = 8.0
+_SHARK_W = 10.0
+_SHARK_H = 6.0
+_DIVER_W = 6.0
+_DIVER_H = 8.0
+_TORPEDO_SPEED = 4.0
 
 
 class VecSeaquest(VecAtariGame):
-    """Structure-of-arrays Seaquest."""
+    """Underwater shooter with an oxygen resource loop."""
 
-    SCALAR_GAME = Seaquest
+    ACTION_MEANINGS = ("NOOP", "FIRE", "UP", "RIGHT", "LEFT", "DOWN")
+    START_LIVES = 3
+    MAX_FRAMES = 40_000
+
+    SUB_SPEED = 2.5
+    SHARK_SPEED = 1.4
+    DIVER_SPEED = 0.8
+    OXYGEN_MAX = 400.0
+    SHARK_SCORE = 20.0
+    DIVER_BONUS = 50.0
+    SPAWN_PROBABILITY = 0.03
+    DIVER_PROBABILITY = 0.01
+    MAX_DIVERS_HELD = 6
 
     def _alloc(self, batch: int) -> None:
         self.sub = np.zeros((batch, 2))
@@ -53,7 +70,7 @@ class VecSeaquest(VecAtariGame):
         for k in slots:
             k = int(k)
             self.sub[k] = (SCREEN_WIDTH / 2, _SURFACE_Y + 30)
-            self.oxygen[k] = Seaquest.OXYGEN_MAX
+            self.oxygen[k] = self.OXYGEN_MAX
             self.sharks[k] = []
             self.divers[k] = []
             self.torpedo[k] = None
@@ -63,12 +80,12 @@ class VecSeaquest(VecAtariGame):
     @hot_path
     def _spawn_slot(self, k: int) -> None:
         rng = self.rngs[k]
-        if rng.random() < Seaquest.SPAWN_PROBABILITY:
+        if rng.random() < self.SPAWN_PROBABILITY:
             direction = 1 if rng.random() < 0.5 else -1
             x = -_SHARK_W if direction > 0 else SCREEN_WIDTH
             y = rng.uniform(_SURFACE_Y + 20, _FLOOR_Y - 10)
             self.sharks[k].append(np.array([x, y, direction]))
-        if rng.random() < Seaquest.DIVER_PROBABILITY:
+        if rng.random() < self.DIVER_PROBABILITY:
             direction = 1 if rng.random() < 0.5 else -1
             x = -_DIVER_W if direction > 0 else SCREEN_WIDTH
             y = rng.uniform(_SURFACE_Y + 30, _FLOOR_Y - 10)
@@ -78,7 +95,7 @@ class VecSeaquest(VecAtariGame):
         self.lives[k] -= 1
         self.respawn[k] = 30
         self.sub[k] = (SCREEN_WIDTH / 2, _SURFACE_Y + 30)
-        self.oxygen[k] = Seaquest.OXYGEN_MAX
+        self.oxygen[k] = self.OXYGEN_MAX
         self.torpedo[k] = None
         self.divers_held[k] = 0
 
@@ -91,9 +108,9 @@ class VecSeaquest(VecAtariGame):
         dx = int(self._act_dx[action])
         dy = int(self._act_dy[action])
         fire = bool(self._act_fire[action])
-        self.sub[k, 0] = np.clip(self.sub[k, 0] + dx * Seaquest.SUB_SPEED,
+        self.sub[k, 0] = np.clip(self.sub[k, 0] + dx * self.SUB_SPEED,
                                  0, SCREEN_WIDTH - _SUB_W)
-        self.sub[k, 1] = np.clip(self.sub[k, 1] + dy * Seaquest.SUB_SPEED,
+        self.sub[k, 1] = np.clip(self.sub[k, 1] + dy * self.SUB_SPEED,
                                  _SURFACE_Y, _FLOOR_Y - _SUB_H)
         if fire and self.torpedo[k] is None:
             facing = 1.0 if dx >= 0 else -1.0
@@ -106,12 +123,12 @@ class VecSeaquest(VecAtariGame):
 
         # Oxygen economy.
         if at_surface:
-            refill = self.oxygen[k] < Seaquest.OXYGEN_MAX
-            self.oxygen[k] = min(Seaquest.OXYGEN_MAX,
+            refill = self.oxygen[k] < self.OXYGEN_MAX
+            self.oxygen[k] = min(self.OXYGEN_MAX,
                                  self.oxygen[k] + 8.0)
-            if refill and self.oxygen[k] >= Seaquest.OXYGEN_MAX \
+            if refill and self.oxygen[k] >= self.OXYGEN_MAX \
                     and self.divers_held[k] > 0:
-                reward += Seaquest.DIVER_BONUS * self.divers_held[k]
+                reward += self.DIVER_BONUS * self.divers_held[k]
                 self.divers_held[k] = 0
         else:
             self.oxygen[k] -= 1.0
@@ -124,7 +141,7 @@ class VecSeaquest(VecAtariGame):
         # Sharks drift horizontally; collide with the sub.
         remaining = []
         for shark in self.sharks[k]:
-            shark[0] += shark[2] * Seaquest.SHARK_SPEED
+            shark[0] += shark[2] * self.SHARK_SPEED
             if -_SHARK_W <= shark[0] <= SCREEN_WIDTH:
                 remaining.append(shark)
         self.sharks[k] = remaining
@@ -138,12 +155,12 @@ class VecSeaquest(VecAtariGame):
         # Divers drift; pick them up by touching.
         remaining = []
         for diver in self.divers[k]:
-            diver[0] += diver[2] * Seaquest.DIVER_SPEED
+            diver[0] += diver[2] * self.DIVER_SPEED
             touched = (abs(diver[0] - self.sub[k, 0]) <
                        (_DIVER_W + _SUB_W) / 2 and
                        abs(diver[1] - self.sub[k, 1]) <
                        (_DIVER_H + _SUB_H) / 2)
-            if touched and self.divers_held[k] < Seaquest.MAX_DIVERS_HELD:
+            if touched and self.divers_held[k] < self.MAX_DIVERS_HELD:
                 self.divers_held[k] += 1
             elif -_DIVER_W <= diver[0] <= SCREEN_WIDTH:
                 remaining.append(diver)
@@ -161,7 +178,7 @@ class VecSeaquest(VecAtariGame):
                             abs(shark[1] - torpedo[1]) < _SHARK_H):
                         del self.sharks[k][index]
                         self.torpedo[k] = None
-                        reward += Seaquest.SHARK_SCORE
+                        reward += self.SHARK_SCORE
                         break
         return reward
 
@@ -182,7 +199,7 @@ class VecSeaquest(VecAtariGame):
         for k in slots:
             k = int(k)
             # Oxygen gauge along the bottom.
-            frac = max(self.oxygen[k], 0.0) / Seaquest.OXYGEN_MAX
+            frac = max(self.oxygen[k], 0.0) / self.OXYGEN_MAX
             color = _OXYGEN_BAR if frac > 0.25 else _OXYGEN_LOW
             scr.fill_rect(k, SCREEN_HEIGHT - 10, 20, 6,
                           (SCREEN_WIDTH - 40) * frac, color)

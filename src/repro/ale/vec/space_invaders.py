@@ -1,45 +1,58 @@
-"""Batched Space Invaders: SoA grid/cannon state, per-slot dynamics.
+"""Space Invaders.
+
+A 6x6 grid of aliens marches side to side and descends; the player cannon
+shoots upward (one shot on screen at a time, as on the real cartridge) and
+dodges alien bombs behind the action timer.  Row scores are 30/25/20/15/10/5
+points from top to bottom.  Minimal action set matches ALE Space Invaders:
+NOOP, FIRE, RIGHT, LEFT, RIGHTFIRE, LEFTFIRE.
 
 The bomb-drop roll consumes RNG every frame and the shot/bomb sets are
-ragged, so frame dynamics run per slot with the scalar game's exact
-expression sequence over ``(B,)``-array fields and per-slot entity
-lists; rendering shares the batched frame buffer.
+ragged, so frame dynamics run one slot at a time over ``(B,)``-array
+fields and per-slot entity lists; rendering shares the batched frame
+buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ale.games.base import SCREEN_HEIGHT, SCREEN_WIDTH
-from repro.ale.games.space_invaders import (
-    _ALIEN,
-    _ALIEN_GAP_X,
-    _ALIEN_GAP_Y,
-    _ALIEN_H,
-    _ALIEN_W,
-    _BG,
-    _BOMB,
-    _BOMB_SPEED,
-    _GROUND,
-    _N_COLS,
-    _N_ROWS,
-    _PLAYER,
-    _PLAYER_H,
-    _PLAYER_W,
-    _PLAYER_Y,
-    _ROW_SCORES,
-    _SHOT,
-    _SHOT_SPEED,
-    SpaceInvaders,
-)
-from repro.ale.vec.base import VecAtariGame
+from repro.ale.vec.base import SCREEN_HEIGHT, SCREEN_WIDTH, VecAtariGame
 from repro.perf.hotpath import hot_path
+
+_BG = (0, 0, 0)
+_GROUND = (78, 50, 30)
+_PLAYER = (50, 205, 50)
+_ALIEN = (134, 134, 29)
+_BOMB = (213, 130, 74)
+_SHOT = (236, 236, 236)
+
+_N_ROWS = 6
+_N_COLS = 6
+_ROW_SCORES = (30, 25, 20, 15, 10, 5)
+_ALIEN_W = 8.0
+_ALIEN_H = 8.0
+_ALIEN_GAP_X = 16.0
+_ALIEN_GAP_Y = 14.0
+_PLAYER_Y = 185.0
+_PLAYER_W = 8.0
+_PLAYER_H = 6.0
+_SHOT_SPEED = 5.0
+_BOMB_SPEED = 1.6
 
 
 class VecSpaceInvaders(VecAtariGame):
-    """Structure-of-arrays Space Invaders."""
+    """March-and-shoot with descending alien waves and three lives."""
 
-    SCALAR_GAME = SpaceInvaders
+    ACTION_MEANINGS = ("NOOP", "FIRE", "RIGHT", "LEFT",
+                       "RIGHTFIRE", "LEFTFIRE")
+    START_LIVES = 3
+    MAX_FRAMES = 40_000
+
+    PLAYER_SPEED = 3.0
+    MARCH_PERIOD = 16      # frames between alien steps
+    MARCH_STEP = 4.0
+    DESCEND_STEP = 8.0
+    BOMB_PROBABILITY = 0.02
 
     def _alloc(self, batch: int) -> None:
         self.player_x = np.zeros(batch)
@@ -66,7 +79,7 @@ class VecSpaceInvaders(VecAtariGame):
         self.march_direction[k] = 1
         self.shot[k] = None
         self.bombs[k] = []
-        self.march_timer[k] = SpaceInvaders.MARCH_PERIOD
+        self.march_timer[k] = self.MARCH_PERIOD
 
     def _alien_rect(self, k: int, row: int, col: int):
         x = self.grid_origin[k, 0] + col * _ALIEN_GAP_X
@@ -77,25 +90,25 @@ class VecSpaceInvaders(VecAtariGame):
         self.march_timer[k] -= 1
         if self.march_timer[k] > 0:
             return
-        self.march_timer[k] = SpaceInvaders.MARCH_PERIOD
+        self.march_timer[k] = self.MARCH_PERIOD
         cols_alive = np.where(self.alive[k].any(axis=0))[0]
         left = self.grid_origin[k, 0] + cols_alive[0] * _ALIEN_GAP_X
         right = self.grid_origin[k, 0] + cols_alive[-1] * _ALIEN_GAP_X \
             + _ALIEN_W
         direction = int(self.march_direction[k])
-        nxt_left = left + direction * SpaceInvaders.MARCH_STEP
-        nxt_right = right + direction * SpaceInvaders.MARCH_STEP
+        nxt_left = left + direction * self.MARCH_STEP
+        nxt_right = right + direction * self.MARCH_STEP
         if nxt_left < 8 or nxt_right > SCREEN_WIDTH - 8:
             self.march_direction[k] = -direction
-            self.grid_origin[k, 1] += SpaceInvaders.DESCEND_STEP
+            self.grid_origin[k, 1] += self.DESCEND_STEP
         else:
-            self.grid_origin[k, 0] += direction * SpaceInvaders.MARCH_STEP
+            self.grid_origin[k, 0] += direction * self.MARCH_STEP
 
     @hot_path
     def _drop_bombs_slot(self, k: int) -> None:
         rng = self.rngs[k]
         if rng.random() >= \
-                SpaceInvaders.BOMB_PROBABILITY * \
+                self.BOMB_PROBABILITY * \
                 self.alive[k].sum(axis=None):
             return
         cols = np.where(self.alive[k].any(axis=0))[0]
@@ -149,7 +162,7 @@ class VecSpaceInvaders(VecAtariGame):
         dx = int(self._act_dx[action])
         fire = bool(self._act_fire[action])
         self.player_x[k] = np.clip(
-            self.player_x[k] + dx * SpaceInvaders.PLAYER_SPEED,
+            self.player_x[k] + dx * self.PLAYER_SPEED,
             8, SCREEN_WIDTH - 8 - _PLAYER_W)
         if fire and self.shot[k] is None:
             self.shot[k] = np.array([self.player_x[k] + _PLAYER_W / 2,

@@ -8,7 +8,9 @@ TimeLimit stack with batched NumPy, instead of N wrapper chains of
 Python calls.  Per slot it is bit-identical to
 ``SyncVectorEnv([make_atari_env(make_game(name)) ...], seed=s)`` — same
 observations, rewards, dones, infos and finished scores under the same
-seed and action sequence (see ``tests/test_envs_batched.py``).
+seed and action sequence (see ``tests/test_envs_batched.py``; that
+wrapper stack is itself pinned by digest in
+``tests/test_ale_golden.py``).
 
 The frame-skip loop steps only still-active slots (``engine.step``
 accepts a slot subset), so a slot whose game ends mid-cycle drops out

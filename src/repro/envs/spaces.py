@@ -16,12 +16,9 @@ class Discrete:
         self.n = n
 
     def contains(self, value) -> bool:
-        """True if ``value`` is a valid action index."""
-        try:
-            index = int(value)
-        except (TypeError, ValueError):
-            return False
-        return 0 <= index < self.n
+        """True if ``value`` is a valid action index: a Python or NumPy
+        integer in range (``"3"`` and ``2.9`` are not)."""
+        return isinstance(value, (int, np.integer)) and 0 <= value < self.n
 
     def sample(self, rng: np.random.Generator) -> int:
         """A uniformly random action."""

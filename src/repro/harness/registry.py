@@ -100,7 +100,7 @@ EXPERIMENTS: typing.Dict[str, Experiment] = {
             "s32", "t_max vs training steps (Section 3.2)",
             ("t_max 32 needs ~2x the steps of t_max 5 to reach a "
              "score threshold on Breakout",),
-            ("repro.core.trainer", "repro.ale.games.breakout"),
+            ("repro.core.trainer", "repro.ale.vec.breakout"),
             "benchmarks/bench_s32_tmax.py"),
         Experiment(
             "s33", "Operational intensity / batch-size wall "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ale import SimulatedALE, make_game
-from repro.ale.games.base import ALE_ACTIONS
+from repro.ale.vec.base import ALE_ACTIONS
 
 
 class TestSimulatedALE:
@@ -56,11 +56,11 @@ class TestSimulatedALE:
         ale = SimulatedALE(game, seed=0)
         up = ALE_ACTIONS.index("RIGHT")   # Pong maps RIGHT to up
         ale.act(up)
-        y_after_up = game.agent_y
+        y_after_up = game.engine.agent_y[0]
         # Force stickiness: the next request is ignored, UP repeats.
         ale.repeat_action_probability = 1.0
         ale.act(ALE_ACTIONS.index("LEFT"))
-        assert game.agent_y < y_after_up  # still moving up
+        assert game.engine.agent_y[0] < y_after_up  # still moving up
 
     def test_full_episode_via_ale_api(self):
         ale = SimulatedALE("pong", seed=1)

@@ -32,7 +32,7 @@ class TestGameInvariants:
             assert obs.dtype == np.uint8
             assert obs.shape == (210, 160, 3)
             assert np.isfinite(reward)
-            assert 0 <= info["lives"] <= game.START_LIVES
+            assert 0 <= info["lives"] <= game.engine.START_LIVES
             assert info["lives"] <= prev_lives or done
             prev_lives = info["lives"]
             assert done == game.game_over
@@ -49,7 +49,7 @@ class TestGameInvariants:
                 break
             game.step(game.action_space.sample(rng))
         game.reset()
-        assert game.lives == game.START_LIVES
+        assert game.lives == game.engine.START_LIVES
         assert game.frame == 0
         assert game.score == 0.0
 

@@ -1,5 +1,8 @@
 """Tests for the analysis tables (Table 2/3, roofline) and the harness."""
 
+import importlib
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -166,9 +169,13 @@ class TestHarness:
             get_experiment("fig99")
 
     def test_every_experiment_names_a_bench(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
         for exp in EXPERIMENTS.values():
             assert exp.bench.startswith("benchmarks/")
+            assert (root / exp.bench).is_file(), exp.bench
             assert exp.modules
+            for module in exp.modules:
+                importlib.import_module(module)
 
     def test_format_table_alignment(self):
         text = format_table([{"a": 1, "b": "x"}, {"a": 22, "b": "yy"}],

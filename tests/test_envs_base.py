@@ -26,6 +26,12 @@ class TestDiscrete:
         assert not space.contains(4)
         assert not space.contains(-1)
         assert not space.contains("x")
+        assert space.contains(np.int64(2))
+        assert not space.contains("1")
+        assert not space.contains(2.9)
+        assert not space.contains(2.0)
+        assert not space.contains(np.float64(1.0))
+        assert not space.contains(None)
 
     def test_sample_in_range(self):
         space = Discrete(5)
