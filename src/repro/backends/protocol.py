@@ -15,8 +15,8 @@ the four software baselines (paper Section 5.1).  It exposes:
   cause-bucket attribution (:meth:`Backend.attribution`);
 * a discrete-event simulation instance (:meth:`Backend.build_sim`) with
   the duck-typed surface :mod:`repro.platforms.throughput` drives
-  (``inference``/``train``/``sync`` process bodies, or a per-agent
-  ``agent_chain``);
+  (``agent_chain``, which starts one agent's routines as a callback
+  chain, and ``utilisation``);
 * the deterministic seeding contract (:func:`derive_agent_seed`).
 
 The analytic queries are *side-effect free*: they never record metrics,

@@ -131,24 +131,26 @@ class BoundStage:
 
 class BoundTask:
     """A cached :class:`~repro.perf.stageplan.TaskPlan` bound to one
-    simulator's resources for one CU pair."""
+    simulator's resources for one CU pair.
 
-    __slots__ = ("plan", "stages", "cu_name", "task", "pcie_in_seconds",
-                 "pcie_out_seconds", "double_buffering", "_cells")
+    ``cu`` is the CU the task holds (None for a parameter sync, which
+    occupies channels only); ``cu_name`` names its trace lane and
+    metric label (``sync<pair>`` for a sync)."""
+
+    __slots__ = ("plan", "stages", "cu", "cu_name", "task",
+                 "pcie_in_seconds", "pcie_out_seconds", "_cells")
 
     def __init__(self, sim: "FPGASim", plan: _stageplan.TaskPlan,
-                 pair: int, cu_name: str, task: str):
+                 pair: int, cu, task: str):
         self.plan = plan
-        self.stages = tuple(BoundStage(sim, stage_plan, pair, cu_name,
-                                       task)
-                            for stage_plan in plan.stages)
-        self.cu_name = cu_name
+        self.cu = cu
+        self.cu_name = cu.name if cu is not None else f"sync{pair}"
         self.task = task
+        self.stages = tuple(BoundStage(sim, stage_plan, pair,
+                                       self.cu_name, task)
+                            for stage_plan in plan.stages)
         self.pcie_in_seconds = plan.pcie_in_seconds
         self.pcie_out_seconds = plan.pcie_out_seconds
-        # Uniform across a task's stages (it is a config field).
-        self.double_buffering = all(stage.double_buffering
-                                    for stage in self.stages)
         self._cells = None
 
     def record_task(self, metrics, elapsed: float) -> None:

@@ -17,9 +17,8 @@ Configurations:
 * ``.alt2()`` — both layouts materialised in DRAM (extra store traffic).
 
 This module is the *orchestration* layer only; the simulation loop lives
-in :mod:`repro.fpga.simloop` and the fast-path bound-stage scheduling in
-:mod:`repro.fpga.binding` (``FPGASim`` is re-exported here for
-backwards compatibility).
+in :mod:`repro.fpga.simloop` and the bound-stage scheduling in
+:mod:`repro.fpga.binding`.
 """
 
 from __future__ import annotations
@@ -222,12 +221,3 @@ class FA3CPlatform:
 
         return FPGASim(self, engine, tracer=tracer)
 
-
-def __getattr__(name: str):
-    # Backwards-compatible re-export: FPGASim moved to repro.fpga.simloop
-    # (imported lazily to avoid a platform <-> simloop import cycle).
-    if name == "FPGASim":
-        from repro.fpga.simloop import FPGASim
-
-        return FPGASim
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

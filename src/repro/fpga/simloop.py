@@ -1,21 +1,25 @@
 """The FA3C discrete-event simulation loop.
 
 :class:`FPGASim` owns the shared resources (CUs, DRAM channels) of one
-:class:`~repro.fpga.platform.FA3CPlatform` instance and exposes the task
-process bodies (``inference`` / ``train`` / ``sync``) that the
-throughput experiments drive.  Orchestration (configurations, analytic
-latencies) lives in :mod:`repro.fpga.platform`; bound-stage scheduling
-(cached plans resolved to this sim's resources) in
-:mod:`repro.fpga.binding`.
+:class:`~repro.fpga.platform.FA3CPlatform` instance and exposes
+``agent_chain``: one agent's A3C routines compiled into a callback chain
+over those resources (see :class:`repro.platforms.chain.AgentChain`),
+which the throughput experiments start once per agent.  Orchestration
+(configurations, analytic latencies) lives in
+:mod:`repro.fpga.platform`; bound-stage scheduling (cached plans
+resolved to this sim's resources) in :mod:`repro.fpga.binding`.
 """
 
 from __future__ import annotations
 
+import heapq
 import typing
 
 from repro.fpga.binding import BoundTask
 from repro.obs import runtime as _obs
 from repro.perf import stageplan as _stageplan
+from repro.perf.hotpath import hot_path
+from repro.platforms.chain import AgentChain
 from repro.sim import Engine, Resource, Tracer
 from repro.sim.events import Event
 
@@ -24,15 +28,16 @@ if typing.TYPE_CHECKING:                     # pragma: no cover
 
 
 class FPGASim:
-    """Discrete-event resources + task processes for one FA3C platform.
+    """Discrete-event resources + agent chains for one FA3C platform.
 
     Per CU pair: an inference CU and a training CU (or one combined CU in
     the SingleCU ablation) plus a *local* DRAM channel; one *global*
     channel is shared platform-wide (the single global θ copy).  Agents
     are assigned to pairs round-robin, as the host runtime does.
 
-    Each task replays its memoized :mod:`repro.perf.stageplan` plan
-    through callback-chained channel holds.  The golden digests in
+    Each task replays its memoized :mod:`repro.perf.stageplan` plan,
+    bound once per (task, batch, pair) when a chain is built, through
+    callback-chained channel holds.  The golden digests in
     ``tests/test_sim_golden.py`` pin the simulated times, grant orders,
     spans, and attribution bit-for-bit, with the plan cache cold and
     warm; ``BENCH_fa3c.json`` pins the rounded IPS and bucket shares.
@@ -48,7 +53,6 @@ class FPGASim:
             tracer = _obs.tracer()
         self.tracer = tracer
         self._bound: typing.Dict[tuple, BoundTask] = {}
-        self._bound_topology = platform.topology
         config = platform.config
         self.infer_cus = []
         self.train_cus = []
@@ -74,40 +78,34 @@ class FPGASim:
         values = [cu.utilisation() for cu in cus.values()]
         return sum(values) / len(values) if values else 0.0
 
-    def _pair(self, agent_id: int) -> int:
-        return agent_id % self.platform.config.cu_pairs
-
-    # -- memoized plan replay ------------------------------------------------
+    def agent_chain(self, agent_id: int, t_max: int, routines: int,
+                    host, meter, needs_sync: bool, needs_bootstrap: bool,
+                    latencies: typing.Optional[list] = None) -> Event:
+        """Start one agent's routines as a callback chain; returns an
+        event that succeeds once ``routines`` routines have run."""
+        return _FPGAAgentChain(self, agent_id, t_max, routines, host,
+                               meter, needs_sync, needs_bootstrap,
+                               latencies).completion
 
     def _bound_task(self, kind: str, batch: int, pair: int) -> BoundTask:
-        """The task's plan bound to this sim's pair resources.
-
-        The key embeds the live config's field values, so mutating the
-        config (or swapping the topology) naturally misses and rebinds.
-        """
-        if self.platform.topology is not self._bound_topology:
-            self._bound.clear()
-            self._bound_topology = self.platform.topology
-        cfg_key = _stageplan.config_key(self.platform.config)
-        key = (kind, batch, pair, cfg_key)
+        """The task's plan bound to this sim's pair resources."""
+        key = (kind, batch, pair)
         bound = self._bound.get(key)
         if bound is None:
-            plan = _stageplan.CACHE.task_plan(self.platform, kind, batch,
-                                              cfg_key=cfg_key)
+            plan = _stageplan.CACHE.task_plan(self.platform, kind, batch)
+            cu = None
             if kind == "inference":
-                cu_name, task = self.infer_cus[pair].name, "inference"
+                cu = self.infer_cus[pair]
             elif kind == "train":
-                cu_name, task = self.train_cus[pair].name, "train"
-            else:
-                cu_name, task = f"sync{pair}", "sync"
-            bound = BoundTask(self, plan, pair, cu_name, task)
+                cu = self.train_cus[pair]
+            bound = BoundTask(self, plan, pair, cu, kind)
             self._bound[key] = bound
         return bound
 
     def _hold(self, resource: Resource, duration: float,
               finish) -> None:
-        """Callback-chained equivalent of ``process(resource.use(d))``:
-        acquire -> hold ``duration`` -> release -> ``finish``.
+        """Acquire ``resource`` -> hold ``duration`` -> release ->
+        ``finish``.
 
         The release happens while the hold timeout is being processed
         and ``finish`` runs one queue hop later (via the chain event).
@@ -129,8 +127,7 @@ class FPGASim:
         """Start one double-buffered stage; returns its stage-end event.
 
         Compute overlaps every channel hold; the join counts the compute
-        timeout plus each hold's post-release chain event, like an
-        ``AllOf`` over (compute timeout, DMA processes)."""
+        timeout plus each hold's post-release chain event."""
         engine = self.engine
         holds = bound.holds
         done = Event(engine)
@@ -146,106 +143,112 @@ class FPGASim:
             self._hold(resource, duration, _finish)
         return done
 
-    def _serial_stage(self, bound):
-        """Process body for one stage without double buffering: each
-        channel hold completes before the next starts, then compute runs
-        (the PEs stall until every transfer finishes)."""
-        for resource, duration in bound.holds:
-            yield resource.acquire()
-            try:
-                yield self.engine.timeout(duration)
-            finally:
-                resource.release()
-        yield self.engine.timeout(bound.compute_seconds)
 
-    def _replay_task(self, bound: BoundTask, cu: Resource):
-        """Process body: acquire the CU, run every stage, release.
+class _FPGAAgentChain(AgentChain):
+    """Agent routine against :class:`FPGASim`'s CUs and DRAM channels.
 
-        Stage spans go to the tracer and cycle attribution to the
-        metrics registry only when one is attached or collection is on;
-        otherwise the loop only waits on the stage events."""
-        yield cu.acquire()
-        engine = self.engine
-        tracer = self.tracer
+    A task's ops replay its bound plan: ``("acq", r)`` / ``("rel", r)``
+    take and return a CU or channel, ``("stage", s)`` runs one
+    double-buffered stage (:meth:`FPGASim._launch_stage`), and a stage
+    without double buffering holds each channel in turn, then sleeps
+    out its compute (the PEs stall until every transfer finishes).
+    Span and attribution ops are compiled in only while a tracer is
+    attached or telemetry is on."""
+
+    __slots__ = ("_mark", "_task_start")
+
+    def _task(self, kind: str, batch: int, tracked: bool) -> list:
+        sim = self.sim
+        # Agents are assigned to CU pairs round-robin.
+        bound = sim._bound_task(kind, batch,
+                                self.agent_id % sim.platform.config.cu_pairs)
+        cu = bound.cu
         observing = _obs.enabled()
-        task_start = engine.now
-        try:
-            if tracer is None and not observing:
-                if bound.double_buffering:
-                    for stage in bound.stages:
-                        yield self._launch_stage(stage)
-                else:
-                    for stage in bound.stages:
-                        yield from self._serial_stage(stage)
-            else:
-                metrics = _obs.metrics() if observing else None
-                for stage in bound.stages:
-                    start = engine.now
-                    if stage.double_buffering:
-                        yield self._launch_stage(stage)
-                    else:
-                        yield from self._serial_stage(stage)
-                    if tracer is not None:
-                        tracer.record(cu.name, stage.name, start,
-                                      engine.now)
-                    if observing:
-                        stage.record(metrics, engine.now - start)
-        finally:
-            cu.release()
+        spans = observing or sim.tracer is not None
+        ops: list = []
+        if kind == "inference":
+            # The request starts with the game-screen DMA into the FPGA
+            # and ends with the (tiny) output DMA back (Section 4.1).
+            if tracked:
+                ops.append(("start",))
+            ops.append(("sleep", bound.pcie_in_seconds))
+        if cu is not None:
+            ops.append(("acq", cu))
             if observing:
-                bound.record_task(_obs.metrics(),
-                                  engine.now - task_start)
-
-    def _replay_sync(self, bound: BoundTask, pair: int):
-        """Process body for a parameter sync: the stage loop of
-        :meth:`_replay_task` on the pair's DMA path, with no CU held."""
-        engine = self.engine
-        tracer = self.tracer
-        observing = _obs.enabled()
-        if tracer is None and not observing:
-            if bound.double_buffering:
-                for stage in bound.stages:
-                    yield self._launch_stage(stage)
-            else:
-                for stage in bound.stages:
-                    yield from self._serial_stage(stage)
-            return
-        metrics = _obs.metrics() if observing else None
-        lane = f"sync{pair}"
+                ops.append(("begin",))
         for stage in bound.stages:
-            start = engine.now
+            if spans:
+                ops.append(("mark",))
             if stage.double_buffering:
-                yield self._launch_stage(stage)
+                ops.append(("stage", stage))
             else:
-                yield from self._serial_stage(stage)
-            if tracer is not None:
-                tracer.record(lane, stage.name, start, engine.now)
+                for resource, duration in stage.holds:
+                    ops += [("acq", resource), ("sleep", duration),
+                            ("rel", resource)]
+                ops.append(("sleep", stage.compute_seconds))
+            if spans:
+                ops.append(("span", stage, bound.cu_name))
+        if cu is not None:
+            ops.append(("rel", cu))
             if observing:
-                stage.record(metrics, engine.now - start)
+                ops.append(("end", bound))
+        if kind == "inference":
+            ops.append(("sleep", bound.pcie_out_seconds))
+            if tracked:
+                ops.append(("lat",))
+        return ops
 
-    # -- the task interface used by the throughput simulation ---------------
-
-    def inference(self, agent_id: int, batch: int = 1):
-        """Process body for one inference task of ``agent_id``.
-
-        The request starts with the game-screen DMA into the FPGA and ends
-        with the (tiny) output DMA back to the host (Section 4.1).
-        """
-        pair = self._pair(agent_id)
-        bound = self._bound_task("inference", batch, pair)
-        yield self.engine.timeout(bound.pcie_in_seconds)
-        yield from self._replay_task(bound, self.infer_cus[pair])
-        yield self.engine.timeout(bound.pcie_out_seconds)
-
-    def train(self, agent_id: int, batch: int):
-        """Process body for one training task."""
-        pair = self._pair(agent_id)
-        yield from self._replay_task(self._bound_task("train", batch, pair),
-                                     self.train_cus[pair])
-
-    def sync(self, agent_id: int):
-        """Process body for one parameter-sync task (runs on the training
-        CU's DMA path; occupies channels but not PEs)."""
-        pair = self._pair(agent_id)
-        yield from self._replay_sync(self._bound_task("sync", 0, pair),
-                                     pair)
+    @hot_path
+    def _advance(self, _event) -> None:
+        engine = self.engine
+        sim = self.sim
+        ops = self.ops
+        advance = self._advance
+        queue = engine._queue
+        heappush = heapq.heappush
+        count = len(ops)
+        index = self.op_index
+        while True:
+            if index == count:
+                if self._end_routine():
+                    return
+                index = 0
+                continue
+            op = ops[index]
+            code = op[0]
+            index += 1
+            if code == "stage":
+                self.op_index = index
+                sim._launch_stage(op[1]).callbacks.append(advance)
+                return
+            if code == "sleep":
+                self.op_index = index
+                heappush(queue, (engine._now + op[1], engine._sequence,
+                                 advance))
+                engine._sequence += 1
+                return
+            if code == "acq":
+                self.op_index = index
+                op[1].acquire().callbacks.append(advance)
+                return
+            if code == "rel":
+                op[1].release()
+            elif code == "mark":
+                self._mark = engine._now
+            elif code == "span":
+                stage = op[1]
+                if sim.tracer is not None:
+                    sim.tracer.record(op[2], stage.name, self._mark,
+                                      engine._now)
+                if _obs.enabled():
+                    stage.record(_obs.metrics(), engine._now - self._mark)
+            elif code == "begin":
+                self._task_start = engine._now
+            elif code == "end":
+                if _obs.enabled():
+                    op[1].record_task(_obs.metrics(),
+                                      engine._now - self._task_start)
+            elif code == "start":
+                self._started = engine._now
+            elif self.routine_index >= self.warmup:     # ("lat",)
+                self.latencies.append(engine._now - self._started)

@@ -1,8 +1,9 @@
 """The four software baseline platforms (paper Section 5.1).
 
 Each platform's discrete-event sim exposes ``agent_chain``: one agent's
-A3C routines compiled into a callback chain (see :class:`_AgentChainBase`)
-that :class:`repro.platforms.ThroughputSetup` starts once per agent.
+A3C routines compiled into a callback chain (see
+:class:`repro.platforms.chain.AgentChain`) that
+:class:`repro.platforms.ThroughputSetup` starts once per agent.
 
 * :class:`A3CcuDNNPlatform` — direct cuDNN/cuBLAS invocation; one shared
   GPU serialises all agents' tasks.
@@ -27,6 +28,7 @@ from repro.nn.network import NetworkTopology
 from repro.obs import runtime as _obs
 from repro.obs.prof import buckets as _prof
 from repro.perf.hotpath import hot_path
+from repro.platforms.chain import AgentChain
 from repro.sim import Engine, Resource, Store
 from repro.sim.events import Event
 
@@ -321,98 +323,21 @@ class A3CTFCPUPlatform(_GPUPlatformBase):
                       executors=self.cal.cpu_executors)
 
 
-class _AgentChainBase:
-    """Callback-compiled agent routine.
+class _GPUAgentChain(AgentChain):
+    """Agent routine against :class:`GPUSim`'s shared device."""
 
-    Runs the Figure 2 routine that
-    ``repro.platforms.throughput._agent_process`` runs for the FPGA sim
-    (sync, ``t_max`` step + inference pairs, bootstrap inference,
-    objective prep, train) without the generator machinery: each event
-    fires a bound-method continuation instead of a ``generator.send``
-    resume, the simulator's dominant host cost at large agent counts.
-    The order in which the chain creates events fixes heap sequence
-    numbers and resource grant order, so it is part of the model; the
-    golden digests in ``tests/test_sim_golden.py`` pin it.
+    __slots__ = ("_dur",)
 
-    Subclasses compile the routine into a flat micro-op program in
-    ``self.ops``; :meth:`_advance` interprets it, returning whenever an
-    op must wait on an event and resuming from the same point when the
-    event fires.  ``completion`` succeeds after the last routine,
-    standing in for the ``Process`` end event.
-    """
-
-    __slots__ = ("sim", "engine", "t_max", "routines", "meter",
-                 "latencies", "warmup", "routine_index", "op_index",
-                 "ops", "completion", "_observing", "_dur", "_started")
-
-    def __init__(self, sim, engine: Engine, t_max: int, routines: int,
-                 host, meter, needs_sync: bool, needs_bootstrap: bool,
-                 latencies: typing.Optional[list] = None):
-        self.sim = sim
-        self.engine = engine
-        self.t_max = t_max
-        self.routines = routines
-        self.meter = meter
-        self.latencies = latencies
-        self.warmup = routines // 4
-        self.routine_index = 0
-        self.op_index = 0
-        # Observability cannot toggle inside engine.run (scenario scopes
-        # wrap whole measurements), so one check covers the run.
-        self._observing = _obs.enabled()
-        self._dur = 0.0
-        self._started = 0.0
-        self.ops = self._compile(t_max, host, needs_sync, needs_bootstrap)
-        self.completion = Event(engine)
-        # Bootstrap exactly like Process.__init__: an immediate heap
-        # entry resumes the chain at time zero (the engine dispatches
-        # bound methods directly — see Engine.run).
-        heapq.heappush(engine._queue,
-                       (engine._now, engine._sequence, self._advance))
-        engine._sequence += 1
-
-    def _compile(self, t_max: int, host, needs_sync: bool,
-                 needs_bootstrap: bool) -> list:
-        raise NotImplementedError
-
-    def _advance(self, _event: Event) -> None:
-        raise NotImplementedError
-
-
-class _GPUAgentChain(_AgentChainBase):
-    """Fused agent routine against :class:`GPUSim`'s shared device."""
-
-    __slots__ = ()
-
-    def _compile(self, t_max: int, host, needs_sync: bool,
-                 needs_bootstrap: bool) -> list:
+    def _task(self, kind: str, batch: int, tracked: bool) -> list:
         # A device task is flattened into its three wait points —
-        # ("acq", name, batch, tracked, dur?) / ("hold",) /
-        # ("rel", tracked) — mirroring Resource.use; ("sleep", s) is a
-        # host-side timeout, in routine order.
-        # The acq slot caches the task latency once computed (the value is
-        # a pure function of the frozen platform): with observability off
-        # there is nothing to record per call, so skipping the memoized
-        # task_seconds dispatch is value-preserving.
-        tracked = self.latencies is not None
-
-        def task(name, batch, track):
-            return [["acq", name, batch, track, None], ("hold",),
-                    ("rel", track)]
-
-        ops: list = []
-        if needs_sync:
-            ops += task("sync", 0, False)
-        for _ in range(t_max):
-            if host.step_time > 0:
-                ops.append(("sleep", host.step_time))
-            ops += task("inference", 1, tracked)
-        if needs_bootstrap:
-            ops += task("inference", 1, False)
-        if host.train_prep_time > 0:
-            ops.append(("sleep", host.train_prep_time))
-        ops += task("train", t_max, False)
-        return ops
+        # ["acq", kind, batch, tracked, seconds] / ("hold",) /
+        # ("rel", tracked) — mirroring an acquire, hold, release.
+        # The acq slot caches the task latency once computed (the value
+        # is a pure function of the frozen platform) unless observing:
+        # then every task records its profile and kernels, so the slot
+        # stays empty.
+        return [["acq", kind, batch, tracked, None], ("hold",),
+                ("rel", tracked)]
 
     @hot_path
     def _advance(self, _event) -> None:
@@ -428,10 +353,7 @@ class _GPUAgentChain(_AgentChainBase):
         index = self.op_index
         while True:
             if index == count:
-                self.meter.record_routine(engine._now, self.t_max)
-                self.routine_index += 1
-                if self.routine_index >= self.routines:
-                    self.completion.succeed()
+                if self._end_routine():
                     return
                 index = 0
                 continue
@@ -440,17 +362,16 @@ class _GPUAgentChain(_AgentChainBase):
             if code == "acq":
                 if op[3]:
                     self._started = engine._now
-                if self._observing:
-                    _record_task_profile(
-                        platform.name, op[1],
-                        platform.task_buckets(op[1], op[2]))
-                    self._dur = platform.task_seconds(op[1], op[2])
-                else:
-                    dur = op[4]
-                    if dur is None:
+                dur = op[4]
+                if dur is None:
+                    if _obs.enabled():
+                        _record_task_profile(
+                            platform.name, op[1],
+                            platform.task_buckets(op[1], op[2]))
                         dur = platform.task_seconds(op[1], op[2])
-                        op[4] = dur
-                    self._dur = dur
+                    else:
+                        dur = op[4] = platform.task_seconds(op[1], op[2])
+                self._dur = dur
                 # Resource.acquire inlined.  On an immediate grant the
                 # device state is already updated, so the zero-delay
                 # grant notification is private to this chain and fuses
@@ -467,7 +388,7 @@ class _GPUAgentChain(_AgentChainBase):
                     device._last_change = now
                     device._in_use += 1
                     self.op_index = index + 2
-                    heappush(queue, (engine._now + self._dur,
+                    heappush(queue, (engine._now + dur,
                                      engine._sequence, advance))
                     engine._sequence += 1
                 else:
@@ -506,35 +427,22 @@ class _GPUAgentChain(_AgentChainBase):
             return
 
 
-class _GA3CAgentChain(_AgentChainBase):
-    """Fused agent routine against :class:`GA3CSim`'s request queues."""
+class _GA3CAgentChain(AgentChain):
+    """Agent routine against :class:`GA3CSim`'s request queues."""
 
     __slots__ = ()
 
-    def _compile(self, t_max: int, host, needs_sync: bool,
-                 needs_bootstrap: bool) -> list:
+    def _task(self, kind: str, batch: int, tracked: bool) -> list:
         # GA3C has no local model, so a sync is a zero-length sleep;
         # ("predict", tracked) / ("lat", tracked) bracket the reply-event
-        # round trip through the predictor queue; ("train",) enqueues a
-        # rollout and waits out a zero delay (training does not block).
-        tracked = self.latencies is not None
-
-        def predict(track):
-            return [("predict", track), ("lat", track)]
-
-        ops: list = []
-        if needs_sync:
-            ops.append(("sleep", 0.0))
-        for _ in range(t_max):
-            if host.step_time > 0:
-                ops.append(("sleep", host.step_time))
-            ops += predict(tracked)
-        if needs_bootstrap:
-            ops += predict(False)
-        if host.train_prep_time > 0:
-            ops.append(("sleep", host.train_prep_time))
-        ops.append(("train",))
-        return ops
+        # round trip through the predictor queue; ("train", batch)
+        # enqueues a rollout and waits out a zero delay (training does
+        # not block).
+        if kind == "sync":
+            return [("sleep", 0.0)]
+        if kind == "inference":
+            return [("predict", tracked), ("lat", tracked)]
+        return [("train", batch)]
 
     @hot_path
     def _advance(self, _event) -> None:
@@ -548,10 +456,7 @@ class _GA3CAgentChain(_AgentChainBase):
         index = self.op_index
         while True:
             if index == count:
-                self.meter.record_routine(engine._now, self.t_max)
-                self.routine_index += 1
-                if self.routine_index >= self.routines:
-                    self.completion.succeed()
+                if self._end_routine():
                     return
                 index = 0
                 continue
@@ -576,9 +481,9 @@ class _GA3CAgentChain(_AgentChainBase):
                     self.latencies.append(engine._now - self._started)
                 index += 1
                 continue
-            # ("train",)
+            # ("train", batch)
             self.op_index = index + 1
-            sim.train_queue.put(self.t_max)
+            sim.train_queue.put(op[1])
             heappush(queue, (engine._now, engine._sequence, advance))
             engine._sequence += 1
             return
@@ -666,7 +571,7 @@ class _GA3CPredictorChain:
             sim.device.release()
             for reply in self._batch:
                 reply.succeed()
-        # state 0 (process start) falls through here too: block on the
+        # state 0 (chain start) falls through here too: block on the
         # next request.
         self._state = 1
         sim.predict_queue.get().callbacks.append(self._advance)
@@ -758,8 +663,7 @@ class GPUSim:
                     latencies: typing.Optional[list] = None) -> Event:
         """Start one agent's routines as a callback chain; returns an
         event that succeeds once ``routines`` routines have run."""
-        del agent_id
-        return _GPUAgentChain(self, self.engine, t_max, routines, host,
+        return _GPUAgentChain(self, agent_id, t_max, routines, host,
                               meter, needs_sync, needs_bootstrap,
                               latencies).completion
 
@@ -815,7 +719,6 @@ class GA3CSim:
         talk to the device only through :attr:`predict_queue` (a reply
         event per inference) and :attr:`train_queue` (a rollout length
         per training task)."""
-        del agent_id
-        return _GA3CAgentChain(self, self.engine, t_max, routines, host,
+        return _GA3CAgentChain(self, agent_id, t_max, routines, host,
                                meter, needs_sync, needs_bootstrap,
                                latencies).completion

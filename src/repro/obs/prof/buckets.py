@@ -8,7 +8,8 @@ the canonical cause buckets and the decomposition of one executed stage
 into them.  It is shared by
 
 * the discrete-event FPGA simulator (measured, contended durations in
-  integer cycles — :meth:`repro.fpga.platform.FPGASim`), and
+  integer cycles — :meth:`repro.fpga.binding.BoundStage.record`, per
+  stage :class:`repro.fpga.simloop.FPGASim` executes), and
 * the analytic platform model (uncontended durations in fractional
   cycles — :meth:`repro.fpga.platform.FA3CPlatform.stage_attribution`).
 

@@ -12,8 +12,9 @@ Plans are pure data: they reference no engine, resources, or metric
 objects, so one global :data:`CACHE` is shared by every simulator
 instance.  The cache key covers every :class:`FPGAConfig` field that
 feeds the timing model (the key is recomputed from the live config at
-each task launch, so in-place config mutation naturally misses) plus the
-frozen, hashable :class:`~repro.nn.network.NetworkTopology`.
+each lookup, so in-place config mutation naturally misses) plus the
+frozen, hashable :class:`~repro.nn.network.NetworkTopology`.  A sim
+looks each task up once, when an agent chain is built.
 """
 
 from __future__ import annotations
@@ -182,11 +183,8 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def task_plan(self, platform, kind: str, batch: int,
-                  cfg_key: typing.Optional[ConfigKey] = None) -> TaskPlan:
-        if cfg_key is None:
-            cfg_key = config_key(platform.config)
-        key = (kind, batch, cfg_key, platform.topology)
+    def task_plan(self, platform, kind: str, batch: int) -> TaskPlan:
+        key = (kind, batch, config_key(platform.config), platform.topology)
         plan = self._plans.get(key)
         if plan is None:
             self.misses += 1

@@ -1,11 +1,12 @@
 """The multi-agent throughput experiment (Figures 8 and 10).
 
 Runs ``n`` simulated A3C agents against a platform's discrete-event
-instance.  Each agent executes the Figure 2 routine: parameter sync, t_max
-environment-step + inference pairs, a bootstrapping inference, host-side
-objective-gradient computation, and a training task.  Contention — agents
-queueing on CUs, DRAM channels, the GPU, or the predictor queue — is what
-shapes the IPS-vs-agents curves.
+instance.  Each agent executes the Figure 2 routine as a callback chain
+(:mod:`repro.platforms.chain`): parameter sync, t_max environment-step +
+inference pairs, a bootstrapping inference, host-side objective-gradient
+computation, and a training task.  Contention — agents queueing on CUs,
+DRAM channels, the GPU, or the predictor queue — is what shapes the
+IPS-vs-agents curves.
 """
 
 from __future__ import annotations
@@ -85,33 +86,6 @@ class ThroughputResult:
         return float(np.percentile(self.inference_latencies, percentile))
 
 
-def _agent_process(sim, engine: Engine, agent_id: int, t_max: int,
-                   routines: int, host: HostModel, meter: IPSMeter,
-                   needs_sync: bool, needs_bootstrap: bool,
-                   latencies: typing.Optional[list] = None):
-    """One agent's lifetime: ``routines`` full A3C routines, driving the
-    sim's ``sync`` / ``inference`` / ``train`` process bodies (the FPGA
-    sim; the GPU and GA3C sims compile the same routine into an
-    ``agent_chain``)."""
-    warmup = routines // 4
-    for routine_index in range(routines):
-        if needs_sync:
-            yield from sim.sync(agent_id)
-        for _ in range(t_max):
-            if host.step_time > 0:
-                yield engine.timeout(host.step_time)
-            started = engine.now
-            yield from sim.inference(agent_id)
-            if latencies is not None and routine_index >= warmup:
-                latencies.append(engine.now - started)
-        if needs_bootstrap:
-            yield from sim.inference(agent_id)
-        if host.train_prep_time > 0:
-            yield engine.timeout(host.train_prep_time)
-        yield from sim.train(agent_id, t_max)
-        meter.record_routine(engine.now, t_max)
-
-
 class ThroughputSetup:
     """Per-platform measurement state shared across sweep points.
 
@@ -136,41 +110,33 @@ class ThroughputSetup:
 
     def measure(self, num_agents: int, t_max: int = 5,
                 routines_per_agent: int = 40) -> ThroughputResult:
-        """One measurement at ``num_agents`` on a fresh engine."""
+        """One measurement at ``num_agents`` on a fresh engine.
+
+        ``num_agents`` may be 0 (an empty measurement); ``t_max`` and
+        ``routines_per_agent`` must be at least 1, because an agent
+        chain always runs at least one whole routine."""
+        for name, value, low in (("num_agents", num_agents, 0),
+                                 ("t_max", t_max, 1),
+                                 ("routines_per_agent",
+                                  routines_per_agent, 1)):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
         engine = Engine()
         sim = self.platform.build_sim(engine)
         meter = IPSMeter(t_max)
         latencies: typing.List[float] = []
-        if hasattr(sim, "agent_chain"):
-            # The sim compiles each agent into a callback chain instead
-            # of a generator process (see repro.gpu.platform).
-            agents = [
-                sim.agent_chain(agent_id, t_max, routines_per_agent,
-                                self.host, meter, self.needs_sync,
-                                self.needs_bootstrap, latencies)
-                for agent_id in range(num_agents)
-            ]
-        else:
-            agents = [
-                engine.process(_agent_process(sim, engine, agent_id,
-                                              t_max, routines_per_agent,
-                                              self.host, meter,
-                                              self.needs_sync,
-                                              self.needs_bootstrap,
-                                              latencies),
-                               name=f"agent-{agent_id}")
-                for agent_id in range(num_agents)
-            ]
+        agents = [sim.agent_chain(agent_id, t_max, routines_per_agent,
+                                  self.host, meter, self.needs_sync,
+                                  self.needs_bootstrap, latencies)
+                  for agent_id in range(num_agents)]
         engine.run(engine.all_of(agents))
-        utilisation = sim.utilisation() \
-            if hasattr(sim, "utilisation") else 0.0
         result = ThroughputResult(platform=self.name,
                                   num_agents=num_agents,
                                   t_max=t_max, ips=meter.ips(),
                                   routines=num_agents
                                   * routines_per_agent,
                                   sim_seconds=engine.now,
-                                  utilisation=utilisation,
+                                  utilisation=sim.utilisation(),
                                   inference_latencies=tuple(latencies))
         if _obs.enabled():
             _record_throughput(sim, result)

@@ -2,24 +2,22 @@
 
 A small, dependency-free discrete-event engine used by the platform layer to
 model contention between A3C agents sharing compute units, DRAM channels, and
-PCIe links.  The design follows the classic process-interaction style
-(generators yielding events), similar in spirit to SimPy but specialised for
-this project: deterministic ordering, simulated seconds as float time, and
-FIFO resources with utilisation accounting.
+PCIe links.  Events fire callbacks, and a simulated agent is a callback
+chain over them (:mod:`repro.platforms.chain`) rather than a generator
+process; otherwise the design is similar in spirit to SimPy but
+specialised for this project: deterministic ordering, simulated seconds as
+float time, and FIFO resources with utilisation accounting.
 """
 
-from repro.sim.engine import Engine, Interrupt, Process
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.engine import Engine
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.resources import Resource, Store
 from repro.sim.trace import Span, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Engine",
     "Event",
-    "Interrupt",
-    "Process",
     "Resource",
     "Span",
     "Store",

@@ -1,9 +1,11 @@
 """The discrete-event simulation engine.
 
-The engine maintains a priority queue of (time, sequence, event) entries and
-advances simulated time by popping the earliest entry and running the event's
-callbacks.  Processes are generator functions that yield events; the engine
-resumes a process when the event it is waiting on fires.
+The engine maintains a priority queue of (time, sequence, entry) entries
+and advances simulated time by popping the earliest entry: an event,
+whose callbacks it runs, or a bare bound method, which it calls.
+Simulated activities are callback chains — an agent's routine resumes
+from the callbacks of the events it waits on (see
+:mod:`repro.platforms.chain`).
 
 Determinism: ties in time are broken by insertion order (a monotonically
 increasing sequence number), so a simulation with the same inputs always
@@ -16,107 +18,13 @@ import heapq
 import types
 import typing
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, _PENDING
+from repro.sim.events import AllOf, Event, Timeout, _PENDING
 
 #: Heap entries whose payload is a bound method (not an Event) are fired
-#: by calling it directly — the fast-path agent chains schedule their
-#: resume callback without an event object (see repro.gpu.platform).
+#: by calling it directly — callback chains schedule a timed resume as
+#: their bare bound method, without an event object (see
+#: repro.platforms.chain).
 _METHOD = types.MethodType
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Process(Event):
-    """A running process; also an event that fires when the process ends.
-
-    The process body is a generator.  Each value it yields must be an
-    :class:`Event`; the process is resumed with the event's value (or the
-    event's exception is thrown into the generator).
-    """
-
-    __slots__ = ("generator", "name", "_waiting_on")
-
-    def __init__(self, engine: "Engine", generator: types.GeneratorType,
-                 name: str = ""):
-        if not isinstance(generator, types.GeneratorType):
-            raise TypeError("Process requires a generator (did you call "
-                            "the function instead of passing its result?)")
-        super().__init__(engine)
-        self.generator = generator
-        self.name = name or generator.__name__
-        self._waiting_on: typing.Optional[Event] = None
-        # Bootstrap: resume the process at time zero.
-        start = Event(engine)
-        start.callbacks.append(self._resume)
-        start.succeed()
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the process body has not finished."""
-        return not self.triggered
-
-    def interrupt(self, cause=None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise RuntimeError(f"cannot interrupt finished process "
-                               f"{self.name!r}")
-        waiting = self._waiting_on
-        if waiting is not None and self._resume in waiting.callbacks:
-            waiting.callbacks.remove(self._resume)
-        self._waiting_on = None
-        wake = Event(self.engine)
-        wake.callbacks.append(self._throw_interrupt(cause))
-        wake.succeed()
-
-    def _throw_interrupt(self, cause):
-        def callback(_event: Event) -> None:
-            if not self.is_alive:
-                return
-            try:
-                target = self.generator.throw(Interrupt(cause))
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except Interrupt:
-                self.succeed(None)
-                return
-            self._wait_on(target)
-        return callback
-
-    def _resume(self, event: Event) -> None:
-        # Direct _ok/_value access: the event has fired by the time the
-        # engine invokes this callback, so the .value pending-guard can
-        # never trip and the property dispatch is pure overhead here.
-        try:
-            if event._ok:
-                target = self.generator.send(event._value)
-            else:
-                target = self.generator.throw(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        self._wait_on(target)
-
-    def _wait_on(self, target) -> None:
-        if not isinstance(target, Event):
-            raise TypeError(f"process {self.name!r} yielded {target!r}, "
-                            f"which is not an Event")
-        self._waiting_on = target
-        if target._processed:
-            # Already fired: resume on the next engine step at current time.
-            chain = Event(self.engine)
-            chain.callbacks.append(self._resume)
-            chain._ok = target.ok
-            chain._value = target._value
-            self.engine.schedule(chain)
-        else:
-            target.callbacks.append(self._resume)
 
 
 class Engine:
@@ -148,30 +56,9 @@ class Engine:
         """Create an untriggered event."""
         return Event(self)
 
-    def process(self, generator: types.GeneratorType,
-                name: str = "") -> Process:
-        """Register a generator as a process starting at the current time."""
-        return Process(self, generator, name=name)
-
     def all_of(self, events: typing.Sequence[Event]) -> AllOf:
         """Event firing after every event in ``events``."""
         return AllOf(self, events)
-
-    def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
-        """Event firing with the first of ``events``."""
-        return AnyOf(self, events)
-
-    def step(self) -> None:
-        """Process the next queued entry (an event or a bare callback)."""
-        time, _seq, event = heapq.heappop(self._queue)
-        self._now = time
-        if event.__class__ is _METHOD:
-            event(None)
-            return
-        event._processed = True
-        callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
 
     def run(self, until: typing.Union[None, float, Event] = None) -> None:
         """Run until the queue drains, a deadline passes, or an event fires.
@@ -179,9 +66,9 @@ class Engine:
         ``until`` may be ``None`` (drain the queue), a float (simulated
         deadline in seconds), or an :class:`Event` (stop when it fires).
         """
-        # The loops below are step() unrolled with the queue, heappop,
-        # and bound attributes held in locals — this is the simulator's
-        # hottest code and the call/lookup overhead is measurable.
+        # The queue, heappop, and bound attributes are held in locals —
+        # this is the simulator's hottest code and the call/lookup
+        # overhead is measurable.
         queue = self._queue
         heappop = heapq.heappop
         if isinstance(until, Event):

@@ -1,9 +1,8 @@
 """Event primitives for the discrete-event engine.
 
-An :class:`Event` is a one-shot synchronisation object.  Processes yield
-events; the engine resumes the process when the event is triggered.  Events
-carry an optional value that becomes the result of the ``yield`` expression
-in the waiting process.
+An :class:`Event` is a one-shot synchronisation object.  Waiters append
+callbacks; the engine runs them, in order, when the event fires.  Events
+carry an optional value that the callbacks can read.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Event:
-    """A one-shot event that processes can wait on.
+    """A one-shot event that callbacks can wait on.
 
     Events move through three states: *pending* (created, not scheduled),
     *triggered* (scheduled to fire at a simulated time), and *processed*
@@ -74,8 +73,9 @@ class Event:
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
-        The exception is re-raised inside every process waiting on the
-        event.
+        Callbacks see ``ok`` False and the exception as ``value``;
+        :meth:`Engine.run` re-raises it when the event is the one run
+        until.
         """
         if self._value is not _PENDING:
             raise RuntimeError("event has already been triggered")
@@ -135,31 +135,6 @@ class AllOf(Event):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([e.value for e in self.events])
-
-
-class AnyOf(Event):
-    """Fires when the first child event fires; value is that event's value."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, engine: "Engine", events: typing.Sequence[Event]):
-        super().__init__(engine)
-        self.events = list(events)
-        if not self.events:
-            raise ValueError("AnyOf requires at least one event")
-        for event in self.events:
-            if event.processed:
-                self._on_child(event)
-                break
-            event.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            self.fail(event.value)
 
 
 class _Pending:

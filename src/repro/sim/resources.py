@@ -87,19 +87,6 @@ class Resource:
             self._account()
             self._in_use -= 1
 
-    def use(self, duration: float):
-        """Process body: acquire, hold for ``duration``, release.
-
-        Usage::
-
-            yield from resource.use(1e-3)
-        """
-        yield self.acquire()
-        try:
-            yield self.engine.timeout(duration)
-        finally:
-            self.release()
-
 
 class Store:
     """An unbounded FIFO of items with blocking ``get``."""

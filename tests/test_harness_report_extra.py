@@ -63,16 +63,10 @@ class TestStoreEdgeCases:
         store = Store(engine)
         received = []
 
-        def consumer():
-            item = yield store.get()
-            received.append((item, engine.now))
-
-        def producer():
-            yield engine.timeout(2.0)
-            store.put("late-item")
-
-        engine.process(consumer())
-        engine.process(producer())
+        store.get().callbacks.append(
+            lambda event: received.append((event.value, engine.now)))
+        engine.timeout(2.0).callbacks.append(
+            lambda _event: store.put("late-item"))
         engine.run()
         assert received == [("late-item", 2.0)]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import backends
 from repro.fpga.platform import FA3CPlatform
 from repro.gpu.platform import A3CcuDNNPlatform, GA3CTFPlatform
 from repro.nn.network import A3CNetwork
@@ -102,6 +103,26 @@ class TestMeasureIPS:
         result = measure_ips(GA3CTFPlatform(topology), 8,
                              routines_per_agent=10)
         assert result.ips > 0
+
+    @pytest.mark.parametrize("backend",
+                             ("fa3c-fpga", "a3c-cudnn", "ga3c-tf"))
+    @pytest.mark.parametrize("argument, value", (
+        ("num_agents", -2), ("t_max", 0), ("routines_per_agent", 0)))
+    def test_out_of_range_sizes_rejected(self, backend, argument, value):
+        """Every sim kind rejects the same sizes, naming the argument."""
+        sizes = {"num_agents": 2, "t_max": 5, "routines_per_agent": 4}
+        sizes[argument] = value
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            measure_ips(backends.create(backend), **sizes)
+
+    @pytest.mark.parametrize("backend",
+                             ("fa3c-fpga", "a3c-cudnn", "ga3c-tf"))
+    def test_smallest_sizes_accepted(self, backend):
+        platform = backends.create(backend)
+        idle = measure_ips(platform, 0)
+        assert (idle.routines, idle.ips, idle.sim_seconds) == (0, 0.0, 0.0)
+        one = measure_ips(platform, 1, t_max=1, routines_per_agent=1)
+        assert one.routines == 1 and one.sim_seconds > 0
 
     def test_deterministic(self, topology):
         platform = A3CcuDNNPlatform(topology)

@@ -71,11 +71,15 @@ class TestRobustness:
         done = []
 
         def worker(i):
-            yield from resource.use(1.0)
-            done.append(i)
+            def hold(_granted):
+                def finish(_expired):
+                    resource.release()
+                    done.append(i)
+                engine.timeout(1.0).callbacks.append(finish)
+            resource.acquire().callbacks.append(hold)
 
         for i in range(30):
-            engine.process(worker(i))
+            worker(i)
         engine.run()
         assert len(done) == 30
         assert engine.now == pytest.approx(10.0)

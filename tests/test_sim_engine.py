@@ -1,8 +1,8 @@
-"""Unit tests for the engine and process semantics."""
+"""Unit tests for the engine clock and callback-chained activities."""
 
 import pytest
 
-from repro.sim import Engine, Interrupt
+from repro.sim import Engine
 
 
 class TestEngineClock:
@@ -47,37 +47,25 @@ class TestEngineClock:
 
 
 class TestProcess:
+    """A simulated process is a chain of event callbacks whose end is an
+    event the engine can run until (as agent chains' ``completion``)."""
+
     def test_simple_process_advances_time(self):
         engine = Engine()
-        def body():
-            yield engine.timeout(1.0)
-            yield engine.timeout(2.0)
-            return "finished"
-        proc = engine.process(body())
+        proc = engine.event()
+        def second(_event):
+            engine.timeout(2.0).callbacks.append(
+                lambda _e: proc.succeed("finished"))
+        engine.timeout(1.0).callbacks.append(second)
         engine.run(proc)
         assert engine.now == 3.0
         assert proc.value == "finished"
 
-    def test_requires_generator(self):
-        engine = Engine()
-        with pytest.raises(TypeError):
-            engine.process(lambda: None)
-
-    def test_yielding_non_event_raises(self):
-        engine = Engine()
-        def body():
-            yield 42
-        engine.process(body())
-        with pytest.raises(TypeError, match="not an Event"):
-            engine.run()
-
     def test_process_receives_event_value(self):
         engine = Engine()
         received = []
-        def body():
-            value = yield engine.timeout(1.0, value="hello")
-            received.append(value)
-        engine.process(body())
+        engine.timeout(1.0, value="hello").callbacks.append(
+            lambda event: received.append(event.value))
         engine.run()
         assert received == ["hello"]
 
@@ -85,76 +73,46 @@ class TestProcess:
         engine = Engine()
         trap = engine.event()
         caught = []
-        def body():
-            try:
-                yield trap
-            except ValueError as error:
-                caught.append(str(error))
-        engine.process(body())
+        def body(event):
+            if not event.ok:
+                caught.append(str(event.value))
+        trap.callbacks.append(body)
         trap.fail(ValueError("injected"))
         engine.run()
         assert caught == ["injected"]
 
     def test_process_waiting_on_finished_process(self):
         engine = Engine()
-        def child():
-            yield engine.timeout(1.0)
-            return "child-result"
-        def parent(proc):
-            value = yield proc
-            return f"saw {value}"
-        child_proc = engine.process(child())
-        parent_proc = engine.process(parent(child_proc))
+        child_proc = engine.event()
+        engine.timeout(1.0).callbacks.append(
+            lambda _e: child_proc.succeed("child-result"))
+        parent_proc = engine.event()
+        child_proc.callbacks.append(
+            lambda event: parent_proc.succeed(f"saw {event.value}"))
         engine.run(parent_proc)
         assert parent_proc.value == "saw child-result"
 
     def test_chained_processes_sequential_time(self):
         engine = Engine()
-        def stage(duration):
-            yield engine.timeout(duration)
-        def pipeline():
-            yield engine.process(stage(1.0))
-            yield engine.process(stage(2.0))
-        proc = engine.process(pipeline())
+        def stage(duration, then):
+            engine.timeout(duration).callbacks.append(lambda _e: then())
+        proc = engine.event()
+        stage(1.0, lambda: stage(2.0, proc.succeed))
         engine.run(proc)
         assert engine.now == 3.0
-
-    def test_interrupt_wakes_process(self):
-        engine = Engine()
-        log = []
-        def body():
-            try:
-                yield engine.timeout(100.0)
-            except Interrupt as stop:
-                log.append(stop.cause)
-        proc = engine.process(body())
-        def interrupter():
-            yield engine.timeout(1.0)
-            proc.interrupt("enough")
-        engine.process(interrupter())
-        engine.run(proc)
-        assert log == ["enough"]
-        assert engine.now == 1.0
-
-    def test_interrupting_finished_process_raises(self):
-        engine = Engine()
-        def body():
-            yield engine.timeout(0.0)
-        proc = engine.process(body())
-        engine.run(proc)
-        with pytest.raises(RuntimeError):
-            proc.interrupt()
 
     def test_determinism_across_runs(self):
         def simulate():
             engine = Engine()
             trace = []
-            def worker(i):
-                for k in range(3):
-                    yield engine.timeout(0.5 * (i + 1))
+            def worker(i, k=0):
+                def wake(_event):
                     trace.append((engine.now, i, k))
+                    if k < 2:
+                        worker(i, k + 1)
+                engine.timeout(0.5 * (i + 1)).callbacks.append(wake)
             for i in range(3):
-                engine.process(worker(i))
+                worker(i)
             engine.run()
             return trace
         assert simulate() == simulate()

@@ -113,19 +113,3 @@ class TestAllOf:
         both = engine.all_of([slow, fast])
         engine.run(both)
         assert both.value == ["slow", "fast"]
-
-
-class TestAnyOf:
-    def test_first_wins(self):
-        engine = Engine()
-        slow = engine.timeout(5.0, "slow")
-        fast = engine.timeout(1.0, "fast")
-        first = engine.any_of([slow, fast])
-        engine.run(first)
-        assert engine.now == 1.0
-        assert first.value == "fast"
-
-    def test_empty_rejected(self):
-        engine = Engine()
-        with pytest.raises(ValueError):
-            engine.any_of([])

@@ -9,7 +9,9 @@ request batching.  Each case runs :meth:`ThroughputSetup.measure`
   ``sim_seconds``, ``utilisation`` and ``routines``, plus every entry of
   ``inference_latencies``;
 * with telemetry on, also the full ``obs.metrics().snapshot()`` and every
-  sim-clock span in ``obs.tracer()``.
+  sim-clock span in ``obs.tracer()``;
+* for :data:`TRACED_GOLDEN`, every span a caller-supplied
+  :class:`~repro.sim.Tracer` records with telemetry off.
 
 Floats are hashed as ``float.hex``, so a digest pins exact bits, not a
 rounding.  Each case runs twice on one setup: first from an empty
@@ -22,6 +24,7 @@ with the new digest in the message.  Paste it into :data:`GOLDEN` and
 say in the change why the numbers moved.
 """
 
+import functools
 import hashlib
 import json
 
@@ -31,6 +34,7 @@ from repro import backends, obs
 from repro.obs.tracer import SIM
 from repro.perf import stageplan
 from repro.platforms import HostModel, ThroughputSetup
+from repro.sim import Tracer
 
 T_MAX = 5
 ROUTINES = 8
@@ -89,6 +93,14 @@ GOLDEN = {
     ("ga3c-tf-batched", 8): ("2e1f090bda745e40", "ce0e23bfb77f8e5c"),
 }
 
+#: (config, agents) -> digest of a run whose sim gets a caller-supplied
+#: Tracer (``build_sim(engine, tracer=...)``) while telemetry is off: the
+#: FPGA sim then records stage spans without any metrics.
+TRACED_GOLDEN = {
+    ("fa3c-fpga", 3): "78257024cbbc92d1",
+    ("fa3c-fpga-nodb", 3): "7b16c1f5cb6da670",
+}
+
 
 @pytest.fixture(autouse=True)
 def _obs_off():
@@ -111,7 +123,7 @@ def _canonical(value):
     return value
 
 
-def _digest(result, telemetry=None) -> str:
+def _digest(result, telemetry=None, spans=None) -> str:
     payload = {
         "ips": result.ips,
         "sim_seconds": result.sim_seconds,
@@ -121,6 +133,8 @@ def _digest(result, telemetry=None) -> str:
     }
     if telemetry is not None:
         payload["metrics"], payload["spans"] = telemetry
+    if spans is not None:
+        payload["trace"] = spans
     text = json.dumps(_canonical(payload), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -168,4 +182,27 @@ def test_digest(config, agents, telemetry):
     assert cold == warm == expected, (
         f"GOLDEN[{config!r}, {agents}] with telemetry "
         f"{'on' if telemetry else 'off'}: new digest {cold!r} "
+        f"(warm cache {warm!r}), committed {expected!r}")
+
+
+@pytest.mark.parametrize("config, agents", sorted(TRACED_GOLDEN))
+def test_traced_digest(config, agents, monkeypatch):
+    expected = TRACED_GOLDEN[config, agents]
+    stageplan.CACHE.clear()
+    setup = _build_setup(config)
+    build_sim = setup.platform.build_sim
+    digests = []
+    for _run in ("cold", "warm"):
+        tracer = Tracer()
+        monkeypatch.setattr(setup.platform, "build_sim",
+                            functools.partial(build_sim, tracer=tracer))
+        result = setup.measure(agents, t_max=T_MAX,
+                               routines_per_agent=ROUTINES)
+        assert tracer.spans
+        spans = [(span.lane, span.label, span.start, span.end)
+                 for span in tracer.spans]
+        digests.append(_digest(result, spans=spans))
+    cold, warm = digests
+    assert cold == warm == expected, (
+        f"TRACED_GOLDEN[{config!r}, {agents}]: new digest {cold!r} "
         f"(warm cache {warm!r}), committed {expected!r}")

@@ -7,6 +7,20 @@ import pytest
 from repro.sim import Engine, Resource, Store
 
 
+def _use(resource, duration, then=lambda: None):
+    """Acquire ``resource``, hold it for ``duration``, release it, then
+    call ``then``."""
+    engine = resource.engine
+
+    def granted(_event):
+        def expired(_event):
+            resource.release()
+            then()
+        engine.timeout(duration).callbacks.append(expired)
+
+    resource.acquire().callbacks.append(granted)
+
+
 class TestResource:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -44,11 +58,8 @@ class TestResource:
         engine = Engine()
         resource = Resource(engine, capacity=1)
         done = []
-        def worker(i):
-            yield from resource.use(2.0)
-            done.append((i, engine.now))
         for i in range(3):
-            engine.process(worker(i))
+            _use(resource, 2.0, lambda i=i: done.append((i, engine.now)))
         engine.run()
         assert done == [(0, 2.0), (1, 4.0), (2, 6.0)]
 
@@ -56,40 +67,30 @@ class TestResource:
         engine = Engine()
         resource = Resource(engine, capacity=2)
         done = []
-        def worker(i):
-            yield from resource.use(2.0)
-            done.append(engine.now)
-        for i in range(4):
-            engine.process(worker(i))
+        for _ in range(4):
+            _use(resource, 2.0, lambda: done.append(engine.now))
         engine.run()
         assert done == [2.0, 2.0, 4.0, 4.0]
 
     def test_utilisation_full(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
-        def worker():
-            yield from resource.use(5.0)
-        engine.process(worker())
+        _use(resource, 5.0)
         engine.run()
         assert resource.utilisation() == pytest.approx(1.0)
 
     def test_utilisation_half(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
-        def worker():
-            yield from resource.use(1.0)
-            yield engine.timeout(1.0)
-        engine.process(worker())
+        _use(resource, 1.0, lambda: engine.timeout(1.0))
         engine.run()
         assert resource.utilisation() == pytest.approx(0.5)
 
     def test_wait_time_accounting(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
-        def worker():
-            yield from resource.use(3.0)
-        engine.process(worker())
-        engine.process(worker())
+        _use(resource, 3.0)
+        _use(resource, 3.0)
         engine.run()
         assert resource.total_wait_time == pytest.approx(3.0)
         assert resource.total_requests == 2
@@ -100,10 +101,8 @@ class TestResource:
         """With one server, total time is exactly the sum of holds."""
         engine = Engine()
         resource = Resource(engine, capacity=1)
-        def worker(d):
-            yield from resource.use(d)
         for d in durations:
-            engine.process(worker(d))
+            _use(resource, d)
         engine.run()
         assert engine.now == pytest.approx(sum(durations))
 

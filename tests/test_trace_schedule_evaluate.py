@@ -16,7 +16,7 @@ from repro.fpga.schedule import (
 from repro.nn import mlp_lstm_network
 from repro.nn.network import A3CNetwork, MLPPolicyNetwork
 from repro.platforms.metrics import IPSMeter
-from repro.platforms.throughput import HostModel, _agent_process
+from repro.platforms.throughput import HostModel
 from repro.sim import Engine, Tracer
 
 
@@ -66,12 +66,9 @@ class TestTracer:
         tracer = Tracer()
         sim = platform.build_sim(engine, tracer=tracer)
         meter = IPSMeter(5)
-        processes = [
-            engine.process(_agent_process(sim, engine, i, 5, 4,
-                                          HostModel(), meter, True,
-                                          True))
-            for i in range(4)]
-        engine.run(engine.all_of(processes))
+        chains = [sim.agent_chain(i, 5, 4, HostModel(), meter, True, True)
+                  for i in range(4)]
+        engine.run(engine.all_of(chains))
         summary = {row["lane"]: row for row in tracer.summary()}
         assert summary["icu0"]["utilisation"] > 0.5
         assert summary["tcu0"]["utilisation"] > 0.3
