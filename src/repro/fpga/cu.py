@@ -105,14 +105,14 @@ class ComputeUnit:
         """
         fw_matrix = self.load_fw_parameters(image, spec, channel)
         if spec.kind == "conv":
-            cols, (oh, ow) = F.im2col(
-                np.ascontiguousarray(x, dtype=np.float32),
-                spec.kernel, spec.stride)
-            # PEs: output[o] accumulates fw_matrix[:, o] against the input
-            # window sequence — einsum over the reduction axis.
-            y = np.einsum("ko,nkp->nop", fw_matrix, cols, optimize=True)
-            y += bias[None, :, None]
-            y = y.reshape(x.shape[0], spec.out_channels, oh, ow)
+            # fw_matrix is (I*K*K, O) == the flattened weight transposed;
+            # the PEs accumulate each output over that reduction axis,
+            # which is the software FW kernel on the reconstructed weight.
+            weight = fw_matrix.T.reshape(spec.out_channels,
+                                         spec.in_channels, spec.kernel,
+                                         spec.kernel)
+            y = F.conv_forward(np.ascontiguousarray(x, dtype=np.float32),
+                               weight, bias, spec.stride)
         else:
             y = x.astype(np.float32) @ fw_matrix + bias
         self.pes.schedule_cycles(
@@ -156,11 +156,10 @@ class ComputeUnit:
         RMSProp module needs no TLU.
         """
         if spec.kind == "conv":
-            cols, _ = F.im2col(np.ascontiguousarray(x, dtype=np.float32),
-                               spec.kernel, spec.stride)
             dw, db = F.conv_grad_params(
-                cols, dy, (spec.out_channels, spec.in_channels,
-                           spec.kernel, spec.kernel))
+                np.ascontiguousarray(x, dtype=np.float32), dy,
+                (spec.out_channels, spec.in_channels, spec.kernel,
+                 spec.kernel), spec.stride)
         else:
             dw, db = F.dense_grad_params(x.astype(np.float32), dy)
         grad_image = dram_image_from_fw(fw_layout(dw))

@@ -1,9 +1,21 @@
 """Stateless numerical primitives: convolution, dense, and activations.
 
-All convolution routines are built on an ``im2col`` transformation so that
-the heavy lifting is a single matrix multiplication — the same operational
-structure the FA3C processing elements execute (multiply + accumulate over
-the I*K*K reduction axis, paper Section 4.2.1).
+Each convolution stage is one matrix multiplication over the I*K*K
+reduction axis — the same operational structure the FA3C processing
+elements execute (multiply + accumulate, paper Section 4.2.1).  The
+patch matrix a stage multiplies is built straight from the layer input
+with one strided copy (:func:`extract_patches`), in the layout its GEMM
+reads, and :func:`scatter_patches` is its adjoint:
+
+* FW: ``(N*OH*OW, I*K*K) @ W^T``, one row per output pixel;
+* GC: ``(I*K*K, N*OH*OW) @ dy_rows``, then transposed;
+* BW: ``dy_rows @ W``, scattered back into the input shape,
+
+where ``W`` is the weight flattened to ``(O, I*K*K)`` and ``dy_rows``
+is the output gradient with one row per output pixel, ``(N*OH*OW, O)``.
+Each product's operand order is part of the numerics: another order, such
+as GC as ``dy_rows^T @ patches``, sums in another order, changes fp32
+results and with them the final θ of every training run.
 
 Array conventions:
 
@@ -26,57 +38,66 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: int,
-           stride: int) -> typing.Tuple[np.ndarray, typing.Tuple[int, int]]:
-    """Unfold ``(N, C, H, W)`` into columns ``(N, C*K*K, OH*OW)``.
+def extract_patches(x: np.ndarray, kernel: int, stride: int,
+                    transpose: bool = False) -> np.ndarray:
+    """The receptive field of every output pixel of ``(N, C, H, W)``.
 
-    Returns the column matrix and the output spatial shape ``(OH, OW)``.
-    Uses a strided view plus one reshape-copy; no Python loops.
+    Returns ``(N*OH*OW, C*K*K)``: one row per output pixel, ordered by
+    image, output row and output column, with columns in the order of a
+    ``(O, C, K, K)`` weight's flattened rows.  With ``transpose`` it
+    returns that matrix's transpose ``(C*K*K, N*OH*OW)`` instead.  Either
+    is one copy through a strided view.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kernel, stride)
     ow = conv_output_size(w, kernel, stride)
     sn, sc, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
+    windows = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, kernel, kernel, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        shape=(n, oh, ow, c, kernel, kernel),
+        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
         writeable=False,
     )
-    cols = view.reshape(n, c * kernel * kernel, oh * ow)
-    return cols, (oh, ow)
+    if transpose:
+        return windows.transpose(3, 4, 5, 0, 1, 2).reshape(-1, n * oh * ow)
+    return windows.reshape(n * oh * ow, -1)
 
 
-def col2im(cols: np.ndarray, input_shape: typing.Tuple[int, int, int, int],
-           kernel: int, stride: int) -> np.ndarray:
-    """Fold columns ``(N, C*K*K, OH*OW)`` back to ``(N, C, H, W)``.
+def scatter_patches(rows: np.ndarray,
+                    input_shape: typing.Tuple[int, int, int, int],
+                    kernel: int, stride: int) -> np.ndarray:
+    """Sum ``(N*OH*OW, C*K*K)`` patch rows back into ``(N, C, H, W)``.
 
-    Overlapping positions accumulate — this is the adjoint of
-    :func:`im2col` and the core of backward propagation through a
-    convolution.
+    Overlapping windows accumulate — this is the adjoint of
+    :func:`extract_patches` and the core of backward propagation
+    through a convolution.
     """
     n, c, h, w = input_shape
     oh = conv_output_size(h, kernel, stride)
     ow = conv_output_size(w, kernel, stride)
-    cols = cols.reshape(n, c, kernel, kernel, oh, ow)
-    out = np.zeros(input_shape, dtype=cols.dtype)
+    # One copy into (N, C, K, K, OH, OW) keeps each image's windows
+    # cache-resident through the K*K strided adds below.
+    windows = np.ascontiguousarray(
+        rows.reshape(n, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2))
+    out = np.zeros(input_shape, dtype=rows.dtype)
     for ki in range(kernel):
         row_end = ki + stride * oh
         for kj in range(kernel):
             col_end = kj + stride * ow
             out[:, :, ki:row_end:stride, kj:col_end:stride] += \
-                cols[:, :, ki, kj, :, :]
+                windows[:, :, ki, kj]
     return out
 
 
-def conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                 stride: int, policy=None, key: str = ""
-                 ) -> typing.Tuple[np.ndarray, np.ndarray]:
-    """FW stage of a convolution layer.
+def _dy_rows(dy: np.ndarray) -> np.ndarray:
+    """``(N, O, OH, OW)`` output gradients as ``(N*OH*OW, O)`` rows."""
+    n, o = dy.shape[:2]
+    return dy.reshape(n, o, -1).transpose(0, 2, 1).reshape(-1, o)
 
-    Returns ``(y, cols)`` where ``cols`` is the im2col matrix cached for the
-    GC stage (FA3C likewise saves forward feature maps in DRAM for reuse by
-    the training task, Section 4.3).
+
+def conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                 stride: int, policy=None, key: str = "") -> np.ndarray:
+    """FW stage of a convolution layer; returns ``(N, O, OH, OW)``.
 
     ``policy`` is an optional :class:`~repro.nn.quant.PrecisionPolicy`
     coercing the *parameters* to their storage precision (activations are
@@ -89,11 +110,12 @@ def conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     if policy is not None:
         weight = policy(weight, f"{key}.weight")
         bias = policy(bias, f"{key}.bias")
-    cols, (oh, ow) = im2col(x, k, stride)
-    flat_w = weight.reshape(o, i * k * k)
-    y = np.einsum("ok,nkp->nop", flat_w, cols, optimize=True)
-    y += bias[None, :, None]
-    return y.reshape(x.shape[0], o, oh, ow), cols
+    n, _, h, w = x.shape
+    oh = conv_output_size(h, k, stride)
+    ow = conv_output_size(w, k, stride)
+    y = extract_patches(x, k, stride) @ weight.reshape(o, i * k * k).T
+    y += bias
+    return np.ascontiguousarray(y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
 
 
 def conv_backward_input(dy: np.ndarray, weight: np.ndarray, stride: int,
@@ -106,29 +128,25 @@ def conv_backward_input(dy: np.ndarray, weight: np.ndarray, stride: int,
     (straight-through estimation: gradients flow in fp32 through the
     quantized parameters).
     """
-    n, o, oh, ow = dy.shape
-    _, i, k, _ = weight.shape
+    o, i, k, _ = weight.shape
     if policy is not None:
         weight = policy(weight, f"{key}.weight")
-    flat_w = weight.reshape(o, i * k * k)
-    dy_flat = dy.reshape(n, o, oh * ow)
-    dcols = np.einsum("ok,nop->nkp", flat_w, dy_flat, optimize=True)
-    return col2im(dcols, input_shape, k, stride)
+    rows = _dy_rows(dy) @ weight.reshape(o, i * k * k)
+    return scatter_patches(rows, input_shape, k, stride)
 
 
-def conv_grad_params(cols: np.ndarray, dy: np.ndarray, weight_shape:
-                     typing.Tuple[int, int, int, int]
+def conv_grad_params(x: np.ndarray, dy: np.ndarray, weight_shape:
+                     typing.Tuple[int, int, int, int], stride: int
                      ) -> typing.Tuple[np.ndarray, np.ndarray]:
     """GC stage: gradients of the convolution weights and bias.
 
-    ``cols`` is the cached im2col matrix from the FW stage.
+    ``x`` is the layer input the FW stage read (FA3C likewise keeps
+    forward feature maps in DRAM for the training task, Section 4.3).
     """
-    o, i, k, _ = weight_shape
-    n = dy.shape[0]
-    dy_flat = dy.reshape(n, o, -1)
-    dw = np.einsum("nop,nkp->ok", dy_flat, cols, optimize=True)
-    db = dy_flat.sum(axis=(0, 2))
-    return dw.reshape(weight_shape), db
+    o, _, k, _ = weight_shape
+    dw = extract_patches(x, k, stride, transpose=True) @ _dy_rows(dy)
+    db = dy.reshape(dy.shape[0], o, -1).sum(axis=(0, 2))
+    return dw.T.reshape(weight_shape), db
 
 
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,

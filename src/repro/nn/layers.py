@@ -57,11 +57,30 @@ class Layer:
         raise NotImplementedError
 
     def grad_params(self, dy: np.ndarray, grads: ParameterSet) -> None:
-        """GC stage: accumulate parameter gradients into ``grads``."""
+        """GC stage: accumulate parameter gradients into ``grads``.
+
+        GC reads only ``dy`` and the forward cache, never the input
+        gradient of the layer below, so a network can skip the first
+        layer's BW (nothing reads it) without changing any gradient.
+        """
         for suffix, shape in self.param_shapes().items():
             key = f"{self.name}.{suffix}"
             if key not in grads:
                 grads[key] = np.zeros(shape, dtype=np.float32)
+
+    def _forward_input(self, dy: np.ndarray) -> np.ndarray:
+        """The input the last FW cached as ``_x``, checked against ``dy``:
+        a ``dy`` for another batch raises instead of broadcasting into a
+        wrong gradient."""
+        x = self._x
+        if x is None:
+            raise RuntimeError(f"{self.name}: backward before forward")
+        expected = (x.shape[0],) + self.output_shape(x.shape[1:])
+        if dy.shape != expected:
+            raise ValueError(f"{self.name}: dy shape {dy.shape} does not "
+                             f"match the cached forward's output shape "
+                             f"{expected}")
+        return x
 
     def num_params(self) -> int:
         """Total scalar parameter count of this layer."""
@@ -81,8 +100,7 @@ class Conv2D(Layer):
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        self._cols: typing.Optional[np.ndarray] = None
-        self._input_shape: typing.Optional[Shape] = None
+        self._x: typing.Optional[np.ndarray] = None
 
     def param_shapes(self) -> typing.Dict[str, Shape]:
         return {
@@ -104,27 +122,23 @@ class Conv2D(Layer):
         x = np.ascontiguousarray(x, dtype=np.float32)
         if self.policy is not None:
             x = self.policy(x, f"{self.name}.act")
-        self._input_shape = x.shape
-        y, cols = F.conv_forward(x, params[f"{self.name}.weight"],
-                                 params[f"{self.name}.bias"], self.stride,
-                                 policy=self.policy, key=self.name)
-        self._cols = cols
-        return y
+        self._x = x
+        return F.conv_forward(x, params[f"{self.name}.weight"],
+                              params[f"{self.name}.bias"], self.stride,
+                              policy=self.policy, key=self.name)
 
     def backward_input(self, dy: np.ndarray,
                        params: ParameterSet) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
+        x = self._forward_input(dy)
         return F.conv_backward_input(dy, params[f"{self.name}.weight"],
-                                     self.stride, self._input_shape,
+                                     self.stride, x.shape,
                                      policy=self.policy, key=self.name)
 
     def grad_params(self, dy: np.ndarray, grads: ParameterSet) -> None:
-        if self._cols is None:
-            raise RuntimeError(f"{self.name}: grad before forward")
+        x = self._forward_input(dy)
         super().grad_params(dy, grads)
         weight_shape = self.param_shapes()["weight"]
-        dw, db = F.conv_grad_params(self._cols, dy, weight_shape)
+        dw, db = F.conv_grad_params(x, dy, weight_shape, self.stride)
         grads[f"{self.name}.weight"] += dw
         grads[f"{self.name}.bias"] += db
 
@@ -162,14 +176,14 @@ class Dense(Layer):
 
     def backward_input(self, dy: np.ndarray,
                        params: ParameterSet) -> np.ndarray:
+        self._forward_input(dy)
         return F.dense_backward_input(dy, params[f"{self.name}.weight"],
                                       policy=self.policy, key=self.name)
 
     def grad_params(self, dy: np.ndarray, grads: ParameterSet) -> None:
-        if self._x is None:
-            raise RuntimeError(f"{self.name}: grad before forward")
+        x = self._forward_input(dy)
         super().grad_params(dy, grads)
-        dw, db = F.dense_grad_params(self._x, dy)
+        dw, db = F.dense_grad_params(x, dy)
         grads[f"{self.name}.weight"] += dw
         grads[f"{self.name}.bias"] += db
 

@@ -145,6 +145,9 @@ class Sequential:
     def __init__(self, layers: typing.Sequence[Layer], input_shape: Shape):
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
+        self._first_with_params = next(
+            (index for index, layer in enumerate(self.layers)
+             if layer.param_shapes()), len(self.layers))
         # Validate shape compatibility eagerly.
         shape = self.input_shape
         self._shapes = [shape]
@@ -180,18 +183,22 @@ class Sequential:
             x = layer.forward(x, params)
         return x
 
-    def backward_and_grads(self, dy: np.ndarray, params: ParameterSet
-                           ) -> typing.Tuple[np.ndarray, ParameterSet]:
+    def backward_and_grads(self, dy: np.ndarray,
+                           params: ParameterSet) -> ParameterSet:
         """Run GC then BW per layer from last to first (paper Section 4.3).
 
-        Returns the gradient w.r.t. the network input and the parameter
-        gradients.
+        Returns the parameter gradients.  Like FA3C's training task, which
+        runs BW only above the first layer, BW stops at the first layer
+        with parameters: its input gradient (and that of any
+        parameter-free layer below it) would feed nothing.
         """
         grads = ParameterSet()
-        for layer in reversed(self.layers):
+        for index in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[index]
             layer.grad_params(dy, grads)
-            dy = layer.backward_input(dy, params)
-        return dy, grads
+            if index > self._first_with_params:
+                dy = layer.backward_input(dy, params)
+        return grads
 
     def topology(self) -> NetworkTopology:
         """Hardware-facing description of the parameterised layers."""
@@ -288,8 +295,7 @@ class A3CNetwork:
         dy = np.zeros((n, self.fc4_width), dtype=np.float32)
         dy[:, :self.num_actions] = dlogits
         dy[:, self.num_actions] = dvalues
-        _, grads = self.model.backward_and_grads(dy, params)
-        return grads
+        return self.model.backward_and_grads(dy, params)
 
     def topology(self) -> NetworkTopology:
         """Table 1 description for the hardware models."""
@@ -339,8 +345,7 @@ class MLPPolicyNetwork:
         dy = np.zeros((n, self.num_actions + 1), dtype=np.float32)
         dy[:, :self.num_actions] = dlogits
         dy[:, self.num_actions] = dvalues
-        _, grads = self.model.backward_and_grads(dy, params)
-        return grads
+        return self.model.backward_and_grads(dy, params)
 
     def topology(self) -> NetworkTopology:
         return self.model.topology()

@@ -104,8 +104,7 @@ class RecurrentPolicyNetwork:
         dh = self.head.backward_input(dy, params)
         dxs = self.lstm.backward_sequence(dh[:, None, :], self._caches,
                                           params, grads)
-        _, trunk_grads = self.trunk.backward_and_grads(
-            dxs[:, 0, :], params)
+        trunk_grads = self.trunk.backward_and_grads(dxs[:, 0, :], params)
         for name, value in trunk_grads.items():
             grads[name] = value
         return grads

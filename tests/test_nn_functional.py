@@ -1,6 +1,6 @@
 """Tests for the convolution/dense/activation primitives, including
-property-based checks of the im2col/col2im adjoint pair and numerical
-gradient validation."""
+property-based checks of the extract/scatter patch adjoint pair and
+numerical gradient validation."""
 
 import hypothesis
 import hypothesis.strategies as st
@@ -58,37 +58,41 @@ class TestConvForward:
         x = rng.standard_normal((n, c, size, size)).astype(np.float32)
         w = rng.standard_normal((o, c, k, k)).astype(np.float32)
         b = rng.standard_normal(o).astype(np.float32)
-        y, _ = F.conv_forward(x, w, b, stride)
+        y = F.conv_forward(x, w, b, stride)
         np.testing.assert_allclose(y, naive_conv(x, w, b, stride),
                                    rtol=1e-4, atol=1e-4)
 
     def test_a3c_conv1_shape(self):
         x = np.zeros((2, 4, 84, 84), dtype=np.float32)
         w = np.zeros((16, 4, 8, 8), dtype=np.float32)
-        y, cols = F.conv_forward(x, w, np.zeros(16, dtype=np.float32), 4)
+        y = F.conv_forward(x, w, np.zeros(16, dtype=np.float32), 4)
         assert y.shape == (2, 16, 20, 20)
-        assert cols.shape == (2, 4 * 64, 400)
+        assert F.extract_patches(x, 8, 4).shape == (2 * 400, 4 * 64)
+        assert F.extract_patches(x, 8, 4, transpose=True).shape == \
+            (4 * 64, 2 * 400)
 
 
-class TestIm2ColAdjoint:
+class TestPatchAdjoint:
     @hypothesis.given(small_conv, st.integers(0, 2 ** 31 - 1))
     @hypothesis.settings(max_examples=25, deadline=None)
-    def test_col2im_is_adjoint_of_im2col(self, dims, seed):
-        """<im2col(x), y> == <x, col2im(y)> — the defining property of
+    def test_scatter_is_adjoint_of_extract(self, dims, seed):
+        """<extract(x), y> == <x, scatter(y)> — the defining property of
         the adjoint, which backward propagation relies on."""
         n, c, _o, (size, k, stride) = dims
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, size, size)).astype(np.float64)
-        cols, _ = F.im2col(x, k, stride)
-        y = rng.standard_normal(cols.shape)
-        lhs = float((cols * y).sum())
-        back = F.col2im(y, x.shape, k, stride)
+        rows = F.extract_patches(x, k, stride)
+        y = rng.standard_normal(rows.shape)
+        lhs = float((rows * y).sum())
+        back = F.scatter_patches(y, x.shape, k, stride)
         rhs = float((x * back).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9)
+        np.testing.assert_array_equal(
+            F.extract_patches(x, k, stride, transpose=True), rows.T)
 
-    def test_col2im_accumulates_overlaps(self):
-        cols = np.ones((1, 4, 4), dtype=np.float32)  # k=2, 3x3 input, s=1
-        out = F.col2im(cols, (1, 1, 3, 3), 2, 1)
+    def test_scatter_accumulates_overlaps(self):
+        rows = np.ones((4, 4), dtype=np.float32)  # k=2, 3x3 input, s=1
+        out = F.scatter_patches(rows, (1, 1, 3, 3), 2, 1)
         # centre element overlaps all four windows
         assert out[0, 0, 1, 1] == 4.0
         assert out[0, 0, 0, 0] == 1.0
@@ -107,7 +111,7 @@ class TestGradients:
         target = np.random.default_rng(1).standard_normal((2, 4, 3, 3))
 
         def loss():
-            y, _ = F.conv_forward(x, w, b, 2)  # float64 throughout
+            y = F.conv_forward(x, w, b, 2)  # float64 throughout
             return float((y * target).sum())
 
         dx = F.conv_backward_input(target, w, 2, x.shape)
@@ -120,11 +124,10 @@ class TestGradients:
         target = np.random.default_rng(1).standard_normal((2, 4, 3, 3))
 
         def loss():
-            y, _ = F.conv_forward(x, w, b, 2)  # float64 throughout
+            y = F.conv_forward(x, w, b, 2)  # float64 throughout
             return float((y * target).sum())
 
-        cols, _ = F.im2col(x, 3, 2)
-        dw, db = F.conv_grad_params(cols, target, w.shape)
+        dw, db = F.conv_grad_params(x, target, w.shape, 2)
         from repro.nn.gradcheck import numerical_gradient
         np.testing.assert_allclose(dw, numerical_gradient(loss, w, 1e-5),
                                    rtol=1e-4, atol=1e-7)

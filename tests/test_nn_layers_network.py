@@ -14,6 +14,7 @@ from repro.nn import (
 )
 from repro.nn.gradcheck import check_param_gradients
 from repro.nn.network import MLPPolicyNetwork
+from repro.nn.network_lstm import lstm_a3c_network
 
 
 class TestLayerContracts:
@@ -86,8 +87,7 @@ class TestSequential:
             return float((y * target).sum())
 
         loss()  # populate caches
-        _, grads = model.backward_and_grads(
-            target.astype(np.float32), params)
+        grads = model.backward_and_grads(target.astype(np.float32), params)
         for name in params:
             params[name] = params[name].astype(np.float64)
         check_param_gradients(loss, params, grads, eps=1e-4)
@@ -181,3 +181,150 @@ class TestMLPPolicyNetwork:
                                        np.ones(2, dtype=np.float32),
                                        params)
         assert "FC2.weight" in grads
+
+
+def _full_chain(layers, dy, params, grads):
+    """Reference backward: GC then BW through every layer, the first
+    one included."""
+    for layer in reversed(layers):
+        layer.grad_params(dy, grads)
+        dy = layer.backward_input(dy, params)
+    return dy
+
+
+def _head_dy(dlogits, dvalues, width):
+    dy = np.zeros((dlogits.shape[0], width), dtype=np.float32)
+    dy[:, :dlogits.shape[1]] = dlogits
+    dy[:, dlogits.shape[1]] = dvalues
+    return dy
+
+
+def _feed_forward_case(net, batch, rng):
+    params = net.init_params(rng)
+    states = rng.standard_normal((batch,) + net.input_shape)
+    net.forward(states.astype(np.float32), params)
+    width = net.model.output_shape[0]
+
+    def reference(dlogits, dvalues):
+        grads = ParameterSet()
+        _full_chain(net.model.layers, _head_dy(dlogits, dvalues, width),
+                    params, grads)
+        return grads
+    return net.model.layers, params, reference
+
+
+def _lstm_case(net, batch, rng):
+    params = net.init_params(rng)
+    states = rng.standard_normal((batch,) + net.input_shape)
+    net.forward_rollout(states.astype(np.float32), params,
+                        net.initial_state())
+
+    def reference(dlogits, dvalues):
+        grads = ParameterSet()
+        dh = _full_chain([net.head], _head_dy(dlogits, dvalues,
+                                              net.head_width),
+                         params, grads)
+        dxs = net.lstm.backward_sequence(dh[:, None, :], net._caches,
+                                         params, grads)
+        _full_chain(net.trunk.layers, dxs[:, 0, :], params, grads)
+        return grads
+    return net.trunk.layers, params, reference
+
+
+NETWORKS = {
+    "a3c": (lambda: A3CNetwork(num_actions=6), _feed_forward_case, 5),
+    "mlp": (lambda: MLPPolicyNetwork(num_actions=3, input_shape=(7, 7)),
+            _feed_forward_case, 4),
+    "lstm": (lambda: lstm_a3c_network(num_actions=6), _lstm_case, 5),
+}
+
+
+class TestBackwardSkipsFirstLayerBW:
+    """Backward runs GC for every layer but no BW at or below the first
+    layer with parameters: nothing reads that input gradient, and no GC
+    reads the input gradient of the layer below it."""
+
+    @pytest.fixture(params=sorted(NETWORKS))
+    def case(self, request):
+        rng = np.random.default_rng(11)
+        make, build, batch = NETWORKS[request.param]
+        net = make()
+        layers, params, reference = build(net, batch, rng)
+        dlogits = rng.standard_normal((batch, net.num_actions)) \
+            .astype(np.float32)
+        dvalues = rng.standard_normal(batch).astype(np.float32)
+        return net, layers, params, reference, dlogits, dvalues
+
+    def test_grads_byte_equal_to_full_chain(self, case):
+        net, _, params, reference, dlogits, dvalues = case
+        expected = reference(dlogits, dvalues)
+        grads = net.backward_and_grads(dlogits, dvalues, params)
+        assert sorted(grads.names()) == sorted(params.names())
+        for name in expected:
+            assert grads[name].tobytes() == expected[name].tobytes(), name
+
+    def test_first_layer_bw_never_runs(self, case):
+        net, layers, params, reference, dlogits, dvalues = case
+        expected = reference(dlogits, dvalues)
+
+        def unread(*_args):
+            raise AssertionError("BW of a layer nothing reads")
+
+        first = next(index for index, layer in enumerate(layers)
+                     if layer.param_shapes())
+        for layer in layers[:first + 1]:
+            layer.backward_input = unread
+        grads = net.backward_and_grads(dlogits, dvalues, params)
+        for name in expected:
+            assert grads[name].tobytes() == expected[name].tobytes(), name
+
+
+class TestStaleForwardCache:
+    """A dy that does not belong to the cached forward raises a
+    ValueError naming the layer and both shapes, in GC and in BW."""
+
+    def _conv(self):
+        conv = Conv2D("c1", 2, 3, kernel=3, stride=2)
+        params = ParameterSet()
+        conv.init_params(params, np.random.default_rng(0))
+        conv.forward(np.ones((1, 2, 7, 7), dtype=np.float32), params)
+        return conv, params, np.ones((5, 3, 3, 3), dtype=np.float32)
+
+    def _dense(self):
+        dense = Dense("d1", 6, 4)
+        params = ParameterSet()
+        dense.init_params(params, np.random.default_rng(0))
+        dense.forward(np.ones((1, 6), dtype=np.float32), params)
+        return dense, params, np.ones((5, 4), dtype=np.float32)
+
+    def test_conv_grad_params(self):
+        conv, params, dy = self._conv()
+        with pytest.raises(ValueError, match=r"c1: dy shape \(5, 3, 3, 3\)"
+                           r".*\(1, 3, 3, 3\)"):
+            conv.grad_params(dy, ParameterSet())
+
+    def test_conv_backward_input(self):
+        conv, params, dy = self._conv()
+        with pytest.raises(ValueError, match=r"c1: dy shape \(5, 3, 3, 3\)"
+                           r".*\(1, 3, 3, 3\)"):
+            conv.backward_input(dy, params)
+
+    def test_dense_grad_params(self):
+        dense, params, dy = self._dense()
+        with pytest.raises(ValueError,
+                           match=r"d1: dy shape \(5, 4\).*\(1, 4\)"):
+            dense.grad_params(dy, ParameterSet())
+
+    def test_dense_backward_input(self):
+        dense, params, dy = self._dense()
+        with pytest.raises(ValueError,
+                           match=r"d1: dy shape \(5, 4\).*\(1, 4\)"):
+            dense.backward_input(dy, params)
+
+    def test_network_backward_after_other_batch_forward(self):
+        net = A3CNetwork(num_actions=6)
+        params = net.init_params(np.random.default_rng(0))
+        net.forward(np.zeros((1, 4, 84, 84), dtype=np.float32), params)
+        with pytest.raises(ValueError, match=r"FC4: dy shape \(5, 32\)"):
+            net.backward_and_grads(np.zeros((5, 6), dtype=np.float32),
+                                   np.zeros(5, dtype=np.float32), params)

@@ -207,8 +207,8 @@ class TestQuantizedGradcheck:
             return float((y * target).sum())
 
         loss()
-        _, grads = model.backward_and_grads(target.astype(np.float32),
-                                            params)
+        grads = model.backward_and_grads(target.astype(np.float32),
+                                         params)
         for name in params:
             params[name] = params[name].astype(np.float64)
         check_param_gradients(loss, params, grads,
@@ -237,8 +237,8 @@ class TestQuantizedGradcheck:
             return float((y * target).sum())
 
         loss()
-        _, grads = model.backward_and_grads(target.astype(np.float32),
-                                            params)
+        grads = model.backward_and_grads(target.astype(np.float32),
+                                         params)
         for name in params:
             params[name] = params[name].astype(np.float64)
         check_param_gradients(loss, params, grads,
