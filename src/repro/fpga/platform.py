@@ -56,6 +56,19 @@ class FPGAConfig:
     pcie_latency: float = 8e-6       # per-DMA descriptor latency
     precision: str = "fp32"          # operand width of the datapath
 
+    def __post_init__(self):
+        for field in ("cu_pairs", "global_channels", "n_pe", "num_rus"):
+            value = getattr(self, field)
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value!r}")
+        for field in ("clock_hz", "pcie_bandwidth"):
+            value = getattr(self, field)
+            if not value > 0:
+                raise ValueError(f"{field} must be > 0, got {value!r}")
+        if not 0 < self.dram_efficiency <= 1:
+            raise ValueError("dram_efficiency must be in (0, 1], got "
+                             f"{self.dram_efficiency!r}")
+
     @property
     def cus_per_pair(self) -> int:
         return 1 if self.single_cu else 2

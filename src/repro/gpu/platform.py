@@ -28,9 +28,8 @@ from repro.nn.network import NetworkTopology
 from repro.obs import runtime as _obs
 from repro.obs.prof import buckets as _prof
 from repro.perf.hotpath import hot_path
-from repro.platforms.chain import AgentChain
+from repro.platforms.chain import AgentChain, ChainSim
 from repro.sim import Engine, Resource, Store
-from repro.sim.events import Event
 
 
 def _record_task_profile(platform_name: str, task: str,
@@ -181,16 +180,14 @@ class _GPUPlatformBase:
             occupancy.observe(occ)
             seconds.observe(body, kernel=name)
 
-    def task_seconds(self, task: str, batch: int = 0) -> float:
-        """Memoized ``{inference,train,sync}_seconds`` dispatcher.
+    def task_entry(self, task: str, batch: int = 0) -> tuple:
+        """Memoized ``(seconds, kernel observation rows)`` of one task.
 
         Dispatches through the instance methods, so platform subclasses
         that override a latency model are still honoured.  The entry is
         built with collection suspended (the build's own per-kernel
         recordings would happen once per entry, not once per task) and
-        the cached observation rows are replayed per call instead, so
-        every simulated task records its kernels.
-        """
+        records nothing itself."""
         key = ("seconds", task, batch)
         entry = self._task_cache.get(key)
         if entry is None:
@@ -204,9 +201,16 @@ class _GPUPlatformBase:
                     _obs.enable()
             entry = (built, self._task_obs_rows(task, batch))
             self._task_cache[key] = entry
-        if entry[1] and _obs.enabled():
-            self._replay_kernel_obs(entry[1])
-        return entry[0]
+        return entry
+
+    def task_seconds(self, task: str, batch: int = 0) -> float:
+        """Memoized ``{inference,train,sync}_seconds`` dispatcher (see
+        :meth:`task_entry`) that replays the cached observation rows, so
+        every simulated task records its kernels."""
+        seconds, rows = self.task_entry(task, batch)
+        if rows and _obs.enabled():
+            self._replay_kernel_obs(rows)
+        return seconds
 
     def task_buckets(self, task: str, batch: int = 0
                      ) -> typing.Dict[str, float]:
@@ -324,196 +328,112 @@ class A3CTFCPUPlatform(_GPUPlatformBase):
 
 
 class _GPUAgentChain(AgentChain):
-    """Agent routine against :class:`GPUSim`'s shared device."""
+    """Agent routine against :class:`GPUSim`'s shared device.
 
-    __slots__ = ("_dur",)
-
-    def _task(self, kind: str, batch: int, tracked: bool) -> list:
-        # A device task is flattened into its three wait points —
-        # ["acq", kind, batch, tracked, seconds] / ("hold",) /
-        # ("rel", tracked) — mirroring an acquire, hold, release.
-        # The acq slot caches the task latency once computed (the value
-        # is a pure function of the frozen platform) unless observing:
-        # then every task records its profile and kernels, so the slot
-        # stays empty.
-        return [["acq", kind, batch, tracked, None], ("hold",),
-                ("rel", tracked)]
-
-    @hot_path
-    def _advance(self, _event) -> None:
-        engine = self.engine
-        sim = self.sim
-        device = sim.device
-        platform = sim.platform
-        ops = self.ops
-        advance = self._advance
-        queue = engine._queue
-        heappush = heapq.heappush
-        count = len(ops)
-        index = self.op_index
-        while True:
-            if index == count:
-                if self._end_routine():
-                    return
-                index = 0
-                continue
-            op = ops[index]
-            code = op[0]
-            if code == "acq":
-                if op[3]:
-                    self._started = engine._now
-                dur = op[4]
-                if dur is None:
-                    if _obs.enabled():
-                        _record_task_profile(
-                            platform.name, op[1],
-                            platform.task_buckets(op[1], op[2]))
-                        dur = platform.task_seconds(op[1], op[2])
-                    else:
-                        dur = op[4] = platform.task_seconds(op[1], op[2])
-                self._dur = dur
-                # Resource.acquire inlined.  On an immediate grant the
-                # device state is already updated, so the zero-delay
-                # grant notification is private to this chain and fuses
-                # with the hold timer into one heap entry (the hold op
-                # is skipped); the timer lands at the same strictly-later
-                # time either way.  A contended acquire keeps the wake
-                # event and runs the hold op when the server transfers.
-                device.total_requests += 1
-                if device._in_use < device.capacity \
-                        and not device._waiters:
-                    now = engine._now
-                    device._busy_time += \
-                        device._in_use * (now - device._last_change)
-                    device._last_change = now
-                    device._in_use += 1
-                    self.op_index = index + 2
-                    heappush(queue, (engine._now + dur,
-                                     engine._sequence, advance))
-                    engine._sequence += 1
-                else:
-                    event = Event(engine)
-                    device._waiters.append((event, engine._now))
-                    self.op_index = index + 1
-                    event.callbacks.append(advance)
-                return
-            if code == "hold":
-                self.op_index = index + 1
-                heappush(queue, (engine._now + self._dur,
-                                 engine._sequence, advance))
-                engine._sequence += 1
-                return
-            if code == "rel":
-                # Resource.release inlined.
-                if device._waiters:
-                    event, enqueued_at = device._waiters.popleft()
-                    device.total_wait_time += engine._now - enqueued_at
-                    event.succeed()
-                else:
-                    now = engine._now
-                    device._busy_time += \
-                        device._in_use * (now - device._last_change)
-                    device._last_change = now
-                    device._in_use -= 1
-                if op[1] and self.routine_index >= self.warmup:
-                    self.latencies.append(engine._now - self._started)
-                index += 1
-                continue
-            # ("sleep", delay)
-            self.op_index = index + 1
-            heappush(queue, (engine._now + op[1], engine._sequence,
-                             advance))
-            engine._sequence += 1
-            return
-
-
-class _GA3CAgentChain(AgentChain):
-    """Agent routine against :class:`GA3CSim`'s request queues."""
+    A device task takes the device, holds it for the task's seconds
+    (compiled in: a pure function of the frozen platform) and releases
+    it.  An immediate grant continues in place, so it costs one heap
+    entry, the hold timer.  With telemetry on, a ``("profile", ...)``
+    op records the task's cause buckets and kernels each time the task
+    runs."""
 
     __slots__ = ()
 
     def _task(self, kind: str, batch: int, tracked: bool) -> list:
-        # GA3C has no local model, so a sync is a zero-length sleep;
-        # ("predict", tracked) / ("lat", tracked) bracket the reply-event
-        # round trip through the predictor queue; ("train", batch)
-        # enqueues a rollout and waits out a zero delay (training does
-        # not block).
+        sim = self.sim
+        platform = sim.platform
+        seconds, rows = platform.task_entry(kind, batch)
+        ops: list = [("start",)] if tracked else []
+        if _obs.enabled():
+            ops.append(("profile", kind, platform.task_buckets(kind, batch),
+                        rows))
+        ops += [("acq", sim.device), ("sleep", seconds),
+                ("rel", sim.device)]
+        if tracked:
+            ops.append(("lat",))
+        return ops
+
+    def _op(self, op: tuple) -> bool:
+        # ("profile", kind, buckets, rows): only compiled in while
+        # telemetry is on.
+        platform = self.sim.platform
+        _record_task_profile(platform.name, op[1], op[2])
+        if op[3]:
+            platform._replay_kernel_obs(op[3])
+        return True
+
+
+class _GA3CAgentChain(AgentChain):
+    """Agent routine against :class:`GA3CSim`'s request queues.
+
+    GA3C has no local model, so a sync is a zero-length sleep.
+    ``("predict",)`` posts the chain's waker on the predictor queue and
+    waits for the batch that serves it; ``("train", batch)`` posts a
+    rollout length on the trainer queue and continues (training does
+    not block the agent), so a zero-length sleep follows it."""
+
+    __slots__ = ()
+
+    def _task(self, kind: str, batch: int, tracked: bool) -> list:
         if kind == "sync":
             return [("sleep", 0.0)]
         if kind == "inference":
-            return [("predict", tracked), ("lat", tracked)]
-        return [("train", batch)]
+            if tracked:
+                return [("start",), ("predict",), ("lat",)]
+            return [("predict",)]
+        return [("train", batch), ("sleep", 0.0)]
 
-    @hot_path
-    def _advance(self, _event) -> None:
-        engine = self.engine
-        sim = self.sim
-        ops = self.ops
-        advance = self._advance
-        queue = engine._queue
-        heappush = heapq.heappush
-        count = len(ops)
-        index = self.op_index
-        while True:
-            if index == count:
-                if self._end_routine():
-                    return
-                index = 0
-                continue
-            op = ops[index]
-            code = op[0]
-            if code == "sleep":
-                self.op_index = index + 1
-                heappush(queue, (engine._now + op[1], engine._sequence,
-                                 advance))
-                engine._sequence += 1
-                return
-            if code == "predict":
-                if op[1]:
-                    self._started = engine._now
-                self.op_index = index + 1
-                reply = Event(engine)
-                sim.predict_queue.put(reply)
-                reply.callbacks.append(advance)
-                return
-            if code == "lat":
-                if op[1] and self.routine_index >= self.warmup:
-                    self.latencies.append(engine._now - self._started)
-                index += 1
-                continue
-            # ("train", batch)
-            self.op_index = index + 1
-            sim.train_queue.put(op[1])
-            heappush(queue, (engine._now, engine._sequence, advance))
-            engine._sequence += 1
-            return
+    def _op(self, op: tuple) -> bool:
+        if op[0] == "predict":
+            self.sim.predict_queue.put(self._wake)
+            return False
+        self.sim.train_queue.put(op[1])                 # ("train", batch)
+        return True
 
 
-class _GA3CPredictorChain:
-    """Callback-compiled GA3C predictor server.
+class _DeviceServer:
+    """Base of the GA3C servers: callback chains that block on a request
+    queue, form a batch, and hold the device for it."""
 
-    Loop: wait for a request (an agent's reply event) on the predict
-    queue, drain up to ``max_prediction_batch - 1`` more, serialise the
-    per-request Python handling (``ga3c_request_overhead`` each), run
-    one batched inference on the device, then succeed every reply.
-    """
+    __slots__ = ("sim", "engine", "_state", "_dur")
 
-    __slots__ = ("sim", "engine", "_state", "_batch", "_dur")
-
-    def __init__(self, sim: "GA3CSim", engine: Engine):
+    def __init__(self, sim: "GA3CSim"):
+        engine = sim.engine
         self.sim = sim
         self.engine = engine
         self._state = 0
-        self._batch: list = []
         self._dur = 0.0
         heapq.heappush(engine._queue,
                        (engine._now, engine._sequence, self._advance))
         engine._sequence += 1
 
+    def _wake(self) -> None:
+        """Device waiter: continue one heap hop after the grant."""
+        engine = self.engine
+        heapq.heappush(engine._queue,
+                       (engine._now, engine._sequence, self._advance))
+        engine._sequence += 1
+
+    def _advance(self, event=None) -> None:
+        raise NotImplementedError
+
+
+class _GA3CPredictorChain(_DeviceServer):
+    """Callback-compiled GA3C predictor server.
+
+    Loop: wait for a request (an agent's waker) on the predict queue,
+    drain up to ``max_prediction_batch - 1`` more, serialise the
+    per-request Python handling (``ga3c_request_overhead`` each), run
+    one batched inference on the device, then wake every agent.
+    """
+
+    __slots__ = ("_batch",)
+
     @hot_path
-    def _advance(self, event) -> None:
+    def _advance(self, event=None) -> None:
         sim = self.sim
         platform = sim.platform
+        engine = self.engine
         state = self._state
         if state == 1:
             # The blocking get for the batch's first request has fired.
@@ -527,7 +447,6 @@ class _GA3CPredictorChain:
                     + len(batch) * platform.cal.ga3c_request_overhead)
                 _record_task_profile(platform.name, "predict", buckets)
             self._state = 2
-            engine = self.engine
             delay = len(batch) * platform.cal.ga3c_request_overhead
             heapq.heappush(engine._queue,
                            (engine._now + delay, engine._sequence,
@@ -535,33 +454,14 @@ class _GA3CPredictorChain:
             engine._sequence += 1
             return
         if state == 2:
-            dur = platform.task_seconds("inference", len(self._batch))
-            device = sim.device
-            engine = self.engine
-            # Inlined acquire with grant+hold fusion (see the agent
-            # chain's acq op for the argument).
-            device.total_requests += 1
-            if device._in_use < device.capacity and not device._waiters:
-                now = engine._now
-                device._busy_time += \
-                    device._in_use * (now - device._last_change)
-                device._last_change = now
-                device._in_use += 1
-                self._state = 4
-                heapq.heappush(engine._queue,
-                               (engine._now + dur, engine._sequence,
-                                self._advance))
-                engine._sequence += 1
-            else:
-                self._dur = dur
-                event = Event(engine)
-                device._waiters.append((event, engine._now))
-                self._state = 3
-                event.callbacks.append(self._advance)
-            return
+            self._dur = platform.task_seconds("inference", len(self._batch))
+            self._state = 3
+            if not sim.device.take(self._wake):
+                return
+            state = 3
         if state == 3:
+            # The device is held: run the batch.
             self._state = 4
-            engine = self.engine
             heapq.heappush(engine._queue,
                            (engine._now + self._dur, engine._sequence,
                             self._advance))
@@ -570,35 +470,27 @@ class _GA3CPredictorChain:
         if state == 4:
             sim.device.release()
             for reply in self._batch:
-                reply.succeed()
+                reply()
         # state 0 (chain start) falls through here too: block on the
         # next request.
         self._state = 1
         sim.predict_queue.get().callbacks.append(self._advance)
 
 
-class _GA3CTrainerChain:
+class _GA3CTrainerChain(_DeviceServer):
     """Callback-compiled GA3C trainer server.
 
     Loop: wait for a rollout on the train queue, drain up to
     ``training_batch_rollouts - 1`` more, and run one training task over
     their summed length on the device.  Agents never wait on it."""
 
-    __slots__ = ("sim", "engine", "_state", "_dur")
-
-    def __init__(self, sim: "GA3CSim", engine: Engine):
-        self.sim = sim
-        self.engine = engine
-        self._state = 0
-        self._dur = 0.0
-        heapq.heappush(engine._queue,
-                       (engine._now, engine._sequence, self._advance))
-        engine._sequence += 1
+    __slots__ = ()
 
     @hot_path
-    def _advance(self, event) -> None:
+    def _advance(self, event=None) -> None:
         sim = self.sim
         platform = sim.platform
+        engine = self.engine
         state = self._state
         if state == 1:
             extra = sim.train_queue.get_batch(
@@ -607,33 +499,14 @@ class _GA3CTrainerChain:
             if _obs.enabled():
                 _record_task_profile(platform.name, "train",
                                      platform.task_buckets("train", total))
-            dur = platform.task_seconds("train", total)
-            device = sim.device
-            engine = self.engine
-            # Inlined acquire with grant+hold fusion (see the agent
-            # chain's acq op for the argument).
-            device.total_requests += 1
-            if device._in_use < device.capacity and not device._waiters:
-                now = engine._now
-                device._busy_time += \
-                    device._in_use * (now - device._last_change)
-                device._last_change = now
-                device._in_use += 1
-                self._state = 3
-                heapq.heappush(engine._queue,
-                               (engine._now + dur, engine._sequence,
-                                self._advance))
-                engine._sequence += 1
-            else:
-                self._dur = dur
-                event = Event(engine)
-                device._waiters.append((event, engine._now))
-                self._state = 2
-                event.callbacks.append(self._advance)
-            return
+            self._dur = platform.task_seconds("train", total)
+            self._state = 2
+            if not sim.device.take(self._wake):
+                return
+            state = 2
         if state == 2:
+            # The device is held: run the training batch.
             self._state = 3
-            engine = self.engine
             heapq.heappush(engine._queue,
                            (engine._now + self._dur, engine._sequence,
                             self._advance))
@@ -645,8 +518,10 @@ class _GA3CTrainerChain:
         sim.train_queue.get().callbacks.append(self._advance)
 
 
-class GPUSim:
+class GPUSim(ChainSim):
     """Discrete-event instance: one shared device serialises tasks."""
+
+    chain_class = _GPUAgentChain
 
     def __init__(self, platform: _GPUPlatformBase, engine: Engine,
                  executors: int = 1):
@@ -657,15 +532,6 @@ class GPUSim:
     def utilisation(self) -> float:
         """Device occupancy (drives the power model)."""
         return self.device.utilisation()
-
-    def agent_chain(self, agent_id: int, t_max: int, routines: int,
-                    host, meter, needs_sync: bool, needs_bootstrap: bool,
-                    latencies: typing.Optional[list] = None) -> Event:
-        """Start one agent's routines as a callback chain; returns an
-        event that succeeds once ``routines`` routines have run."""
-        return _GPUAgentChain(self, agent_id, t_max, routines, host,
-                              meter, needs_sync, needs_bootstrap,
-                              latencies).completion
 
 
 class GA3CTFPlatform(_GPUPlatformBase):
@@ -685,6 +551,11 @@ class GA3CTFPlatform(_GPUPlatformBase):
 
     def __init__(self, *args, max_prediction_batch: int = 64,
                  training_batch_rollouts: int = 4, **kwargs):
+        for name, value in (("max_prediction_batch", max_prediction_batch),
+                            ("training_batch_rollouts",
+                             training_batch_rollouts)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         super().__init__(*args, **kwargs)
         self.task_overhead = self.cal.tf_run_overhead
         self.kernel_slowdown = self.cal.tf_kernel_slowdown
@@ -695,8 +566,14 @@ class GA3CTFPlatform(_GPUPlatformBase):
         return GA3CSim(self, engine)
 
 
-class GA3CSim:
-    """Predictor/trainer-queue simulation of GA3C."""
+class GA3CSim(ChainSim):
+    """Predictor/trainer-queue simulation of GA3C.
+
+    Agents talk to the device only through :attr:`predict_queue` (a
+    waker per inference) and :attr:`train_queue` (a rollout length per
+    training task)."""
+
+    chain_class = _GA3CAgentChain
 
     def __init__(self, platform: GA3CTFPlatform, engine: Engine):
         self.platform = platform
@@ -704,21 +581,9 @@ class GA3CSim:
         self.device = Resource(engine, capacity=1, name="gpu")
         self.predict_queue = Store(engine, name="predict")
         self.train_queue = Store(engine, name="train")
-        _GA3CPredictorChain(self, engine)
-        _GA3CTrainerChain(self, engine)
+        _GA3CPredictorChain(self)
+        _GA3CTrainerChain(self)
 
     def utilisation(self) -> float:
         """Device occupancy (drives the power model)."""
         return self.device.utilisation()
-
-    def agent_chain(self, agent_id: int, t_max: int, routines: int,
-                    host, meter, needs_sync: bool, needs_bootstrap: bool,
-                    latencies: typing.Optional[list] = None) -> Event:
-        """Start one agent's routines as a callback chain; returns an
-        event that succeeds once ``routines`` routines have run.  Agents
-        talk to the device only through :attr:`predict_queue` (a reply
-        event per inference) and :attr:`train_queue` (a rollout length
-        per training task)."""
-        return _GA3CAgentChain(self, agent_id, t_max, routines, host,
-                               meter, needs_sync, needs_bootstrap,
-                               latencies).completion

@@ -3,16 +3,20 @@
 Every simulated platform runs the same Figure 2 routine per agent:
 parameter sync, ``t_max`` environment-step + inference pairs, a
 bootstrapping inference, host-side objective preparation, and a
-training task.  :class:`AgentChain` writes that order down once and
-counts finished routines; each sim's chain class supplies the micro-ops
-of one task (:meth:`AgentChain._task`) and the interpreter that runs
-them (:meth:`AgentChain._advance`).
+training task.  :class:`AgentChain` writes that order down once, and
+its :meth:`~AgentChain._advance` is the one interpreter that runs it on
+every platform; each sim's chain class supplies only the micro-ops of
+one task (:meth:`AgentChain._task`) and the ops of its own that the
+interpreter hands to :meth:`AgentChain._op`.
 
-A chain resumes through event callbacks and bare bound-method heap
-entries (see :meth:`repro.sim.Engine.run`) instead of generator
-processes.  The order in which a chain creates events fixes heap
-sequence numbers and resource grant order, so it is part of the model;
-the golden digests in ``tests/test_sim_golden.py`` pin it.
+A chain resumes through bare bound-method heap entries (see
+:meth:`repro.sim.Engine.run`) instead of generator processes; a
+resource or request queue it waits on wakes it through
+:meth:`AgentChain._wake`, one heap hop later.  The order in which a
+chain schedules heap entries fixes heap sequence numbers and resource
+grant order, so it is part of the model; the golden digests in
+``tests/test_sim_golden.py`` pin it, and
+``tests/test_sim_heap_entries.py`` pins how many entries a run makes.
 """
 
 from __future__ import annotations
@@ -20,19 +24,29 @@ from __future__ import annotations
 import heapq
 import typing
 
+from repro.perf.hotpath import hot_path
 from repro.sim.events import Event
 
 
 class AgentChain:
     """Callback-compiled agent routine.
 
-    :meth:`_compile` flattens ``routines`` repetitions of the routine
-    into one op list in ``self.ops``; ``("sleep", seconds)`` is a host
-    delay, every other op comes from the sim's :meth:`_task`.  The
-    interpreter returns whenever an op must wait on an event and resumes
-    from ``op_index`` when it fires, calling :meth:`_end_routine` each
-    time it runs off the end of the list.  ``completion`` succeeds after
-    the last routine.
+    :meth:`_compile` compiles one routine into the op list ``self.ops``;
+    the interpreter runs it from ``op_index``, returns whenever an op
+    must wait, and wraps around to the start, calling
+    :meth:`_end_routine`, each time it runs off the end.  ``completion``
+    succeeds after the last of ``routines`` routines.
+
+    The interpreter runs these ops itself; every other op goes to the
+    sim's :meth:`_op`:
+
+    * ``("sleep", seconds)`` — resume ``seconds`` later;
+    * ``("acq", resource)`` — take a server, waiting in its FIFO if it
+      is busy (:meth:`repro.sim.Resource.take`);
+    * ``("rel", resource)`` — return the server;
+    * ``("start",)`` / ``("lat",)`` — bracket a tracked inference, whose
+      latency joins ``self.latencies`` once the warm-up routines are
+      done.
 
     Telemetry cannot toggle inside ``engine.run`` (scenario scopes wrap
     whole measurements), so a sim may decide when compiling what its
@@ -60,8 +74,7 @@ class AgentChain:
         self._started = 0.0
         self.ops = self._compile(t_max, host, needs_sync, needs_bootstrap)
         self.completion = Event(engine)
-        # An immediate heap entry starts the chain at the current time
-        # (the engine dispatches bound methods directly).
+        # An immediate heap entry starts the chain at the current time.
         heapq.heappush(engine._queue,
                        (engine._now, engine._sequence, self._advance))
         engine._sequence += 1
@@ -85,9 +98,13 @@ class AgentChain:
         return ops
 
     def _task(self, kind: str, batch: int, tracked: bool) -> list:
-        """Micro-ops of one ``kind`` task; ``tracked`` inference tasks
-        also append their latency to ``self.latencies`` (after warm-up).
-        """
+        """Micro-ops of one ``kind`` task; a ``tracked`` inference task
+        brackets its latency with ``("start",)`` and ``("lat",)``."""
+        raise NotImplementedError
+
+    def _op(self, op: tuple) -> bool:
+        """Run one of the sim's own ops; False when the chain must wait
+        (the op has scheduled the resume)."""
         raise NotImplementedError
 
     def _end_routine(self) -> bool:
@@ -99,5 +116,63 @@ class AgentChain:
         self.completion.succeed()
         return True
 
-    def _advance(self, _event) -> None:
-        raise NotImplementedError
+    def _wake(self) -> None:
+        """Resource waiter: resume one heap hop after the grant."""
+        engine = self.engine
+        heapq.heappush(engine._queue,
+                       (engine._now, engine._sequence, self._advance))
+        engine._sequence += 1
+
+    @hot_path
+    def _advance(self) -> None:
+        """Run ops from ``op_index`` until one must wait."""
+        engine = self.engine
+        ops = self.ops
+        count = len(ops)
+        index = self.op_index
+        while True:
+            if index == count:
+                if self._end_routine():
+                    return
+                index = 0
+                continue
+            op = ops[index]
+            code = op[0]
+            index += 1
+            if code == "sleep":
+                self.op_index = index
+                heapq.heappush(engine._queue, (engine._now + op[1],
+                                               engine._sequence,
+                                               self._advance))
+                engine._sequence += 1
+                return
+            if code == "acq":
+                if not op[1].take(self._wake):
+                    self.op_index = index
+                    return
+            elif code == "rel":
+                op[1].release()
+            elif code == "start":
+                self._started = engine._now
+            elif code == "lat":
+                if self.routine_index >= self.warmup:
+                    self.latencies.append(engine._now - self._started)
+            elif not self._op(op):
+                self.op_index = index
+                return
+
+
+class ChainSim:
+    """Base of a platform sim whose agents run as :attr:`chain_class`
+    chains."""
+
+    chain_class: typing.ClassVar[typing.Type[AgentChain]]
+
+    def agent_chain(self, agent_id: int, t_max: int, routines: int,
+                    host, meter, needs_sync: bool, needs_bootstrap: bool,
+                    latencies: typing.Optional[list] = None) -> Event:
+        """Start one agent's routines as a callback chain; returns an
+        event that succeeds once ``routines`` routines have run."""
+        return self.chain_class(self, agent_id, t_max, routines, host,
+                                meter, needs_sync, needs_bootstrap,
+                                latencies).completion

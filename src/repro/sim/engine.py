@@ -1,11 +1,11 @@
 """The discrete-event simulation engine.
 
 The engine maintains a priority queue of (time, sequence, entry) entries
-and advances simulated time by popping the earliest entry: an event,
-whose callbacks it runs, or a bare bound method, which it calls.
-Simulated activities are callback chains — an agent's routine resumes
-from the callbacks of the events it waits on (see
-:mod:`repro.platforms.chain`).
+and advances simulated time by popping the earliest entry and calling
+it.  Every entry is a zero-argument callable: a triggered
+:class:`~repro.sim.events.Event` (which runs its callbacks) or a bound
+method of a callback chain, which a chain schedules for a timed resume
+without an event object (see :mod:`repro.platforms.chain`).
 
 Determinism: ties in time are broken by insertion order (a monotonically
 increasing sequence number), so a simulation with the same inputs always
@@ -15,16 +15,9 @@ produces the same schedule.
 from __future__ import annotations
 
 import heapq
-import types
 import typing
 
 from repro.sim.events import AllOf, Event, Timeout, _PENDING
-
-#: Heap entries whose payload is a bound method (not an Event) are fired
-#: by calling it directly — callback chains schedule a timed resume as
-#: their bare bound method, without an event object (see
-#: repro.platforms.chain).
-_METHOD = types.MethodType
 
 
 class Engine:
@@ -40,12 +33,14 @@ class Engine:
         """Current simulated time in seconds."""
         return self._now
 
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue *event* to fire ``delay`` seconds from now."""
+    def schedule(self, entry: typing.Callable[[], None],
+                 delay: float = 0.0) -> None:
+        """Queue ``entry`` (an event or any zero-argument callable) to be
+        called ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         heapq.heappush(self._queue, (self._now + delay, self._sequence,
-                                     event))
+                                     entry))
         self._sequence += 1
 
     def timeout(self, delay: float, value=None) -> Timeout:
@@ -66,42 +61,25 @@ class Engine:
         ``until`` may be ``None`` (drain the queue), a float (simulated
         deadline in seconds), or an :class:`Event` (stop when it fires).
         """
-        # The queue, heappop, and bound attributes are held in locals —
-        # this is the simulator's hottest code and the call/lookup
-        # overhead is measurable.
+        # The queue and heappop are held in locals — this is the
+        # simulator's hottest code and the lookup overhead is measurable.
         queue = self._queue
         heappop = heapq.heappop
         if isinstance(until, Event):
             stop = until
-            # stop.triggered, checked once per popped event, inlined.
+            # stop.triggered, checked once per popped entry, inlined.
             while stop._value is _PENDING:
                 if not queue:
                     raise RuntimeError("simulation queue drained before the "
                                        "awaited event fired")
-                time, _seq, event = heappop(queue)
-                self._now = time
-                if event.__class__ is _METHOD:
-                    event(None)
-                    continue
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = []
-                for callback in callbacks:
-                    callback(event)
+                self._now, _seq, entry = heappop(queue)
+                entry()
             if not stop.ok:
                 raise stop.value
             return
         deadline = float("inf") if until is None else float(until)
         while queue and queue[0][0] <= deadline:
-            time, _seq, event = heappop(queue)
-            self._now = time
-            if event.__class__ is _METHOD:
-                event(None)
-                continue
-            event._processed = True
-            callbacks = event.callbacks
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
+            self._now, _seq, entry = heappop(queue)
+            entry()
         if until is not None:
             self._now = max(self._now, deadline)

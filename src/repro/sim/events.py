@@ -2,7 +2,9 @@
 
 An :class:`Event` is a one-shot synchronisation object.  Waiters append
 callbacks; the engine runs them, in order, when the event fires.  Events
-carry an optional value that the callbacks can read.
+carry an optional value that the callbacks can read.  A triggered event
+is its own heap entry: the engine fires it by calling it, as it calls
+every other entry.
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ class Event:
         if self._value is _PENDING:
             raise RuntimeError("event value is not yet available")
         return self._value
+
+    def __call__(self) -> None:
+        """Fire: run the callbacks in order (the engine's dispatch)."""
+        self._processed = True
+        callbacks = self.callbacks
+        self.callbacks = []
+        for callback in callbacks:
+            callback(self)
 
     def succeed(self, value=None) -> "Event":
         """Trigger the event successfully with an optional payload."""

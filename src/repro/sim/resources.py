@@ -58,20 +58,32 @@ class Resource:
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
 
-    def acquire(self) -> Event:
-        """Return an event that fires when a server is granted."""
+    def take(self, waiter: typing.Callable[[], None]) -> bool:
+        """Take a server: the one acquire path.
+
+        A free server is taken in place and ``take`` returns True; the
+        caller continues with no heap entry.  Otherwise ``waiter`` joins
+        the FIFO wait queue and ``take`` returns False.  :meth:`release`
+        hands its server to the oldest waiter and calls it, and the
+        waiter schedules its continuation for the release time, one heap
+        hop later."""
         self.total_requests += 1
         engine = self.engine
-        event = Event(engine)
         if self._in_use < self.capacity and not self._waiters:
-            # _account() inlined: acquire is on the simulator's hot path.
+            # _account() inlined: take is on the simulator's hot path.
             now = engine._now
             self._busy_time += self._in_use * (now - self._last_change)
             self._last_change = now
             self._in_use += 1
+            return True
+        self._waiters.append((waiter, engine._now))
+        return False
+
+    def acquire(self) -> Event:
+        """Return an event that fires when a server is granted."""
+        event = Event(self.engine)
+        if self.take(event.succeed):
             event.succeed()
-        else:
-            self._waiters.append((event, engine._now))
         return event
 
     def release(self) -> None:
@@ -79,10 +91,10 @@ class Resource:
         if self._in_use == 0:
             raise RuntimeError(f"release() on idle resource {self.name!r}")
         if self._waiters:
-            event, enqueued_at = self._waiters.popleft()
-            self.total_wait_time += self.engine.now - enqueued_at
+            waiter, enqueued_at = self._waiters.popleft()
+            self.total_wait_time += self.engine._now - enqueued_at
             # Server transfers directly to the waiter: in_use is unchanged.
-            event.succeed()
+            waiter()
         else:
             self._account()
             self._in_use -= 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import backends
 from repro.fpga.platform import FA3CPlatform, FPGAConfig
 from repro.fpga.resources import STRATIX_V, VU9P, ResourceModel, \
     resource_table
@@ -142,6 +143,18 @@ class TestFA3CPlatform:
         platform = FA3CPlatform.single_cu(topology)
         sim = platform.build_sim(Engine())
         assert sim.infer_cus[0] is sim.train_cus[0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cu_pairs", 0), ("cu_pairs", -1), ("global_channels", 0),
+    ("n_pe", 0), ("num_rus", 0), ("clock_hz", 0.0),
+    ("pcie_bandwidth", 0.0), ("dram_efficiency", 0.0),
+    ("dram_efficiency", 1.5)])
+def test_config_rejects_out_of_range_sizes(field, value):
+    """A bad size fails at construction, naming the field, instead of
+    deep inside the first measurement."""
+    with pytest.raises(ValueError, match=field):
+        backends.create("fa3c-fpga", **{field: value})
 
 
 class TestResourceModel:

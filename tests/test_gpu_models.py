@@ -128,6 +128,14 @@ class TestGA3CPlatform:
         batched = platform.inference_seconds(32) / 32
         assert batched < single / 4
 
+    @pytest.mark.parametrize("argument, value", [
+        ("max_prediction_batch", 0), ("max_prediction_batch", -3),
+        ("training_batch_rollouts", 0)])
+    def test_rejects_batch_sizes_below_one(self, topology, argument,
+                                           value):
+        with pytest.raises(ValueError, match=argument):
+            GA3CTFPlatform(topology, **{argument: value})
+
 
 class TestLayoutExperiment:
     def test_bw_layout_slows_inference_41_7_percent(self, topology):
