@@ -16,12 +16,11 @@ Commands:
   attribution), optionally re-exporting a folded flamegraph profile;
   ``--run <id>`` renders a run directory instead (merged tables,
   per-worker breakdown, health events).
-* ``bench``   — the perf-baseline gate: ``--baseline`` snapshots IPS +
-  cycle-attribution shares per scenario into ``BENCH_fa3c.json``;
-  ``--check`` re-runs the scenarios and exits non-zero on regression.
-  ``--latency`` records the modelled per-request latency distribution
-  (HDR buckets + p50/p99/p999) into ``BENCH_latency.json`` with an
-  informational p99 gate.
+* ``bench``   — the modelled-snapshot gate: ``--baseline`` records IPS,
+  cycle-attribution shares and the per-request latency distribution
+  (HDR buckets + percentiles) of every scenario into
+  ``BENCH_fa3c.json``; ``--check`` re-runs the scenarios and exits 1
+  with a field-level diff when any rounded field differs.
 * ``runs``    — run-directory tooling (:mod:`repro.obs.runlog`):
   ``runs list`` tabulates recorded runs, ``runs diff <a> <b>`` reports
   metric and scenario deltas between two runs.
@@ -264,20 +263,11 @@ def cmd_backends_list(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.obs.prof import baseline as bench
-
-    if args.latency and args.ablation:
-        print("bench: --latency and --ablation are mutually exclusive")
-        return 2
-    runlog = _open_runlog(args, "bench",
-                          latency=bool(args.latency),
-                          ablation=args.ablation or "")
+    runlog = _open_runlog(args, "bench", ablation=args.ablation or "")
     if args.ablation:
         code = _cmd_bench_ablation(args, runlog)
-    elif args.latency:
-        code = _cmd_bench_latency(args, bench, runlog)
     else:
-        code = _cmd_bench_modelled(args, bench, runlog)
+        code = _cmd_bench_modelled(args, runlog)
     if runlog is not None:
         runlog.finish(outcome={0: "ok", 1: "regression"}.get(
             code, "error"))
@@ -296,155 +286,71 @@ def _cmd_bench_ablation(args, runlog=None) -> int:
     return 0
 
 
-def _cmd_bench_modelled(args, bench, runlog=None) -> int:
-    if args.file is None:
-        args.file = bench.DEFAULT_BASELINE
-    names = list(args.scenarios) if args.scenarios else None
-    base = None
-    if args.check:
-        try:
-            base = bench.load_snapshot(args.file)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot load baseline {args.file}: {exc}")
-            return 2
-        if names is None:
-            names = sorted(base.get("scenarios") or {})
-    if names is None:
-        names = bench.scenario_names(backend=args.platform)
-    elif args.platform:
-        allowed = set(bench.scenario_names(backend=args.platform))
-        names = [name for name in names if name in allowed]
+def _cmd_bench_modelled(args, runlog=None) -> int:
+    """Run the selected scenarios; write and/or exactly diff the snapshot.
 
-    failures: typing.List[str] = []
+    Exit 0 when every field equals the snapshot, 1 when any differs and
+    2 on a usage error (an unknown or empty selection, an unreadable
+    snapshot).
+    """
+    import os
+
+    from repro.obs.prof import baseline as bench
+
+    path = args.file or bench.DEFAULT_BASELINE
+    subset = bool(args.scenarios or args.platform)
+    known = bench.scenario_names()
+    unknown = [name for name in args.scenarios or () if name not in known]
+    names = [name for name in bench.scenario_names(backend=args.platform)
+             if not args.scenarios or name in args.scenarios]
+    if unknown or not names:
+        what = (f"unknown scenario(s) {', '.join(unknown)}" if unknown
+                else "no scenario matches the selection")
+        print(f"bench: {what}; known: {', '.join(known)}")
+        return 2
+    base = None
+    if args.check or (args.baseline and subset and os.path.exists(path)):
+        try:
+            base = bench.load_snapshot(path)
+        except (OSError, ValueError) as exc:
+            print(f"bench: cannot load baseline {path}: {exc}")
+            return 2
+
     scenarios: typing.Dict[str, typing.Dict[str, object]] = {}
     for name in names:
-        try:
-            entry, report = bench.run_scenario(name)
-        except ValueError as exc:
-            failures.append(str(exc))
-            continue
+        entry, report = bench.run_scenario(name)
         scenarios[name] = entry
         buckets = " ".join(f"{bucket}={share:.3f}" for bucket, share
                            in entry["buckets"].items())
-        print(f"{name}: ips={entry['ips']:.1f} {buckets}")
+        print(f"{name}: ips={entry['ips']:.1f} "
+              f"p99={entry['latency']['p99_us']}us {buckets}")
         if args.report_dir:
             _write_bench_report(args.report_dir, name, report)
-
-    current = {
-        "version": bench.SNAPSHOT_VERSION,
-        "tolerances": {
-            "ips_rtol": args.ips_tolerance
-            if args.ips_tolerance is not None else bench.DEFAULT_IPS_RTOL,
-            "share_atol": args.share_tolerance
-            if args.share_tolerance is not None
-            else bench.DEFAULT_SHARE_ATOL,
-        },
-        "scenarios": scenarios,
-    }
     if runlog is not None:
-        runlog.update(scenarios=scenarios,
-                      tolerances=current["tolerances"])
-    if args.baseline:
-        bench.write_snapshot(current, args.file)
-        print(f"baseline: {len(scenarios)} scenarios -> {args.file}")
-    if args.check:
-        compare = base
-        if args.scenarios or args.platform:
-            # Only gate the requested subset; flag requested scenarios
-            # the baseline has never recorded.
-            recorded = base.get("scenarios") or {}
-            for name in names:
-                if name not in recorded:
-                    failures.append(f"{name}: not in baseline "
-                                    f"{args.file}")
-            compare = dict(base)
-            compare["scenarios"] = {name: entry for name, entry
-                                    in recorded.items()
-                                    if name in set(names)}
-        failures.extend(bench.check_snapshot(
-            compare, current, ips_rtol=args.ips_tolerance,
-            share_atol=args.share_tolerance))
-        if failures:
-            print(f"\nPERF GATE FAILED ({len(failures)} finding(s)):")
-            for failure in failures:
-                print(f"  - {failure}")
-            print("If the change is intentional, refresh the snapshot "
-                  "with `repro bench --baseline`.")
-            return 1
-        print(f"\nperf gate OK: {len(scenarios)} scenarios within "
-              "tolerance of " + str(args.file))
-    return 0
-
-
-def _cmd_bench_latency(args, bench, runlog=None) -> int:
-    """Latency bench: modelled per-request distribution per scenario.
-
-    Sim-time latencies are deterministic, so the committed HDR bucket
-    counts diff bit-for-bit; the p99 check is still informational with
-    a wide tolerance (see ``DEFAULT_LATENCY_RTOL``) because a one-bucket
-    quantisation shift can move a percentile by ~12 %.
-    """
-    path = args.file or bench.DEFAULT_LATENCY_BASELINE
-    names = list(args.scenarios) if args.scenarios else None
-    base = None
-    if args.check:
-        try:
-            base = bench.load_latency(path)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot load latency baseline {path}: {exc}")
-            return 2
-        if names is None:
-            names = sorted(base.get("scenarios") or {})
-    if names is None and args.platform:
-        names = bench.scenario_names(backend=args.platform)
-    elif names is not None and args.platform:
-        allowed = set(bench.scenario_names(backend=args.platform))
-        names = [name for name in names if name in allowed]
-
-    failures: typing.List[str] = []
-    try:
-        current = bench.collect_latency(names)
-    except ValueError as exc:
-        print(f"bench: {exc}")
-        return 2
-    for name, entry in current["scenarios"].items():
-        print(f"{name}: p50={entry['p50_us']}us p99={entry['p99_us']}us "
-              f"p999={entry['p999_us']}us "
-              f"({entry['requests']} requests)")
-    if runlog is not None:
-        runlog.update(scenarios=current["scenarios"],
-                      tolerances=current["tolerances"])
+        runlog.update(scenarios=scenarios)
 
     if args.baseline:
-        bench.write_snapshot(current, path)
-        print(f"latency baseline: {len(current['scenarios'])} "
-              f"scenarios -> {path}")
+        # A subset refresh replaces only the selected records.
+        kept = base["scenarios"] if subset and base is not None else {}
+        bench.write_snapshot({"version": bench.SNAPSHOT_VERSION,
+                              "scenarios": {**kept, **scenarios}}, path)
+        print(f"baseline: {len(scenarios)} scenarios -> {path}")
     if args.check:
-        compare = base
-        if names is not None:
-            # Only gate the requested subset; flag requested scenarios
-            # the baseline has never recorded.
-            recorded = base.get("scenarios") or {}
-            for name in names:
-                if name not in recorded:
-                    failures.append(f"{name}: not in baseline {path}")
-            compare = dict(base)
-            compare["scenarios"] = {name: entry for name, entry
-                                    in recorded.items()
-                                    if name in set(names)}
-        failures.extend(bench.check_latency(compare, current))
-        if failures:
-            print(f"\nLATENCY GATE (informational) FAILED "
-                  f"({len(failures)} finding(s)):")
-            for failure in failures:
-                print(f"  - {failure}")
-            print("Tail latency moved; if the change is intentional, "
-                  "refresh with `repro bench --latency --baseline` "
-                  "and review the hdr bucket diff.")
+        recorded = base["scenarios"]
+        if subset:
+            recorded = {name: recorded[name] for name in names
+                        if name in recorded}
+        diff = bench.diff_scenarios(recorded, scenarios)
+        if diff:
+            print(f"\nPERF GATE FAILED: {len(diff)} field(s) differ "
+                  f"from {path}:")
+            for line in diff:
+                print(f"  - {line}")
+            print("If the model change is intentional, refresh the "
+                  "snapshot with `repro bench --baseline` and commit "
+                  "the diff.")
             return 1
-        print(f"\nlatency gate OK: "
-              f"{len(current['scenarios'])} scenarios within "
-              f"tolerance of {path}")
+        print(f"\nperf gate OK: {len(scenarios)} scenarios equal {path}")
     return 0
 
 
@@ -790,32 +696,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="perf-baseline gate over the scenario matrix")
+        help="modelled-snapshot gate over the scenario matrix")
     bench.add_argument("--baseline", action="store_true",
-                       help="write the measured snapshot to --file")
+                       help="write the modelled snapshot to --file "
+                            "(with --scenarios/--platform, replace "
+                            "only those records)")
     bench.add_argument("--check", action="store_true",
-                       help="diff against --file; non-zero exit on "
-                            "regression")
-    bench.add_argument("--latency", action="store_true",
-                       help="record the modelled per-request latency "
-                            "distribution instead of IPS "
-                            "(informational p99 gate)")
+                       help="diff against --file; exit 1 when any "
+                            "field differs")
     bench.add_argument("--file", default=None,
-                       help="baseline snapshot path (default: "
-                            "BENCH_fa3c.json; BENCH_latency.json "
-                            "with --latency)")
+                       help="snapshot path (default: BENCH_fa3c.json)")
     bench.add_argument("--scenarios", nargs="+", default=None,
                        help="subset of scenario names to run")
     bench.add_argument("--platform", choices=backend_names,
                        default=None,
                        help="only run scenarios of this backend "
                             "(registry name, e.g. fa3c-fpga)")
-    bench.add_argument("--ips-tolerance", type=float, default=None,
-                       help="allowed relative IPS drop (overrides the "
-                            "baseline's tolerance)")
-    bench.add_argument("--share-tolerance", type=float, default=None,
-                       help="allowed absolute bucket-share drift "
-                            "(overrides the baseline's tolerance)")
     bench.add_argument("--report-dir", default=None,
                        help="write per-scenario attribution tables and "
                             "folded profiles here")

@@ -31,8 +31,8 @@ _LAZY_MODULES = ("baseline", "roofline_gap")
 _LAZY_NAMES = {
     "DEFAULT_BASELINE": "baseline",
     "SCENARIOS": "baseline",
-    "check_snapshot": "baseline",
     "collect_snapshot": "baseline",
+    "diff_scenarios": "baseline",
     "load_snapshot": "baseline",
     "run_scenario": "baseline",
     "scenario_names": "baseline",

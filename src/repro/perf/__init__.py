@@ -6,9 +6,9 @@ pure function of (topology, batch, direction, platform config), so
 :mod:`repro.perf.stageplan` computes each one once and
 :class:`repro.fpga.simloop.FPGASim` replays it on every task.  The
 golden digests in ``tests/test_sim_golden.py`` pin the replayed numbers
-bit-for-bit, from a cold and a warm cache; ``BENCH_fa3c.json`` and
-``BENCH_latency.json`` pin the rounded bench view under ``repro bench
---check``.
+bit-for-bit, from a cold and a warm cache; ``BENCH_fa3c.json`` pins the
+rounded bench view (IPS, bucket shares, latency distribution), which
+``repro bench --check`` requires to be equal field for field.
 
 ``stageplan`` imports the FPGA timing model, which imports platform
 modules that themselves consult this package — so its names are exposed

@@ -16,8 +16,8 @@ request batching.  Each case runs :meth:`ThroughputSetup.measure`
 Floats are hashed as ``float.hex``, so a digest pins exact bits, not a
 rounding.  Each case runs twice on one setup: first from an empty
 stage-plan cache, then with every plan warm; both runs must match.
-``BENCH_fa3c.json`` and ``BENCH_latency.json`` pin the rounded bench
-view of the same simulator.
+``BENCH_fa3c.json`` pins the rounded bench view of the same simulator
+(IPS, bucket shares and latency distribution), compared exactly.
 
 A change meant to move a modelled number makes the affected cases fail
 with the new digest in the message.  Paste it into :data:`GOLDEN` and
