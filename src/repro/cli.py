@@ -429,19 +429,9 @@ def cmd_lint(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"lint: cannot load config: {exc}")
         return 2
-    paths = args.paths or config.paths
-    # The cache is on for incremental runs (or when --cache names a
-    # path explicitly) and off otherwise, so a plain `repro lint`
-    # leaves no state behind; --no-cache wins over everything.
-    cache_path: typing.Optional[str] = args.cache
-    if cache_path is None and args.changed:
-        cache_path = config.cache_path
-    if args.no_cache:
-        cache_path = None
     try:
-        run = lint.lint_paths(paths, config, select=args.select,
-                              changed_only=args.changed,
-                              cache_path=cache_path)
+        run = lint.lint_paths(args.paths or config.paths, config,
+                              select=args.select)
     except KeyError as exc:
         print(f"lint: {exc.args[0]}")
         return 2
@@ -768,16 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--config", default=None,
                       help="pyproject.toml to read [tool.repro-lint] "
                            "from (default: nearest one upward from .)")
-    lint.add_argument("--changed", action="store_true",
-                      help="incremental run: re-analyse only files "
-                           "whose content changed since the cached "
-                           "run, plus their reverse-dependency cone")
-    lint.add_argument("--cache", default=None, metavar="PATH",
-                      help="on-disk result cache (default with "
-                           "--changed: the configured cache-path, "
-                           "normally .repro-lint-cache.json)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="never read or write the result cache")
     lint.add_argument("--why", default=None, metavar="ID",
                       help="explain one finding from this run by its "
                            "id (prefix accepted): message plus the "

@@ -2,11 +2,10 @@
 
 A CU executes one inference or training task at a time across all layers
 (paper Section 4.2.2).  This class is *functional*: parameters live as
-Figure 7c DRAM images, are loaded through the FW or BW layout paths (with
-optional register-level TLU emulation), and the PE array computes on the
-loaded values in fp32 — so results are bit-comparable with the software
-network, which the test suite asserts.  Cycle accounting follows
-:class:`~repro.fpga.timing.TimingModel`.
+Figure 7c DRAM images, are loaded through the FW or BW layout paths, and
+the PE array computes on the loaded values in fp32 — so results are
+bit-comparable with the software network, which the test suite asserts.
+Cycle accounting follows :class:`~repro.fpga.timing.TimingModel`.
 """
 
 from __future__ import annotations
@@ -18,14 +17,12 @@ import numpy as np
 from repro.fpga.buffers import BufferControlUnit, OnChipBuffer
 from repro.fpga.dram import DRAMChannel
 from repro.fpga.layouts import (
-    PATCH,
     dram_image_from_fw,
     fw_layout,
     load_bw_from_dram,
     load_fw_from_dram,
 )
 from repro.fpga.pe import PEArray
-from repro.fpga.tlu import TransposeLoadUnit
 from repro.nn import functional as F
 from repro.nn.network import LayerSpec
 
@@ -38,18 +35,10 @@ def _fw_dims(spec: LayerSpec) -> typing.Tuple[int, int]:
 class ComputeUnit:
     """One CU with ``n_pe`` processing elements."""
 
-    def __init__(self, name: str, n_pe: int = 64,
-                 use_tlu_emulation: bool = False):
-        """``use_tlu_emulation`` routes BW parameter loads through the
-        register-level :class:`TransposeLoadUnit` shift-transpose (slow,
-        for validation); otherwise the mathematically identical vectorised
-        path is used."""
+    def __init__(self, name: str, n_pe: int = 64):
         self.name = name
         self.pes = PEArray(n_pe)
         self.bcu = BufferControlUnit()
-        self.tlus = (TransposeLoadUnit(emulate=use_tlu_emulation),
-                     TransposeLoadUnit(emulate=use_tlu_emulation))
-        self.use_tlu_emulation = use_tlu_emulation
         # On-chip buffers sized like the VU9P configuration (Table 4):
         # row counts are generous; capacity checks are in load_matrix.
         self.parameter_buffer = OnChipBuffer(f"{name}.param", rows=4096)
@@ -76,22 +65,7 @@ class ComputeUnit:
         rows, cols = _fw_dims(spec)
         if channel is not None:
             channel.load(image.size)
-        if not self.use_tlu_emulation:
-            return load_bw_from_dram(image, rows, cols)
-        # Register-level path: walk the patch grid transposed; the two TLU
-        # instances alternate (double buffering).
-        p_rows = -(-rows // PATCH)
-        p_cols = -(-cols // PATCH)
-        patches = np.asarray(image, dtype=np.float32).reshape(
-            p_rows, p_cols, PATCH * PATCH)
-        out = np.zeros((p_cols * PATCH, p_rows * PATCH), dtype=np.float32)
-        for index, (j, i) in enumerate(
-                (j, i) for j in range(p_cols) for i in range(p_rows)):
-            tlu = self.tlus[index % 2]
-            tlu.stage(patches[i, j])
-            out[j * PATCH:(j + 1) * PATCH,
-                i * PATCH:(i + 1) * PATCH] = tlu.transpose_next()
-        return out[:cols, :rows]
+        return load_bw_from_dram(image, rows, cols)
 
     # -- computation stages --------------------------------------------------
 

@@ -57,7 +57,6 @@ class FPGANetworkBackend:
     def __init__(self, network: A3CNetwork,
                  params: typing.Optional[ParameterSet] = None,
                  rng: typing.Optional[np.random.Generator] = None,
-                 use_tlu_emulation: bool = False,
                  learning_rate: float = 7e-4, rho: float = 0.99,
                  eps: float = 0.1):
         self.network = network
@@ -65,10 +64,8 @@ class FPGANetworkBackend:
         self.num_actions = network.num_actions
         self.fc4_width = network.fc4_width
         self.dram = DRAMModel(num_channels=2)
-        self.inference_cu = ComputeUnit("infer", 64,
-                                        use_tlu_emulation=use_tlu_emulation)
-        self.training_cu = ComputeUnit("train", 64,
-                                       use_tlu_emulation=use_tlu_emulation)
+        self.inference_cu = ComputeUnit("infer", 64)
+        self.training_cu = ComputeUnit("train", 64)
         self.rmsprop = RMSPropModule(learning_rate=learning_rate, rho=rho,
                                      eps=eps)
         params = params or network.init_params(rng)

@@ -124,9 +124,8 @@ def load_bw_from_dram(image: np.ndarray, rows: int,
     ``rows``/``cols`` are the FW matrix dimensions.  The load walks the
     patch grid transposed (patch (i, j) is consumed as patch (j, i)) and
     the TLU transposes each patch's interior (see
-    :class:`~repro.fpga.tlu.TransposeLoadUnit` for the register-level
-    emulation) — together this realises the full matrix transpose without
-    a second DRAM copy.
+    :class:`~repro.fpga.tlu.TransposeLoadUnit`) — together this realises
+    the full matrix transpose without a second DRAM copy.
     """
     p_rows, p_cols = _padded_shape(rows, cols)
     grid = np.asarray(image, dtype=np.float32).reshape(

@@ -7,11 +7,10 @@ instances working in a double-buffered pair — one fills the parameter
 buffer while the other prepares the next transposed patch — and the TLU
 issues read requests ahead of PE consumption to hide DRAM latency.
 
-With ``emulate=True`` this class emulates the register-level
-shift-transpose beat by beat so the test suite can validate the
-mechanism itself; the default path produces the identical patch with one
-``np.transpose`` (pure data movement — no arithmetic, so the outputs are
-bit-equal) while keeping the same FIFO, counter, and cycle accounting.
+The register-level shift-transpose is modelled by its result: one
+transposed copy per patch (pure data movement, no arithmetic), with the
+hardware's FIFO, counter, and cycle accounting.
+``tests/test_fpga_tlu_golden.py`` pins the patches and counters.
 """
 
 from __future__ import annotations
@@ -27,22 +26,18 @@ from repro.perf.hotpath import hot_path
 
 
 class TransposeLoadUnit:
-    """Shift-register emulation of one TLU instance."""
+    """One TLU instance: a prefetch FIFO feeding a transpose array."""
 
-    def __init__(self, patch: int = PATCH, fifo_depth: int = 4,
-                 emulate: bool = False):
+    def __init__(self, patch: int = PATCH, fifo_depth: int = 4):
         self.patch = patch
         self.fifo_depth = fifo_depth
-        self.emulate = emulate
         self._fifo: collections.deque = collections.deque()
-        # The register file: `patch` shift rows of `patch` words.
-        self._rows = np.zeros((patch, patch), dtype=np.float32)
         self.patches_transposed = 0
         self.words_loaded = 0
 
     @classmethod
-    def for_precision(cls, precision, fifo_depth: int = 4,
-                      emulate: bool = False) -> "TransposeLoadUnit":
+    def for_precision(cls, precision,
+                      fifo_depth: int = 4) -> "TransposeLoadUnit":
         """A TLU sized to one DRAM beat of the given operand precision.
 
         The transpose array edge equals the words-per-beat of the
@@ -50,8 +45,7 @@ class TransposeLoadUnit:
         fills exactly one register row, so the shift-transpose schedule
         is unchanged — only the patch edge grows with packing density.
         """
-        return cls(patch=precision.words_per_beat, fifo_depth=fifo_depth,
-                   emulate=emulate)
+        return cls(patch=precision.words_per_beat, fifo_depth=fifo_depth)
 
     @property
     def register_words(self) -> int:
@@ -75,30 +69,18 @@ class TransposeLoadUnit:
 
     @hot_path
     def transpose_next(self) -> np.ndarray:
-        """Transpose the oldest staged patch via row shifts.
+        """Transpose the oldest staged patch.
 
-        Cycle-level behaviour: for each of the 16 beats, one 16-word DRAM
-        row is pushed broadside into the register columns while every
-        register row shifts one word — after 16 beats the columns hold the
-        rows, i.e. the patch is transposed.  Returns the transposed patch
-        as a ``(16, 16)`` array.
+        Cycle-level behaviour of the hardware: for each of the 16 beats,
+        one 16-word DRAM row is pushed broadside into the register
+        columns while every register row shifts one word — after 16
+        beats the columns hold the rows, i.e. the patch is transposed.
+        Returns the transposed patch as a ``(16, 16)`` array.
         """
         if not self._fifo:
             raise RuntimeError("no staged patch to transpose")
         words = self._fifo.popleft().reshape(self.patch, self.patch)
-        if self.emulate:
-            self._rows[:] = 0.0
-            for beat in range(self.patch):
-                # Shift every register row right by one word...
-                self._rows[:, 1:] = self._rows[:, :-1]
-                # ...and insert the incoming DRAM row broadside into
-                # column 0.
-                self._rows[:, 0] = words[beat]
-            # Register row r now holds original column r, last-in first:
-            # reading rows back reversed yields the transpose.
-            transposed = self._rows[:, ::-1].copy()
-        else:
-            transposed = words.T.copy()
+        transposed = words.T.copy()
         self.patches_transposed += 1
         if _obs.enabled():
             metrics = _obs.metrics()

@@ -5,7 +5,7 @@ the *repo-specific* invariants the test suite can only check on executed
 paths: deterministic simulation (no wall clock, no unseeded RNG, no set
 iteration in cycle accounting), hot-path hygiene (no allocation or
 telemetry work outside the ``REPRO_OBS`` gate in ``@hot_path``
-functions), the seqlock/Hogwild protocol around
+functions or the helpers they call), the seqlock/Hogwild protocol around
 :class:`repro.core.shared_params.SharedParameterStore`, fp32 reduction
 order in the bit-exact modules, and cycle-attribution coverage.
 

@@ -17,6 +17,11 @@ Module/path patterns match *path segments*: ``repro/fpga`` matches any
 file under a ``repro/fpga`` directory regardless of the leading ``src/``
 or an absolute prefix, and ``repro/fpga/pe.py`` matches exactly that
 file.  See :func:`path_matches`.
+
+Every key is checked: an unknown top-level key, a table for an
+unregistered rule, or an option its rule does not declare
+(:attr:`~repro.lint.registry.Rule.option_keys`) raises ``ValueError``
+instead of being silently ignored.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import os
 import re
 import typing
 
+from repro.lint.registry import all_rules
+
 try:
     import tomllib as _toml
 except ImportError:                                   # Python < 3.11
@@ -33,13 +40,12 @@ except ImportError:                                   # Python < 3.11
 
 #: Rule execution order is alphabetical; this is also the default select.
 DEFAULT_SELECT = ("attribution", "determinism", "fp32-order", "hot-path",
-                  "hot-path-transitive", "layering", "seed-flow",
-                  "seqlock")
+                  "layering", "seed-flow", "seqlock")
 
 TABLE = "repro-lint"
 
-#: Default on-disk cache for incremental (``--changed``) runs.
-DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
+#: The string-list keys of ``[tool.repro-lint]`` besides the rule tables.
+TOP_LEVEL_KEYS = ("paths", "select", "exclude")
 
 
 @dataclasses.dataclass
@@ -53,8 +59,6 @@ class LintConfig:
     exclude: typing.List[str] = dataclasses.field(default_factory=list)
     rule_options: typing.Dict[str, typing.Dict[str, object]] = \
         dataclasses.field(default_factory=dict)
-    cache_path: str = DEFAULT_CACHE_PATH
-    source: typing.Optional[str] = None   # pyproject path, for reports
 
     def options(self, rule: str) -> typing.Dict[str, object]:
         return self.rule_options.get(rule, {})
@@ -106,23 +110,34 @@ def load_config(pyproject: typing.Optional[str] = None,
     else:
         document = _parse_mini_toml(raw.decode("utf-8"))
     table = document.get("tool", {}).get(TABLE, {})
-    return config_from_table(table, source=path)
+    return config_from_table(table)
 
 
-def config_from_table(table: typing.Dict[str, object],
-                      source: typing.Optional[str] = None) -> LintConfig:
-    config = LintConfig(source=source)
-    if "paths" in table:
-        config.paths = [str(p) for p in table["paths"]]
-    if "select" in table:
-        config.select = [str(s) for s in table["select"]]
-    if "exclude" in table:
-        config.exclude = [str(e) for e in table["exclude"]]
-    if "cache-path" in table:
-        config.cache_path = str(table["cache-path"])
+def config_from_table(table: typing.Dict[str, object]) -> LintConfig:
+    """Build a :class:`LintConfig`; ``ValueError`` names any key that
+    no part of the linter reads, with the keys allowed there."""
+    rules = all_rules()
+    config = LintConfig()
     for key, value in table.items():
         if isinstance(value, dict):
+            if key not in rules:
+                raise ValueError(
+                    f"[tool.{TABLE}.{key}] is not a registered rule; "
+                    f"rules: {', '.join(rules)}")
+            allowed = rules[key].option_keys
+            for option in value:
+                if option not in allowed:
+                    raise ValueError(
+                        f"unknown option {option!r} in "
+                        f"[tool.{TABLE}.{key}]; allowed: "
+                        f"{', '.join(allowed) or '(none)'}")
             config.rule_options[key] = value
+        elif key in TOP_LEVEL_KEYS:
+            setattr(config, key, [str(item) for item in value])
+        else:
+            raise ValueError(
+                f"unknown key {key!r} in [tool.{TABLE}]; allowed: "
+                f"{', '.join(TOP_LEVEL_KEYS)}, or a rule table")
     return config
 
 

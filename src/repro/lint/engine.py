@@ -3,17 +3,9 @@
 Two kinds of rules run here: per-file rules (``Rule.check`` against a
 :class:`~repro.lint.astutil.FileContext`) and whole-program rules
 (``Rule.check_module`` against the :class:`~repro.lint.program.
-ProgramIndex`, built once per run from per-file summaries).
-
-``lint_paths`` supports an **incremental** mode (``changed_only=True``
-plus a cache path): per-file summaries and findings persist in an
-on-disk cache keyed by content hash (:mod:`repro.lint.cache`).  A warm
-run re-parses only *dirty* files (content changed or uncached), uses
-cached summaries for the rest, rebuilds the cheap program index, and
-re-runs rules on the dirty files **plus their reverse-dependency
-cone** — every file whose interprocedural findings could read a dirty
-file through the import or call graph.  Everything else replays its
-cached findings verbatim.
+ProgramIndex`, built once per run from per-file summaries).  Every run
+is a full run: :func:`lint_source` and :func:`lint_paths` share one
+per-file path, and a file's findings are filtered by its own pragmas.
 """
 
 from __future__ import annotations
@@ -25,7 +17,6 @@ import time
 import typing
 
 from repro.lint import astutil, program as program_mod
-from repro.lint.cache import CacheStats, LintCache, config_cache_key
 from repro.lint.config import LintConfig, path_matches_any
 from repro.lint.findings import Finding
 from repro.lint.pragmas import PragmaIndex
@@ -44,7 +35,6 @@ class FileResult:
     suppressed_by_rule: typing.Dict[str, int] = \
         dataclasses.field(default_factory=dict)
     warnings: typing.List[str] = dataclasses.field(default_factory=list)
-    reused: bool = False          # replayed from the incremental cache
 
 
 @dataclasses.dataclass
@@ -55,8 +45,6 @@ class LintRun:
     #: rule name (or "program-index") -> seconds spent this run.
     timing: typing.Dict[str, float] = \
         dataclasses.field(default_factory=dict)
-    #: set on incremental (``--changed``) runs.
-    cache_stats: typing.Optional[CacheStats] = None
 
     @property
     def findings(self) -> typing.List[Finding]:
@@ -151,6 +139,13 @@ def _apply_rule_findings(result: FileResult, pragmas: PragmaIndex,
             result.findings.append(finding)
 
 
+#: One collected file: its result, plus its pragmas and parsed context
+#: unless the result is already terminal (unreadable, skipped, syntax
+#: error).
+_Unit = typing.Tuple[FileResult, typing.Optional[PragmaIndex],
+                     typing.Optional[astutil.FileContext]]
+
+
 def lint_source(source: str, relpath: str, config: LintConfig,
                 select: typing.Optional[typing.Sequence[str]] = None,
                 ) -> FileResult:
@@ -160,219 +155,79 @@ def lint_source(source: str, relpath: str, config: LintConfig,
     behaviour (and the corpus) works here; cross-module edges need
     :func:`lint_paths`.
     """
-    result = FileResult(path=relpath.replace(os.sep, "/"))
-    pragmas = PragmaIndex(source)
-    if pragmas.skip_file:
-        result.skipped = True
-        return result
-    result.warnings = _unknown_pragma_warnings(pragmas)
-    try:
-        tree = ast.parse(source, filename=relpath)
-    except SyntaxError as exc:
-        result.error = f"syntax error: {exc.msg} (line {exc.lineno})"
-        return result
-    ctx = astutil.FileContext(tree, relpath,
-                              hot_functions=_hot_functions(config))
-    rules = build_rules(config, select)
-    file_rules = [r for r in rules if not r.requires_program]
-    program_rules = [r for r in rules if r.requires_program]
-    for rule in file_rules:
-        _apply_rule_findings(result, pragmas, rule.check(ctx))
-    if program_rules:
-        digest = program_mod.file_digest(source.encode("utf-8"))
-        summary = program_mod.extract_summary(ctx, digest, config)
-        index = program_mod.ProgramIndex([summary])
-        for rule in program_rules:
-            _apply_rule_findings(result, pragmas,
-                                 rule.check_module(index, summary))
-    result.findings.sort(key=Finding.sort_key)
-    return result
-
-
-def lint_file(path: str, config: LintConfig,
-              select: typing.Optional[typing.Sequence[str]] = None
-              ) -> FileResult:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        return FileResult(path=path.replace(os.sep, "/"),
-                          error=f"cannot read: {exc.strerror}")
-    return lint_source(source, _display_path(path), config, select)
-
-
-@dataclasses.dataclass
-class _FileState:
-    """One collected file moving through the incremental pipeline."""
-
-    path: str
-    display: str
-    source: typing.Optional[str] = None
-    digest: str = ""
-    result: typing.Optional[FileResult] = None   # terminal (error/skip)
-    summary: typing.Optional[program_mod.ModuleSummary] = None
-    ctx: typing.Optional[astutil.FileContext] = None
-    pragmas: typing.Optional[PragmaIndex] = None
-    cached: typing.Optional[typing.Dict[str, object]] = None
-    dirty: bool = True
+    unit = _parse(source, relpath.replace(os.sep, "/"),
+                  _hot_functions(config))
+    return _run([unit], config, select).files[0]
 
 
 def lint_paths(paths: typing.Sequence[str], config: LintConfig,
-               select: typing.Optional[typing.Sequence[str]] = None,
-               changed_only: bool = False,
-               cache_path: typing.Optional[str] = None) -> LintRun:
-    """Lint every ``.py`` file under ``paths`` (files or directories).
-
-    With ``cache_path`` set, per-file summaries and findings persist
-    across runs; ``changed_only`` additionally *uses* the cache to
-    re-analyse only dirty files plus their reverse-dependency cone
-    (see the module docstring).  A full run always re-analyses
-    everything and rewrites the cache.
-    """
-    run = LintRun()
-    rules = build_rules(config, select)
-    file_rules = [r for r in rules if not r.requires_program]
-    program_rules = [r for r in rules if r.requires_program]
+               select: typing.Optional[typing.Sequence[str]] = None
+               ) -> LintRun:
+    """Lint every ``.py`` file under ``paths`` (files or directories)
+    as one program."""
     hot = _hot_functions(config)
-    need_summaries = bool(program_rules) or cache_path is not None
-
-    cache = None
-    if cache_path is not None:
-        cache = LintCache.load(cache_path,
-                               config_cache_key(config, [r.name for
-                                                         r in rules]))
-
-    states: typing.List[_FileState] = []
+    units: typing.List[_Unit] = []
     for path in _collect(paths, config):
-        state = _FileState(path=path, display=_display_path(path))
-        states.append(state)
+        display = _display_path(path)
         try:
             with open(path, "rb") as handle:
-                raw = handle.read()
+                source = handle.read().decode("utf-8")
         except OSError as exc:
-            state.result = FileResult(
-                path=state.display,
-                error=f"cannot read: {exc.strerror}")
-            continue
-        state.digest = program_mod.file_digest(raw)
-        try:
-            state.source = raw.decode("utf-8")
+            units.append(_terminal(display,
+                                   error=f"cannot read: {exc.strerror}"))
         except UnicodeDecodeError as exc:
-            state.result = FileResult(
-                path=state.display,
-                error=f"cannot decode: {exc.reason}")
-            continue
-        if changed_only and cache is not None:
-            state.cached = cache.fresh_entry(state.display, state.digest)
-            if state.cached is not None:
-                state.dirty = False
-                state.summary = LintCache.summary_of(state.cached)
-                continue
-        _parse_state(state, config, hot,
-                     need_summary=need_summaries)
-
-    index = None
-    started = time.monotonic()
-    if program_rules or (changed_only and cache is not None):
-        index = program_mod.ProgramIndex(
-            [s.summary for s in states if s.summary is not None])
-        run.timing["program-index"] = time.monotonic() - started
-
-    if changed_only and cache is not None:
-        stats = CacheStats()
-        stats.total = len(states)
-        dirty_paths = {s.display for s in states if s.dirty}
-        stats.dirty = len(dirty_paths)
-        cone = index.reverse_cone(dirty_paths) - dirty_paths \
-            if index is not None else set()
-        stats.cone = len(cone)
-        need_run = dirty_paths | cone
-        stats.analysed = len(need_run)
-        stats.reused = stats.total - stats.analysed
-        run.cache_stats = stats
-    else:
-        need_run = {s.display for s in states}
-
-    for state in states:
-        if state.result is not None:            # read/skip/syntax error
-            run.files.append(state.result)
-            if cache is not None and state.result.skipped:
-                cache.update(state.display, state.digest, None, (),
-                             0, {}, state.result.warnings, skipped=True)
-            continue
-        if state.display not in need_run and state.cached is not None:
-            result = FileResult(
-                path=state.display,
-                findings=LintCache.findings_of(state.cached),
-                suppressed=int(state.cached.get("suppressed", 0)),
-                suppressed_by_rule={
-                    str(k): int(v) for k, v in
-                    dict(state.cached.get("suppressed_by_rule",
-                                          {})).items()},
-                warnings=[str(w) for w
-                          in state.cached.get("warnings", ())],
-                skipped=bool(state.cached.get("skipped", False)),
-                reused=True)
-            run.files.append(result)
-            continue
-        if state.ctx is None:               # clean file in the cone
-            _parse_state(state, config, hot, need_summary=False)
-            if state.result is not None:
-                run.files.append(state.result)
-                continue
-        result = FileResult(path=state.display,
-                            warnings=_unknown_pragma_warnings(
-                                state.pragmas))
-        for rule in file_rules:
-            rule_started = time.monotonic()
-            _apply_rule_findings(result, state.pragmas,
-                                 rule.check(state.ctx))
-            run.timing[rule.name] = run.timing.get(rule.name, 0.0) \
-                + time.monotonic() - rule_started
-        if index is not None and state.summary is not None:
-            for rule in program_rules:
-                rule_started = time.monotonic()
-                _apply_rule_findings(
-                    result, state.pragmas,
-                    rule.check_module(index, state.summary))
-                run.timing[rule.name] = \
-                    run.timing.get(rule.name, 0.0) \
-                    + time.monotonic() - rule_started
-        result.findings.sort(key=Finding.sort_key)
-        run.files.append(result)
-        if cache is not None:
-            cache.update(state.display, state.digest, state.summary,
-                         result.findings, result.suppressed,
-                         result.suppressed_by_rule, result.warnings)
-
-    if cache is not None:
-        cache.prune(s.display for s in states)
-        cache.save()
-    return run
+            units.append(_terminal(display,
+                                   error=f"cannot decode: {exc.reason}"))
+        else:
+            units.append(_parse(source, display, hot))
+    return _run(units, config, select)
 
 
-def _parse_state(state: _FileState, config: LintConfig,
-                 hot: typing.Sequence[str],
-                 need_summary: bool) -> None:
-    """Parse one file into ctx/pragmas (and summary when asked);
-    terminal outcomes (skip-file, syntax error) land in ``result``."""
-    state.dirty = True
-    state.pragmas = PragmaIndex(state.source)
-    if state.pragmas.skip_file:
-        state.result = FileResult(path=state.display, skipped=True)
-        return
+def _terminal(display: str, **outcome) -> _Unit:
+    return FileResult(path=display, **outcome), None, None
+
+
+def _parse(source: str, display: str,
+           hot: typing.Sequence[str]) -> _Unit:
+    pragmas = PragmaIndex(source)
+    if pragmas.skip_file:
+        return _terminal(display, skipped=True)
     try:
-        tree = ast.parse(state.source, filename=state.path)
+        tree = ast.parse(source, filename=display)
     except SyntaxError as exc:
-        state.result = FileResult(
-            path=state.display,
-            error=f"syntax error: {exc.msg} (line {exc.lineno})")
-        return
-    state.ctx = astutil.FileContext(tree, state.display,
-                                    hot_functions=hot)
-    if need_summary and state.summary is None:
-        state.summary = program_mod.extract_summary(
-            state.ctx, state.digest, config)
+        return _terminal(display, error=f"syntax error: {exc.msg} "
+                                        f"(line {exc.lineno})")
+    result = FileResult(path=display,
+                        warnings=_unknown_pragma_warnings(pragmas))
+    return result, pragmas, astutil.FileContext(tree, display,
+                                                hot_functions=hot)
+
+
+def _run(units: typing.Sequence[_Unit], config: LintConfig,
+         select: typing.Optional[typing.Sequence[str]]) -> LintRun:
+    """Run the selected rules over the parsed units as one program."""
+    rules = build_rules(config, select)
+    run = LintRun(files=[result for result, _, _ in units])
+    parsed = [(result, pragmas, ctx) for result, pragmas, ctx in units
+              if ctx is not None]
+    summaries: typing.List[program_mod.ModuleSummary] = []
+    index = None
+    if any(rule.requires_program for rule in rules):
+        started = time.monotonic()
+        summaries = [program_mod.extract_summary(ctx)
+                     for _, _, ctx in parsed]
+        index = program_mod.ProgramIndex(summaries)
+        run.timing["program-index"] = time.monotonic() - started
+    for position, (result, pragmas, ctx) in enumerate(parsed):
+        for rule in rules:
+            started = time.monotonic()
+            findings = rule.check_module(index, summaries[position]) \
+                if rule.requires_program else rule.check(ctx)
+            _apply_rule_findings(result, pragmas, findings)
+            run.timing[rule.name] = run.timing.get(rule.name, 0.0) \
+                + time.monotonic() - started
+        result.findings.sort(key=Finding.sort_key)
+    return run
 
 
 def _collect(paths: typing.Sequence[str],

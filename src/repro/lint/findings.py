@@ -49,21 +49,5 @@ class Finding:
             out["chain"] = list(self.chain)
         return out
 
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, object]) -> "Finding":
-        return cls(rule=str(data["rule"]), path=str(data["path"]),
-                   line=int(data["line"]), col=int(data["col"]),
-                   message=str(data["message"]),
-                   end_line=(int(data["end_line"])
-                             if data.get("end_line") is not None else None),
-                   chain=tuple(str(hop)
-                               for hop in data.get("chain", ())))
-
-    def cache_dict(self) -> typing.Dict[str, object]:
-        """Round-trippable form (``as_dict`` plus ``end_line``)."""
-        out = self.as_dict()
-        out["end_line"] = self.end_line
-        return out
-
     def sort_key(self) -> typing.Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)

@@ -1,14 +1,13 @@
-"""Hot-path hazard scanning, shared by the ``hot-path`` rule and the
-whole-program index.
+"""Hot-path hazard scanning for the whole-program index.
 
 A *hazard* is anything the hot-path discipline forbids outside the
 ``REPRO_OBS`` gate: telemetry calls, wall-clock reads, string building,
 run-log shard writes, latency-recorder calls, and per-iteration
 allocation.  :func:`scan_hazards` returns the **ungated** hazards of one
-function — the ``hot-path`` rule turns them into findings when the
-function is hot, and the program index stores them per function so
-``hot-path-transitive`` can flag a hot caller *reaching* them through
-the call graph without re-parsing the callee's file.
+function; the program index stores them per function, and the
+``hot-path`` rule reports them for a hot function's own body (depth 0)
+and for every helper it reaches through the call graph, without
+re-parsing the callee's file.
 
 Loop semantics are precise about what actually re-executes per
 iteration:
@@ -44,11 +43,13 @@ _WALLCLOCK = {"time", "time_ns", "monotonic", "monotonic_ns",
 _COMPREHENSIONS = (ast.ListComp, ast.DictComp, ast.SetComp,
                    ast.GeneratorExp)
 
-RUNLOG_DEFAULT_METHODS = ("flush", "heartbeat", "maybe_heartbeat")
-# "measure" is deliberately absent: the receiver-mentions-"lat"
-# heuristic would catch `platform.measure(...)` ("platform" contains
-# "lat"), which is a throughput run, not a latency recorder.
-LATENCY_DEFAULT_METHODS = ("add_ns", "finish")
+#: Shard-write methods, hazards when the receiver mentions shard/runlog.
+RUNLOG_METHODS = frozenset({"flush", "heartbeat", "maybe_heartbeat"})
+#: Latency-recorder methods, hazards when the receiver mentions ``lat``.
+#: "measure" is deliberately absent: the heuristic would catch
+#: `platform.measure(...)` ("platform" contains "lat"), which is a
+#: throughput run, not a latency recorder.
+LATENCY_METHODS = frozenset({"add_ns", "finish"})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,19 +90,6 @@ class Hazard:
         if self.subkind == "comprehension":
             return "per-iteration comprehension allocation"
         return f"per-iteration allocation `{self.name}`"
-
-    def to_dict(self) -> typing.Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, object]) -> "Hazard":
-        return cls(kind=str(data["kind"]), subkind=str(data["subkind"]),
-                   name=str(data["name"]), lineno=int(data["lineno"]),
-                   col=int(data["col"]),
-                   end_lineno=(int(data["end_lineno"])
-                               if data.get("end_lineno") is not None
-                               else None),
-                   in_loop=bool(data["in_loop"]))
 
 
 def loop_nodes(func: astutil.FunctionNode) -> typing.Set[int]:
@@ -153,21 +141,14 @@ def loop_nodes(func: astutil.FunctionNode) -> typing.Set[int]:
 
 
 def scan_hazards(ctx: astutil.FileContext, func: astutil.FunctionNode,
-                 shard_methods: typing.Optional[typing.Set[str]] = None,
-                 latency_methods: typing.Optional[typing.Set[str]] = None,
-                 ) -> typing.List[Hazard]:
+                 loops: typing.Set[int]) -> typing.List[Hazard]:
     """All **ungated** hazards in ``func`` (gated ones are fine by
-    definition and never recorded)."""
-    shard_methods = shard_methods if shard_methods is not None \
-        else set(RUNLOG_DEFAULT_METHODS)
-    latency_methods = latency_methods if latency_methods is not None \
-        else set(LATENCY_DEFAULT_METHODS)
-    loops = loop_nodes(func)
+    definition and never recorded); ``loops`` is its
+    :func:`loop_nodes`."""
     hazards: typing.List[Hazard] = []
     for node in ast.walk(func):
         if isinstance(node, ast.Call):
-            hazard = _classify_call(ctx, func, node, loops,
-                                    shard_methods, latency_methods)
+            hazard = _classify_call(ctx, func, node, loops)
             if hazard is not None:
                 hazards.append(hazard)
         elif isinstance(node, ast.JoinedStr):
@@ -192,16 +173,14 @@ def _hazard(kind: str, subkind: str, name: str, node: ast.AST,
 
 
 def _classify_call(ctx: astutil.FileContext, func: astutil.FunctionNode,
-                   node: ast.Call, loops: typing.Set[int],
-                   shard_methods: typing.Set[str],
-                   latency_methods: typing.Set[str],
+                   node: ast.Call, loops: typing.Set[int]
                    ) -> typing.Optional[Hazard]:
     if ctx.is_gated(func, node):
         return None
-    lat_name = latency_call_name(ctx, node, latency_methods)
+    lat_name = latency_call_name(ctx, node)
     if lat_name is not None:
         return _hazard("latency", "call", lat_name, node, loops)
-    shard_name = runlog_call_name(ctx, node, shard_methods)
+    shard_name = runlog_call_name(ctx, node)
     if shard_name is not None:
         return _hazard("runlog", "call", shard_name, node, loops)
     obs_name = ctx.is_obs_call(node)
@@ -240,20 +219,20 @@ def _classify_call(ctx: astutil.FileContext, func: astutil.FunctionNode,
     return None
 
 
-def latency_call_name(ctx: astutil.FileContext, node: ast.Call,
-                      methods: typing.Set[str]) -> typing.Optional[str]:
+def latency_call_name(ctx: astutil.FileContext,
+                      node: ast.Call) -> typing.Optional[str]:
     """The dotted name of a latency-recorder call, or ``None``.
 
     Module-rooted :mod:`repro.obs.lat` calls are always in scope;
-    method calls match only when the method is a configured latency
-    method *and* the dotted receiver mentions ``lat`` — so an
-    unrelated ``writer.finish()`` never trips the rule.
+    method calls match only when the method is in
+    :data:`LATENCY_METHODS` *and* the dotted receiver mentions ``lat``
+    — so an unrelated ``writer.finish()`` never trips the rule.
     """
     name = ctx.is_lat_call(node)
     if name is not None:
         return name
     if not isinstance(node.func, ast.Attribute) \
-            or node.func.attr not in methods:
+            or node.func.attr not in LATENCY_METHODS:
         return None
     name = astutil.dotted(node.func)
     if name is None:
@@ -264,20 +243,20 @@ def latency_call_name(ctx: astutil.FileContext, node: ast.Call,
     return None
 
 
-def runlog_call_name(ctx: astutil.FileContext, node: ast.Call,
-                     methods: typing.Set[str]) -> typing.Optional[str]:
+def runlog_call_name(ctx: astutil.FileContext,
+                     node: ast.Call) -> typing.Optional[str]:
     """The dotted name of a run-log shard write, or ``None``.
 
     Module-rooted runlog calls are always in scope; method calls
-    match only when the method is a configured shard method *and*
-    the dotted receiver mentions ``shard`` or ``runlog`` — so a
-    plain ``stream.flush()`` never trips the rule.
+    match only when the method is in :data:`RUNLOG_METHODS` *and* the
+    dotted receiver mentions ``shard`` or ``runlog`` — so a plain
+    ``stream.flush()`` never trips the rule.
     """
     name = ctx.is_runlog_call(node)
     if name is not None:
         return name
     if not isinstance(node.func, ast.Attribute) \
-            or node.func.attr not in methods:
+            or node.func.attr not in RUNLOG_METHODS:
         return None
     name = astutil.dotted(node.func)
     if name is None:

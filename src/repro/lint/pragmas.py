@@ -75,10 +75,6 @@ class PragmaIndex:
                     target += 1
             self.line_rules.setdefault(target, set()).update(rules)
 
-    def rule_names(self) -> typing.Set[str]:
-        """Every rule name any pragma in this file refers to."""
-        return {rule for _, rule in self.declared}
-
     def suppresses(self, rule: str, line: int,
                    end_line: typing.Optional[int] = None) -> bool:
         """Is ``rule`` suppressed anywhere in ``line..end_line``?"""

@@ -1,17 +1,12 @@
 """The whole-program index behind the interprocedural lint rules.
 
 ``repro.lint`` rules classically see one file at a time; the three
-interprocedural rules (``hot-path-transitive``, ``seed-flow``,
-``layering``) need the *program*: which module defines which symbol,
-who imports whom, and an over-approximate call graph.  This module
-builds that index once per run from per-file :class:`ModuleSummary`
-records that are
-
-* **pure functions of one file's content** — so the on-disk cache
-  (:mod:`repro.lint.cache`) can key them by content hash and a warm
-  ``repro lint --changed`` run only re-extracts dirty files, and
-* **fully serialisable** — the interprocedural rules run on summaries
-  alone, never on a foreign file's AST.
+interprocedural rules (``hot-path``, ``seed-flow``, ``layering``) need
+the *program*: which module defines which symbol, who imports whom,
+and an over-approximate call graph.  This module builds that index
+once per run from per-file :class:`ModuleSummary` records.  A summary
+is a pure function of one file's content, and the interprocedural
+rules run on summaries alone, never on a foreign file's AST.
 
 Resolution is deliberately over-approximate (static analysis cannot be
 exact about Python): bare names resolve to same-module functions or
@@ -27,13 +22,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import typing
 
 from repro.lint import astutil, hazards
-
-#: Bump when the summary schema changes — invalidates every cache.
-SCHEMA_VERSION = 1
 
 #: Constructor terminals that take a seed as their first argument.
 SEED_CONSTRUCTORS = {"default_rng", "Random", "RandomState",
@@ -41,18 +32,13 @@ SEED_CONSTRUCTORS = {"default_rng", "Random", "RandomState",
                      "SFC64"}
 
 #: Identifier fragments marking the per-stream index operand of a seed
-#: derivation (``seed * K + <id>``).  Exact-match short names plus
-#: substring-match long names; override with the seed-flow rule's
-#: ``id-names`` option.
+#: derivation (``seed * K + <id>``): exact-match short names plus
+#: substring-match long names.
 ID_NAME_EXACT = frozenset({"i", "j", "k", "idx", "index", "id",
                            "wid", "pid"})
 ID_NAME_SUBSTRINGS = ("agent", "worker", "actor", "rank", "slot",
                       "episode", "env", "thread", "proc", "replica",
                       "shard")
-
-
-def file_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _unparse(node: ast.AST) -> str:
@@ -76,19 +62,6 @@ class ImportEdge:
     end_lineno: typing.Optional[int]
     lazy: bool                        # inside a function body
 
-    def to_dict(self) -> typing.Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data) -> "ImportEdge":
-        return cls(target=str(data["target"]),
-                   names=tuple(str(n) for n in data["names"]),
-                   lineno=int(data["lineno"]), col=int(data["col"]),
-                   end_lineno=(int(data["end_lineno"])
-                               if data.get("end_lineno") is not None
-                               else None),
-                   lazy=bool(data["lazy"]))
-
 
 @dataclasses.dataclass(frozen=True)
 class CallSite:
@@ -105,19 +78,6 @@ class CallSite:
     end_lineno: typing.Optional[int]
     in_loop: bool
     gated: bool = False
-
-    def to_dict(self) -> typing.Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data) -> "CallSite":
-        return cls(name=str(data["name"]), lineno=int(data["lineno"]),
-                   col=int(data["col"]),
-                   end_lineno=(int(data["end_lineno"])
-                               if data.get("end_lineno") is not None
-                               else None),
-                   in_loop=bool(data["in_loop"]),
-                   gated=bool(data.get("gated", False)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,19 +99,6 @@ class SeedSite:
     end_lineno: typing.Optional[int]
     provenance_line: int = 0   # assignment line for name-adhoc
 
-    def to_dict(self) -> typing.Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data) -> "SeedSite":
-        return cls(kind=str(data["kind"]), target=str(data["target"]),
-                   expr=str(data["expr"]), callee=str(data["callee"]),
-                   lineno=int(data["lineno"]), col=int(data["col"]),
-                   end_lineno=(int(data["end_lineno"])
-                               if data.get("end_lineno") is not None
-                               else None),
-                   provenance_line=int(data.get("provenance_line", 0)))
-
 
 @dataclasses.dataclass
 class FunctionSummary:
@@ -168,94 +115,27 @@ class FunctionSummary:
     adhoc_seed_return: bool    # returns `seed <op> ... <op> id` arithmetic
     adhoc_detail: str = ""
 
-    def to_dict(self) -> typing.Dict[str, object]:
-        return {"qualname": self.qualname, "lineno": self.lineno,
-                "col": self.col, "end_lineno": self.end_lineno,
-                "hot": self.hot,
-                "calls": [c.to_dict() for c in self.calls],
-                "hazards": [h.to_dict() for h in self.hazards],
-                "seed_sites": [s.to_dict() for s in self.seed_sites],
-                "adhoc_seed_return": self.adhoc_seed_return,
-                "adhoc_detail": self.adhoc_detail}
-
-    @classmethod
-    def from_dict(cls, data) -> "FunctionSummary":
-        return cls(qualname=str(data["qualname"]),
-                   lineno=int(data["lineno"]), col=int(data["col"]),
-                   end_lineno=(int(data["end_lineno"])
-                               if data.get("end_lineno") is not None
-                               else None),
-                   hot=bool(data["hot"]),
-                   calls=[CallSite.from_dict(c) for c in data["calls"]],
-                   hazards=[hazards.Hazard.from_dict(h)
-                            for h in data["hazards"]],
-                   seed_sites=[SeedSite.from_dict(s)
-                               for s in data["seed_sites"]],
-                   adhoc_seed_return=bool(data["adhoc_seed_return"]),
-                   adhoc_detail=str(data.get("adhoc_detail", "")))
-
 
 @dataclasses.dataclass
 class ModuleSummary:
-    """The serialisable whole-program view of one file."""
+    """The whole-program view of one file."""
 
     module: str
     path: str                  # display path (posix, repo-relative)
-    digest: str
     is_package: bool           # an __init__.py
     imports: typing.List[ImportEdge]
     bindings: typing.Dict[str, str]     # local name -> dotted target
     classes: typing.Dict[str, typing.List[str]]   # class -> method names
     functions: typing.Dict[str, FunctionSummary]  # by qualname
 
-    def to_dict(self) -> typing.Dict[str, object]:
-        return {"module": self.module, "path": self.path,
-                "digest": self.digest, "is_package": self.is_package,
-                "imports": [e.to_dict() for e in self.imports],
-                "bindings": dict(self.bindings),
-                "classes": {k: list(v) for k, v in self.classes.items()},
-                "functions": {k: f.to_dict()
-                              for k, f in self.functions.items()}}
-
-    @classmethod
-    def from_dict(cls, data) -> "ModuleSummary":
-        return cls(module=str(data["module"]), path=str(data["path"]),
-                   digest=str(data["digest"]),
-                   is_package=bool(data["is_package"]),
-                   imports=[ImportEdge.from_dict(e)
-                            for e in data["imports"]],
-                   bindings={str(k): str(v)
-                             for k, v in data["bindings"].items()},
-                   classes={str(k): [str(m) for m in v]
-                            for k, v in data["classes"].items()},
-                   functions={str(k): FunctionSummary.from_dict(f)
-                              for k, f in data["functions"].items()})
-
 
 # -- extraction ------------------------------------------------------------
 
 
-def extract_summary(ctx: astutil.FileContext, digest: str,
-                    config=None) -> ModuleSummary:
-    """Build the :class:`ModuleSummary` for one parsed file.
-
-    ``config`` supplies the hot-path method options and seed-flow
-    ``id-names`` so the cached summary matches what the rules would
-    compute; the cache key includes the config, so option changes
-    invalidate stored summaries.
-    """
-    hot_options = config.options("hot-path") if config else {}
-    seed_options = config.options("seed-flow") if config else {}
-    shard_methods = set(_as_list(
-        hot_options.get("runlog-methods"),
-        hazards.RUNLOG_DEFAULT_METHODS))
-    latency_methods = set(_as_list(
-        hot_options.get("latency-methods"),
-        hazards.LATENCY_DEFAULT_METHODS))
-    id_names = _as_list(seed_options.get("id-names"), ())
-
+def extract_summary(ctx: astutil.FileContext) -> ModuleSummary:
+    """Build the :class:`ModuleSummary` for one parsed file."""
     summary = ModuleSummary(
-        module=ctx.module, path=ctx.relpath, digest=digest,
+        module=ctx.module, path=ctx.relpath,
         is_package=ctx.relpath.endswith("__init__.py"),
         imports=[], bindings={}, classes={}, functions={})
     _extract_imports(ctx, summary)
@@ -263,19 +143,15 @@ def extract_summary(ctx: astutil.FileContext, digest: str,
     for func in ctx.functions():
         qualname = ctx.qualname(func)
         loops = hazards.loop_nodes(func)
+        detail = _adhoc_return_detail(func)
         summary.functions[qualname] = FunctionSummary(
             qualname=qualname, lineno=func.lineno,
             col=func.col_offset, end_lineno=func.end_lineno,
             hot=id(func) in hot_marked,
             calls=_extract_calls(ctx, func, loops),
-            hazards=hazards.scan_hazards(ctx, func, shard_methods,
-                                         latency_methods),
-            seed_sites=_extract_seed_sites(ctx, func, id_names),
-            adhoc_seed_return=False)
-        detail = _adhoc_return_detail(func, id_names)
-        if detail:
-            summary.functions[qualname].adhoc_seed_return = True
-            summary.functions[qualname].adhoc_detail = detail
+            hazards=hazards.scan_hazards(ctx, func, loops),
+            seed_sites=_extract_seed_sites(func),
+            adhoc_seed_return=bool(detail), adhoc_detail=detail)
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.ClassDef):
             methods = sorted(
@@ -284,14 +160,6 @@ def extract_summary(ctx: astutil.FileContext, digest: str,
                                       ast.AsyncFunctionDef)))
             summary.classes[ctx.qualname(node)] = methods
     return summary
-
-
-def _as_list(value, default) -> typing.List[str]:
-    if value is None:
-        return list(default)
-    if isinstance(value, str):
-        return [value]
-    return [str(item) for item in value]
 
 
 def _extract_imports(ctx: astutil.FileContext,
@@ -377,8 +245,7 @@ def _ident_terminals(node: ast.AST) -> typing.List[str]:
     return out
 
 
-def is_adhoc_seed_expr(node: ast.AST,
-                       id_names: typing.Sequence[str] = ()) -> bool:
+def is_adhoc_seed_expr(node: ast.AST) -> bool:
     """Is ``node`` ad-hoc per-stream seed arithmetic?
 
     True for a ``BinOp`` tree over names/attributes/constants (no
@@ -392,11 +259,9 @@ def is_adhoc_seed_expr(node: ast.AST,
             return False
     idents = [ident.lower() for ident in _ident_terminals(node)]
     seedish = any("seed" in ident for ident in idents)
-    extra_exact = {n for n in id_names if len(n) <= 3}
-    extra_sub = tuple(n for n in id_names if len(n) > 3)
     idish = any(
-        ident in ID_NAME_EXACT or ident in extra_exact
-        or any(tok in ident for tok in ID_NAME_SUBSTRINGS + extra_sub)
+        ident in ID_NAME_EXACT
+        or any(tok in ident for tok in ID_NAME_SUBSTRINGS)
         for ident in idents if "seed" not in ident)
     return seedish and idish
 
@@ -415,9 +280,7 @@ def _is_seeding_call(name: str) -> bool:
     return terminal == "seed" or terminal in SEED_CONSTRUCTORS
 
 
-def _extract_seed_sites(ctx: astutil.FileContext,
-                        func: astutil.FunctionNode,
-                        id_names: typing.Sequence[str]
+def _extract_seed_sites(func: astutil.FunctionNode
                         ) -> typing.List[SeedSite]:
     assigns: typing.Dict[str, ast.AST] = {}
     for node in ast.walk(func):
@@ -435,13 +298,13 @@ def _extract_seed_sites(ctx: astutil.FileContext,
         arg = _seed_argument(node)
         if arg is None:
             continue
-        if is_adhoc_seed_expr(arg, id_names):
+        if is_adhoc_seed_expr(arg):
             sites.append(SeedSite(
                 kind="adhoc", target=name, expr=_unparse(arg),
                 callee="", lineno=node.lineno, col=node.col_offset,
                 end_lineno=node.end_lineno))
         elif isinstance(arg, ast.Name) and arg.id in assigns \
-                and is_adhoc_seed_expr(assigns[arg.id], id_names):
+                and is_adhoc_seed_expr(assigns[arg.id]):
             source = assigns[arg.id]
             sites.append(SeedSite(
                 kind="name-adhoc", target=name,
@@ -459,8 +322,7 @@ def _extract_seed_sites(ctx: astutil.FileContext,
     return sites
 
 
-def _adhoc_return_detail(func: astutil.FunctionNode,
-                         id_names: typing.Sequence[str]) -> str:
+def _adhoc_return_detail(func: astutil.FunctionNode) -> str:
     """Non-empty description when ``func`` returns ad-hoc seed
     arithmetic (it mints a parallel seed-derivation contract)."""
     for node in ast.walk(func):
@@ -468,7 +330,7 @@ def _adhoc_return_detail(func: astutil.FunctionNode,
                 and node is not func:
             continue
         if isinstance(node, ast.Return) and node.value is not None \
-                and is_adhoc_seed_expr(node.value, id_names):
+                and is_adhoc_seed_expr(node.value):
             return _unparse(node.value)
     return ""
 
@@ -480,11 +342,8 @@ class ProgramIndex:
     """Symbol table + import graph + call graph over module summaries."""
 
     def __init__(self, summaries: typing.Sequence[ModuleSummary]):
-        self.modules: typing.Dict[str, ModuleSummary] = {}
-        self.by_path: typing.Dict[str, ModuleSummary] = {}
-        for summary in summaries:
-            self.modules[summary.module] = summary
-            self.by_path[summary.path] = summary
+        self.modules: typing.Dict[str, ModuleSummary] = {
+            summary.module: summary for summary in summaries}
         # full dotted function name -> (module, qualname)
         self._functions: typing.Dict[str,
                                      typing.Tuple[str, str]] = {}
@@ -497,8 +356,6 @@ class ProgramIndex:
                 if "." in qualname:             # a method
                     self._methods.setdefault(terminal, []).append(full)
         self._module_graph: typing.Optional[
-            typing.Dict[str, typing.Set[str]]] = None
-        self._dep_paths: typing.Optional[
             typing.Dict[str, typing.Set[str]]] = None
 
     # -- symbols -----------------------------------------------------------
@@ -518,13 +375,6 @@ class ProgramIndex:
     def function_module(self, full_name: str) -> typing.Optional[str]:
         loc = self._functions.get(full_name)
         return loc[0] if loc else None
-
-    def is_hot(self, full_name: str,
-               configured: typing.Container[str] = ()) -> bool:
-        summary = self.function(full_name)
-        if summary is None:
-            return False
-        return summary.hot or full_name in configured
 
     # -- name resolution ---------------------------------------------------
 
@@ -634,69 +484,21 @@ class ProgramIndex:
                 return prefix
         return None
 
-    def module_graph(self, include_lazy: bool = False
-                     ) -> typing.Dict[str, typing.Set[str]]:
-        """Module-level import edges resolved within the index."""
-        if not include_lazy and self._module_graph is not None:
+    def module_graph(self) -> typing.Dict[str, typing.Set[str]]:
+        """Module-scope import edges resolved within the index."""
+        if self._module_graph is not None:
             return self._module_graph
         graph: typing.Dict[str, typing.Set[str]] = {
             name: set() for name in self.modules}
         for name, summary in self.modules.items():
             for edge in summary.imports:
-                if edge.lazy and not include_lazy:
+                if edge.lazy:
                     continue
                 for target in self.resolve_import(edge):
                     if target != name:
                         graph[name].add(target)
-        if not include_lazy:
-            self._module_graph = graph
+        self._module_graph = graph
         return graph
-
-    # -- dependency cones (for incremental runs) ---------------------------
-
-    def dependency_paths(self) -> typing.Dict[str, typing.Set[str]]:
-        """path -> paths it depends on (imports, lazy imports, and
-        resolved call targets) — the cone a file's interprocedural
-        findings can read from."""
-        if self._dep_paths is not None:
-            return self._dep_paths
-        deps: typing.Dict[str, typing.Set[str]] = {
-            summary.path: set() for summary in self.modules.values()}
-        for name, summary in self.modules.items():
-            mods: typing.Set[str] = set()
-            for edge in summary.imports:
-                mods.update(self.resolve_import(edge))
-            for func in summary.functions.values():
-                for site in func.calls:
-                    for full in self.resolve_call(name, func.qualname,
-                                                  site):
-                        mods.add(self._functions[full][0])
-            mods.discard(name)
-            deps[summary.path] = {self.modules[m].path for m in mods}
-        self._dep_paths = deps
-        return deps
-
-    def reverse_cone(self, dirty_paths: typing.Iterable[str]
-                     ) -> typing.Set[str]:
-        """Every file whose analysis could read a dirty file: the
-        transitive reverse-dependency closure (dirty files excluded
-        unless depended upon)."""
-        deps = self.dependency_paths()
-        reverse: typing.Dict[str, typing.Set[str]] = {
-            path: set() for path in deps}
-        for path, targets in deps.items():
-            for target in targets:
-                if target in reverse:
-                    reverse[target].add(path)
-        seen: typing.Set[str] = set()
-        frontier = [p for p in dirty_paths if p in reverse]
-        while frontier:
-            current = frontier.pop()
-            for dependent in reverse.get(current, ()):
-                if dependent not in seen:
-                    seen.add(dependent)
-                    frontier.append(dependent)
-        return seen
 
     # -- cycles ------------------------------------------------------------
 

@@ -15,8 +15,9 @@ and a ``check(ctx)`` generator yielding
             ...
             yield ctx.finding(self, node, "message")
 
-Rules receive their ``[tool.repro-lint.<name>]`` options dict as
-``self.options``.  ``ctx`` is a
+A rule lists the ``[tool.repro-lint.<name>]`` keys it reads in
+``option_keys`` and receives their values as ``self.options``; any
+other key is a configuration error.  ``ctx`` is a
 :class:`~repro.lint.astutil.FileContext`.
 """
 
@@ -33,14 +34,16 @@ class Rule:
     Interprocedural rules set :attr:`requires_program` and override
     :meth:`check_module` instead: they run once per module against the
     whole-program index (:class:`repro.lint.program.ProgramIndex`) and
-    must anchor every finding in *that* module, so incremental runs can
-    cache findings per file.
+    must anchor every finding in *that* module, whose pragmas decide
+    its suppression.
     """
 
     name: str = ""
     description: str = ""
     #: True for whole-program rules (they implement check_module).
     requires_program: bool = False
+    #: The option keys this rule's config table may set.
+    option_keys: typing.Tuple[str, ...] = ()
 
     def __init__(self, options: typing.Optional[typing.Dict[str, object]]
                  = None):

@@ -9,8 +9,8 @@ from repro.lint.engine import LintRun
 from repro.lint.findings import Finding
 
 #: v2: findings carry ``id`` and (interprocedural) ``chain``; the
-#: document gains ``suppressed_by_rule``, per-rule ``timing_ms``,
-#: ``warnings``, and ``cache`` stats on incremental runs.
+#: document gains ``suppressed_by_rule``, per-rule ``timing_ms`` and
+#: ``warnings``.
 JSON_VERSION = 2
 
 
@@ -36,8 +36,6 @@ def render_text(run: LintRun, verbose: bool = False) -> str:
     if run.suppressed:
         lines.append(f"{run.suppressed} finding(s) suppressed by "
                      "pragmas")
-    if run.cache_stats is not None:
-        lines.append(run.cache_stats.line())
     if verbose:
         skipped = [r.path for r in run.files if r.skipped]
         if skipped:
@@ -79,7 +77,5 @@ def render_json(run: LintRun) -> str:
                      for path, message in run.warnings],
         "timing_ms": {name: round(seconds * 1000, 3)
                       for name, seconds in sorted(run.timing.items())},
-        "cache": run.cache_stats.to_dict()
-        if run.cache_stats is not None else None,
     }
     return json.dumps(document, indent=2, sort_keys=True)

@@ -45,6 +45,7 @@ class AttributionRule(Rule):
     name = "attribution"
     description = ("cycle/ns accumulators in fpga/gpu must reach the "
                    "obs.prof bucket pipeline")
+    option_keys = ("modules",)
 
     def check(self, ctx: astutil.FileContext):
         if not path_matches_any(ctx.relpath,

@@ -48,6 +48,7 @@ class DeterminismRule(Rule):
     name = "determinism"
     description = ("no unseeded global RNG, no wall clock in simulators, "
                    "no set iteration in cycle accounting")
+    option_keys = ("wallclock-modules", "cycle-modules")
 
     def check(self, ctx: astutil.FileContext):
         wallclock_here = path_matches_any(

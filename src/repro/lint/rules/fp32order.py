@@ -53,6 +53,7 @@ class Fp32OrderRule(Rule):
     name = "fp32-order"
     description = ("numpy reductions in bit-exact modules must state "
                    "axis/order intent")
+    option_keys = ("modules", "quantized-modules")
 
     def check(self, ctx: astutil.FileContext):
         quantized = self.list_option("quantized-modules", ())

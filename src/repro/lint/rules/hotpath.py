@@ -1,4 +1,5 @@
-"""Rule ``hot-path``: zero-overhead discipline in marked functions.
+"""Rule ``hot-path``: zero-overhead discipline in marked functions and
+in everything they call.
 
 Applies to functions carrying the :func:`repro.perf.hot_path` decorator
 or listed (dotted names) in the ``functions`` option.  Mark *leaf* inner
@@ -34,30 +35,58 @@ local ``observing = _obs.enabled()`` alias, or the early-return guard
   its contents.
 * **run-log shard writes** — anything rooted at
   :mod:`repro.obs.runlog`, and ``flush`` / ``heartbeat`` /
-  ``maybe_heartbeat`` calls (the ``runlog-methods`` option) on objects
-  whose name mentions ``shard`` or ``runlog``.  Shard flushes serialise
-  a full registry snapshot to disk — strictly gated territory.  The
-  name heuristic keeps unrelated ``stream.flush()`` calls out of scope.
+  ``maybe_heartbeat`` calls on objects whose name mentions ``shard`` or
+  ``runlog``.  Shard flushes serialise a full registry snapshot to
+  disk — strictly gated territory.  The name heuristic keeps unrelated
+  ``stream.flush()`` calls out of scope.
 * **latency recorders** — anything rooted at :mod:`repro.obs.lat`,
-  and ``add_ns`` / ``finish`` calls (the ``latency-methods`` option)
-  on objects whose name mentions ``lat``.  The sanctioned idiom is the
-  sentinel: ``lat = _lat.RoutineLatency(...) if _obs.enabled() else
-  None`` then ``if lat is not None: lat.add_ns(...)`` — the gate
-  analysis treats the ``is not None`` check as REPRO_OBS-gated.
+  and ``add_ns`` / ``finish`` calls on objects whose name mentions
+  ``lat``.  The sanctioned idiom is the sentinel: ``lat =
+  _lat.RoutineLatency(...) if _obs.enabled() else None`` then ``if lat
+  is not None: lat.add_ns(...)`` — the gate analysis treats the ``is
+  not None`` check as REPRO_OBS-gated.
 
-The per-function scan itself lives in :mod:`repro.lint.hazards`, shared
-with the whole-program index so ``hot-path-transitive`` applies exactly
-the same discipline through the call graph.
+The rule walks the whole-program call graph
+(:class:`repro.lint.program.ProgramIndex`, over-approximate) breadth-first
+from each hot function, up to :data:`MAX_DEPTH` call edges.  Depth 0 is
+the hot function's own body: each hazard is reported at its own line.
+At depths 1-3 a hazard in a plain helper is reported at the first call
+site inside the hot function, with the full call chain (``chain``
+entries, one hop per line — shown by ``repro lint --why <id>``) and a
+message that spells out the call path.  Semantics:
+
+* Traversal stops at callees that are themselves hot — their bodies
+  are checked directly, and their own calls get their own traversal.
+* Traversal skips call sites that are themselves obs-gated
+  (``if observing: record_routine(...)``) — everything reached through
+  a gated call only runs while observing, which is the discipline.
+* Non-allocation hazards are violations at any depth.
+* Allocation hazards count only when they are *per-iteration in
+  effect*: inside a loop of the function that holds them, or reached
+  through a call site that sits in a loop somewhere along the chain —
+  a one-off allocation in straight-line code is fine.
 """
 
 from __future__ import annotations
 
-from repro.lint import astutil, hazards
+import collections
+import typing
+
+from repro.lint import hazards
+from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
+
+#: Call edges followed out of a hot function.
+MAX_DEPTH = 3
+
+#: One function reached from a hot root: ``names`` is the qualname path
+#: from the root, ``anchor`` the first call site inside the root.
+_Reach = collections.namedtuple(
+    "_Reach", "full func depth in_loop names chain anchor")
 
 
 def hazard_finding_message(hazard: hazards.Hazard, label: str) -> str:
-    """The ``hot-path`` finding text for one hazard in ``label()``."""
+    """The depth-0 finding text for one hazard in ``label()``."""
     if hazard.kind == "latency":
         return (f"latency-recorder call `{hazard.name}(...)` in hot "
                 f"path {label}() is not behind the REPRO_OBS gate; "
@@ -109,26 +138,86 @@ class HotPathRule(Rule):
     name = "hot-path"
     description = ("telemetry, string building, wall-clock reads, "
                    "runlog shard writes, and per-iteration allocation "
-                   "in @hot_path functions must be behind the "
-                   "REPRO_OBS gate")
+                   "in @hot_path functions and the helpers they call "
+                   "must be behind the REPRO_OBS gate")
+    requires_program = True
+    option_keys = ("functions",)
 
-    def __init__(self, options=None):
-        super().__init__(options)
-        self._shard_methods = set(self.list_option(
-            "runlog-methods", hazards.RUNLOG_DEFAULT_METHODS))
-        self._latency_methods = set(self.list_option(
-            "latency-methods", hazards.LATENCY_DEFAULT_METHODS))
+    def check_module(self, program, summary):
+        for func in summary.functions.values():
+            if func.hot:
+                yield from self._walk(program, summary, func)
 
-    def check(self, ctx: astutil.FileContext):
-        for func in ctx.hot_function_nodes:
-            label = ctx.qualname(func)
-            for hazard in hazards.scan_hazards(ctx, func,
-                                               self._shard_methods,
-                                               self._latency_methods):
-                if hazard.kind == "alloc" and not hazard.in_loop:
-                    continue       # one-off allocation is fine in a leaf
-                yield astutil.Finding(
-                    rule=self.name, path=ctx.relpath,
+    def _walk(self, program, summary, func):
+        root = f"{summary.module}.{func.qualname}"
+        # BFS so the first chain reaching a hazard is the shortest.
+        # visited maps callee -> was it ever reached through a loop;
+        # a loop-reaching revisit upgrades (alloc hazards may only
+        # count on the loop path).
+        visited: typing.Dict[str, bool] = {root: True}
+        reported: typing.Set[typing.Tuple] = set()
+        queue: typing.Deque[_Reach] = collections.deque(
+            [_Reach(root, func, 0, False, (func.qualname,), (), None)])
+        while queue:
+            reach = queue.popleft()
+            yield from self._findings(program, summary, reach, reported)
+            if reach.depth < MAX_DEPTH:
+                queue.extend(self._callees(program, reach, visited))
+
+    @staticmethod
+    def _callees(program, reach, visited):
+        caller_module = program.function_module(reach.full)
+        caller_path = program.function_path(reach.full)
+        for site in reach.func.calls:
+            if site.gated:
+                continue          # obs-gated call: subtree gated too
+            for target in program.resolve_call(
+                    caller_module, reach.func.qualname, site):
+                callee = program.function(target)
+                if callee is None or callee.hot:
+                    continue              # hot callees checked directly
+                in_loop = reach.in_loop or site.in_loop
+                if target in visited and (visited[target] or not in_loop):
+                    continue
+                visited[target] = in_loop
+                hop = (f"{caller_path}:{site.lineno}: "
+                       f"{reach.func.qualname}() calls "
+                       f"{callee.qualname}()"
+                       + (" inside a loop" if site.in_loop else ""))
+                yield _Reach(target, callee, reach.depth + 1, in_loop,
+                             reach.names + (callee.qualname,),
+                             reach.chain + (hop,), reach.anchor or site)
+
+    def _findings(self, program, summary, reach, reported):
+        root = reach.names[0]
+        path = program.function_path(reach.full)
+        for hazard in reach.func.hazards:
+            if hazard.kind == "alloc" and \
+                    not (hazard.in_loop or reach.in_loop):
+                continue           # one-off allocation is fine
+            if reach.depth == 0:
+                yield Finding(
+                    rule=self.name, path=summary.path,
                     line=hazard.lineno, col=hazard.col,
                     end_line=hazard.end_lineno,
-                    message=hazard_finding_message(hazard, label))
+                    message=hazard_finding_message(hazard, root))
+                continue
+            key = (reach.anchor.lineno, reach.anchor.col, reach.full,
+                   hazard.lineno, hazard.col, hazard.kind, hazard.name)
+            if key in reported:
+                continue
+            reported.add(key)
+            via = " -> ".join(f"{name}()" for name in reach.names)
+            yield Finding(
+                rule=self.name, path=summary.path,
+                line=reach.anchor.lineno, col=reach.anchor.col,
+                end_line=reach.anchor.end_lineno,
+                message=(f"hot path {root}() reaches "
+                         f"{hazard.describe()} at {path}:{hazard.lineno} "
+                         f"via {via} (depth {reach.depth}); gate the "
+                         "hazard, hoist it out of the call chain, or "
+                         "mark the callee @hot_path to lint it "
+                         "directly"),
+                chain=reach.chain + (
+                    f"{path}:{hazard.lineno}: {reach.func.qualname}() "
+                    f"has {hazard.describe()}",))

@@ -31,12 +31,11 @@ Import targets are matched both textually (the dotted name in the
 (so ``from repro import fpga`` cannot dodge a ``repro.fpga`` ban).
 
 Independent of the declared edges, the rule reports **module-scope
-import cycles that cross a package boundary** (``report-cycles =
-false`` to disable).  Cycles inside one package — ``__init__``
-re-export knots — are the package's own business; a cross-package
-cycle means the layer diagram is lying and import order decides what
-works.  Each cycle is reported once, anchored in its alphabetically
-first member.
+import cycles that cross a package boundary**.  Cycles inside one
+package — ``__init__`` re-export knots — are the package's own
+business; a cross-package cycle means the layer diagram is lying and
+import order decides what works.  Each cycle is reported once, anchored
+in its alphabetically first member.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ class LayeringRule(Rule):
                    "architecture DAG; cross-package import cycles are "
                    "reported")
     requires_program = True
+    option_keys = ("layers", "forbid")
 
     def __init__(self, options=None):
         super().__init__(options)
@@ -79,16 +79,13 @@ class LayeringRule(Rule):
                 continue
             src, _, dst = entry.partition("->")
             self._forbid.append((src.strip(), dst.strip()))
-        self._report_cycles = bool(
-            self.options.get("report-cycles", True))
 
     def _prefixes(self, spec: str) -> typing.List[str]:
         return self._layers.get(spec, [_norm_prefix(spec)])
 
     def check_module(self, program, summary):
         yield from self._forbidden_edges(program, summary)
-        if self._report_cycles:
-            yield from self._cycles(program, summary)
+        yield from self._cycles(program, summary)
 
     def _forbidden_edges(self, program, summary):
         seen: typing.Set[typing.Tuple[int, str, str]] = set()

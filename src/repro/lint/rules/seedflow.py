@@ -10,7 +10,7 @@ replays stop lining up across backends.
 
 Three findings, all driven by the whole-program index
 (:mod:`repro.lint.program` extracts the seed sites per file, so they
-cache and resolve across modules):
+resolve across modules):
 
 * **ad-hoc argument** — seed arithmetic written inline in the argument
   of a seeding call (``env.seed(...)``, ``np.random.default_rng(...)``,
@@ -20,14 +20,13 @@ cache and resolve across modules):
   assignment is such arithmetic; the chain points at the assignment.
 * **parallel contract** — the argument is a call to a function that
   itself *returns* ad-hoc seed arithmetic but is not a declared
-  contract function.  Declared = the defaults below plus the ``allow``
-  option (terminal names).  The definition of such a function is also
-  flagged in its own module, whether or not it is called.
+  contract function (:data:`CONTRACT_FUNCTIONS`, by terminal name).
+  The definition of such a function is also flagged in its own module,
+  whether or not it is called.
 
 Plain offsets (``seed + 1``) are not per-stream derivations and do not
 trip the rule; neither does passing ``seed`` straight through, nor
-calling any allow-listed contract.  The ``id-names`` option extends
-the identifier vocabulary recognised as a stream index.
+calling a contract function.  The rule has no options.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 #: Terminal names accepted as the shared derivation contract.
-DEFAULT_ALLOW = ("derive_agent_seed", "derive_policy_seed",
-                 "derive_eval_seed")
+CONTRACT_FUNCTIONS = frozenset({"derive_agent_seed", "derive_policy_seed",
+                                "derive_eval_seed"})
 CONTRACT_HOME = "repro.backends.protocol"
 
 
@@ -48,10 +47,6 @@ class SeedFlowRule(Rule):
                    "derivation contract (repro.backends.protocol), "
                    "not ad-hoc `seed * K + id` arithmetic")
     requires_program = True
-
-    def __init__(self, options=None):
-        super().__init__(options)
-        self._allow = set(DEFAULT_ALLOW) | set(self.list_option("allow"))
 
     def check_module(self, program, summary):
         for func in summary.functions.values():
@@ -96,7 +91,7 @@ class SeedFlowRule(Rule):
 
     def _check_call_site(self, program, summary, func, site):
         terminal = site.callee.split(".")[-1]
-        if terminal in self._allow:
+        if terminal in CONTRACT_FUNCTIONS:
             return
         resolved = program.resolve_name(summary.module, site.callee)
         if resolved is None:
@@ -104,7 +99,7 @@ class SeedFlowRule(Rule):
         callee = program.function(resolved)
         if callee is None or not callee.adhoc_seed_return:
             return
-        if callee.qualname.rsplit(".", 1)[-1] in self._allow:
+        if callee.qualname.rsplit(".", 1)[-1] in CONTRACT_FUNCTIONS:
             return
         callee_path = program.function_path(resolved)
         yield Finding(
@@ -114,8 +109,8 @@ class SeedFlowRule(Rule):
                      "mints its own seed arithmetic (`return "
                      f"{callee.adhoc_detail}` at {callee_path}:"
                      f"{callee.lineno}) and is not a declared seed "
-                     f"contract; reuse {CONTRACT_HOME} or add it to "
-                     "[tool.repro-lint.seed-flow].allow"),
+                     f"contract; reuse {CONTRACT_HOME} or move it there "
+                     "and add it to seed-flow's CONTRACT_FUNCTIONS"),
             chain=(f"{summary.path}:{site.lineno}: {func.qualname}() "
                    f"seeds {site.target}() with {site.callee}(...)",
                    f"{callee_path}:{callee.lineno}: "
@@ -125,7 +120,7 @@ class SeedFlowRule(Rule):
     def _check_definition(self, summary, func):
         if not func.adhoc_seed_return:
             return
-        if func.qualname.rsplit(".", 1)[-1] in self._allow:
+        if func.qualname.rsplit(".", 1)[-1] in CONTRACT_FUNCTIONS:
             return
         yield Finding(
             rule=self.name, path=summary.path,
@@ -133,7 +128,7 @@ class SeedFlowRule(Rule):
             message=(f"{func.qualname}() returns ad-hoc per-stream "
                      f"seed arithmetic (`{func.adhoc_detail}`), "
                      "forking the derivation contract; move it into "
-                     f"{CONTRACT_HOME} and add the name to "
-                     "[tool.repro-lint.seed-flow].allow"),
+                     f"{CONTRACT_HOME} and add the name to seed-flow's "
+                     "CONTRACT_FUNCTIONS"),
             chain=(f"{summary.path}:{func.lineno}: {func.qualname}() "
                    f"returns `{func.adhoc_detail}`",))

@@ -4,13 +4,12 @@
 RMSProp ``g`` in shared memory behind a writer lock and a seqlock
 version word.  The protocol has two sides, and each gets a check:
 
-* **Writer side** (inside the ``store-modules``, default
-  ``repro/core/shared_params.py``): mutations of shared state — the
-  ``_version``/``_step``/``_updates`` counter words and writes into the
-  ``theta_flat()``/``g_flat()`` vectors — must happen while the writer
-  lock is held: lexically inside ``with <...>.lock:``, or in a function
-  that first calls ``<...>.lock.acquire()`` or one of the
-  ``acquire-helpers`` (default ``_timed_acquire``).
+* **Writer side** (inside ``repro/core/shared_params.py``): mutations
+  of shared state — the ``_version``/``_step``/``_updates`` counter
+  words and writes into the ``theta_flat()``/``g_flat()`` vectors —
+  must happen while the writer lock is held: lexically inside ``with
+  <...>.lock:``, or in a function that first calls
+  ``<...>.lock.acquire()`` or ``_timed_acquire()``.
 * **Reader side** (everywhere else): code must not reach into the
   store's internals at all — calling ``theta_flat()`` / ``g_flat()`` /
   ``begin_write()`` / ``end_write()``, or touching ``store._theta`` /
@@ -29,11 +28,13 @@ import ast
 import typing
 
 from repro.lint import astutil
-from repro.lint.config import path_matches_any
+from repro.lint.config import path_matches
 from repro.lint.registry import Rule, register
 
-_DEFAULT_STORE_MODULES = ("repro/core/shared_params.py",)
-_DEFAULT_ACQUIRE_HELPERS = ("_timed_acquire",)
+#: The store module, where the writer side of the protocol lives.
+_STORE_MODULE = "repro/core/shared_params.py"
+#: Helpers that take the writer lock, like ``lock.acquire()``.
+_ACQUIRE_HELPERS = {"_timed_acquire"}
 
 #: Shared counter words: writes to `<x>._step.value` etc. need the lock.
 _COUNTER_WORDS = {"_version", "_step", "_updates"}
@@ -52,10 +53,7 @@ class SeqlockRule(Rule):
                    "readers must use the snapshot/seqlock API")
 
     def check(self, ctx: astutil.FileContext):
-        in_store = path_matches_any(
-            ctx.relpath,
-            self.list_option("store-modules", _DEFAULT_STORE_MODULES))
-        if in_store:
+        if path_matches(ctx.relpath, _STORE_MODULE):
             yield from self._check_writer_side(ctx)
         else:
             yield from self._check_reader_side(ctx)
@@ -164,8 +162,6 @@ class SeqlockRule(Rule):
                                      ast.AsyncFunctionDef)):
                 break
         # Or after an explicit acquire earlier in the same function?
-        helpers = set(self.list_option("acquire-helpers",
-                                       _DEFAULT_ACQUIRE_HELPERS))
         line = getattr(node, "lineno", 0)
         for other in ast.walk(func):
             if not isinstance(other, ast.Call):
@@ -174,7 +170,7 @@ class SeqlockRule(Rule):
                 continue
             name = astutil.dotted(other.func) or ""
             parts = name.split(".")
-            if parts[-1] in helpers:
+            if parts[-1] in _ACQUIRE_HELPERS:
                 return True
             if len(parts) >= 2 and parts[-1] == "acquire" \
                     and parts[-2] == "lock":

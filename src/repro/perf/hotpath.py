@@ -3,9 +3,10 @@
 A pure annotation — it returns the function unchanged (zero call
 overhead) and exists so humans and ``repro lint`` agree on which
 functions are performance-critical.  The lint rule ``hot-path``
-enforces the discipline inside marked functions: telemetry, string
-building, wall-clock reads, and per-iteration allocation must sit
-behind the ``REPRO_OBS`` gate (see ``docs/static-analysis.md``).
+enforces the discipline inside marked functions and the helpers they
+call: telemetry, string building, wall-clock reads, and per-iteration
+allocation must sit behind the ``REPRO_OBS`` gate (see
+``docs/static-analysis.md``).
 
 Mark *leaf* inner functions — one PE reduction, one DRAM transfer, one
 parameter sync — not whole orchestration loops, whose functional use of

@@ -1,5 +1,5 @@
 # LINT-PATH: repro/core/fixture_transitive_bad.py
-"""Corpus: hot-path-transitive true positives.
+"""Corpus: hot-path true positives at call depth 1 and deeper.
 
 The hot function is clean line-by-line — every hazard lives in a plain
 helper it calls.  Findings anchor at the call site inside the hot
@@ -34,8 +34,8 @@ def drain(batches):
     total = 0
     for batch in batches:
         total += len(batch)
-        buf = scratch(len(batch))                  # EXPECT: hot-path-transitive
+        buf = scratch(len(batch))                  # EXPECT: hot-path
         total += int(buf[0])
-    stamp()                                        # EXPECT: hot-path-transitive
-    relay(total)                                   # EXPECT: hot-path-transitive
+    stamp()                                        # EXPECT: hot-path
+    relay(total)                                   # EXPECT: hot-path
     return total

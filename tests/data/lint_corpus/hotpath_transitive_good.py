@@ -1,5 +1,5 @@
 # LINT-PATH: repro/core/fixture_transitive_good.py
-"""Corpus: hot-path-transitive true negatives.
+"""Corpus: hot-path true negatives through the call graph.
 
 Every crossing here is sanctioned: the call site is obs-gated (directly,
 through a cached class flag, or the callee gates internally on an

@@ -138,24 +138,11 @@ class TestBufferControlUnit:
 
 class TestTransposeLoadUnit:
     def test_register_transpose_matches_numpy(self):
-        tlu = TransposeLoadUnit(emulate=True)
+        tlu = TransposeLoadUnit()
         patch = np.arange(256, dtype=np.float32)
         tlu.stage(patch)
         np.testing.assert_array_equal(
             tlu.transpose_next(), patch.reshape(16, 16).T)
-
-    @hypothesis.given(st.integers(0, 2 ** 31 - 1))
-    @hypothesis.settings(max_examples=25, deadline=None)
-    def test_fast_path_matches_register_emulation(self, seed):
-        patch = np.random.default_rng(seed).standard_normal(
-            256).astype(np.float32)
-        fast, slow = TransposeLoadUnit(), TransposeLoadUnit(emulate=True)
-        fast.stage(patch)
-        slow.stage(patch)
-        np.testing.assert_array_equal(fast.transpose_next(),
-                                      slow.transpose_next())
-        assert fast.transpose_cycles() == slow.transpose_cycles()
-        assert fast.words_loaded == slow.words_loaded
 
     @hypothesis.given(st.integers(0, 2 ** 31 - 1))
     @hypothesis.settings(max_examples=25, deadline=None)

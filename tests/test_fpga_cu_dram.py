@@ -57,18 +57,6 @@ class TestComputeUnitConv:
         expected = F.conv_backward_input(dy, w, 4, x.shape)
         np.testing.assert_array_equal(dx, expected)
 
-    def test_bw_through_register_level_tlu(self, conv_data):
-        """The shift-register TLU path yields the same gradients."""
-        w, _, x, dy = conv_data
-        fast = ComputeUnit("fast", use_tlu_emulation=False)
-        slow = ComputeUnit("slow", use_tlu_emulation=True)
-        image = dram_image_from_fw(fw_layout(w))
-        np.testing.assert_array_equal(
-            fast.run_bw(CONV_SPEC, dy, image, x.shape),
-            slow.run_bw(CONV_SPEC, dy, image, x.shape))
-        assert slow.tlus[0].patches_transposed > 0
-        assert slow.tlus[1].patches_transposed > 0  # double buffering
-
     def test_gc_matches_software(self, conv_data):
         w, _, x, dy = conv_data
         cu = ComputeUnit("cu")
@@ -96,7 +84,7 @@ class TestComputeUnitDense:
         b = rng.standard_normal(24).astype(np.float32)
         x = rng.standard_normal((3, 40)).astype(np.float32)
         dy = rng.standard_normal((3, 24)).astype(np.float32)
-        cu = ComputeUnit("cu", use_tlu_emulation=True)
+        cu = ComputeUnit("cu")
         image = dram_image_from_fw(fw_layout(w))
         np.testing.assert_allclose(cu.run_fw(DENSE_SPEC, x, image, b),
                                    x @ w.T + b, rtol=1e-5, atol=1e-5)

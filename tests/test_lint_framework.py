@@ -184,12 +184,29 @@ class TestConfig:
 
     def test_config_from_table_collects_rule_options(self):
         config = config_from_table({
-            "select": ["seqlock"],
-            "seqlock": {"store-modules": ["x.py"]},
+            "select": ["fp32-order"],
+            "fp32-order": {"modules": ["repro/ale"]},
         })
-        assert config.select == ["seqlock"]
-        assert config.options("seqlock") == {"store-modules": ["x.py"]}
+        assert config.select == ["fp32-order"]
+        assert config.options("fp32-order") == {"modules": ["repro/ale"]}
         assert config.options("unknown") == {}
+
+    @pytest.mark.parametrize("table, named, allowed", [
+        ({"cache-path": ".repro-lint-cache.json"}, "'cache-path'",
+         "paths, select, exclude"),
+        ({"hot-path-transitive": {"depth": 3}}, "hot-path-transitive",
+         "fp32-order, hot-path"),
+        ({"select": ["fp32-order"], "fp32-order": {"module": ["repro/ale"]}},
+         "'module'", "modules, quantized-modules"),
+    ], ids=["top-level-key", "unregistered-rule", "rule-option"])
+    def test_unknown_key_raises_naming_it(self, table, named, allowed):
+        """A misspelt or retired key fails loudly instead of being
+        silently ignored (a typo'd ``module`` used to leave fp32-order
+        at its default scope)."""
+        with pytest.raises(ValueError) as excinfo:
+            config_from_table(table)
+        assert named in str(excinfo.value)
+        assert allowed in str(excinfo.value)
 
     def test_path_matching_is_segment_based(self):
         assert path_matches("src/repro/fpga/pe.py", "repro/fpga")
@@ -295,6 +312,16 @@ class TestCLI:
         code = main(self.lint_args(str(SEEDED), "--select", "bogus"))
         assert code == 2
         assert "bogus" in capsys.readouterr().out
+
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text('[tool.repro-lint.seqlock]\n'
+                             'store-modules = ["x.py"]\n')
+        code = main(["lint", "--config", str(pyproject), str(SEEDED)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("lint: cannot load config:")
+        assert "'store-modules'" in out
 
     def test_json_format(self, capsys):
         code = main(self.lint_args(str(SEEDED), "--format", "json"))

@@ -1,28 +1,15 @@
-"""Whole-program lint machinery: the index, the on-disk cache, the
-incremental (``--changed``) mode, ``--why``, and the cross-module
-seeded self-check fixture.
-
-The incremental tests are the acceptance gate for the cache design: a
-warm run must re-analyse *only* dirty files plus their reverse-
-dependency cone, and must say so in the cache-stats line.
+"""Whole-program lint machinery: the index, ``--why``, call-chain
+findings of the ``hot-path`` rule, and the cross-module seeded
+self-check fixture.
 """
 
 import ast
-import json
 import pathlib
-
-import pytest
 
 from repro.cli import main
 from repro.lint import LintConfig, lint_paths
 from repro.lint.astutil import FileContext
-from repro.lint.cache import DEFAULT_CACHE_PATH
-from repro.lint.program import (
-    ModuleSummary,
-    ProgramIndex,
-    extract_summary,
-    file_digest,
-)
+from repro.lint.program import ProgramIndex, extract_summary
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 XMODULE = REPO_ROOT / "tests" / "data" / "lint_seeded_xmodule"
@@ -35,9 +22,8 @@ XMODULE_FILES = [
 
 
 def summarize(relpath, source, hot_functions=()):
-    ctx = FileContext(ast.parse(source), relpath, hot_functions)
-    return extract_summary(ctx, file_digest(source.encode()),
-                           LintConfig())
+    return extract_summary(FileContext(ast.parse(source), relpath,
+                                       hot_functions))
 
 
 def build_index(files):
@@ -86,18 +72,6 @@ class TestProgramIndex:
         assert program.resolve_name("repro.pkg.a", "Engine.run") == \
             "repro.pkg.a.Engine.run"
 
-    def test_reverse_cone_follows_importers(self):
-        program = build_index({
-            "repro/pkg/a.py": "def helper():\n    return 1\n",
-            "repro/pkg/b.py": "from repro.pkg.a import helper\n",
-            "repro/pkg/c.py": "from repro.pkg.b import helper\n",
-            "repro/pkg/d.py": "x = 1\n",
-        })
-        cone = program.reverse_cone(["repro/pkg/a.py"])
-        assert "repro/pkg/b.py" in cone
-        assert "repro/pkg/c.py" in cone
-        assert "repro/pkg/d.py" not in cone
-
     def test_cross_package_cycle_detected_intra_package_ignored(self):
         program = build_index({
             "repro/one/__init__.py": "import repro.two\n",
@@ -109,21 +83,6 @@ class TestProgramIndex:
         cycles = program.import_cycles()
         assert any("repro.one" in cycle for cycle in cycles)
         assert not any("repro.pkg" in cycle for cycle in cycles)
-
-    def test_summary_round_trips_through_dict(self):
-        summary = summarize("repro/pkg/a.py",
-                            ("import time\n"
-                             "from repro.perf.hotpath import hot_path\n"
-                             "@hot_path\n"
-                             "def leaf(values, lat=None):\n"
-                             "    for v in values:\n"
-                             "        time.perf_counter()\n"))
-        clone = ModuleSummary.from_dict(summary.to_dict())
-        assert clone.to_dict() == summary.to_dict()
-        func = clone.functions["leaf"]
-        assert func.hot
-        assert any(h.kind == "wallclock" and h.in_loop
-                   for h in func.hazards)
 
 
 HELPER = ("import numpy as np\n"
@@ -143,8 +102,6 @@ HOT = ("from repro.perf.hotpath import hot_path\n"
        "    emit(n)\n"
        "    return n\n")
 
-LONER = "VALUE = 1\n"
-
 
 def write_tree(tmp_path, files):
     """Lay files out under ``tmp_path/repro`` so their derived module
@@ -156,134 +113,10 @@ def write_tree(tmp_path, files):
     return pkg
 
 
-class TestIncremental:
-    def setup_tree(self, tmp_path):
-        write_tree(tmp_path, {"helper.py": HELPER, "hot.py": HOT,
-                              "loner.py": LONER})
-        return str(tmp_path / "repro"), str(tmp_path / "cache.json")
-
-    def run(self, root, cache):
-        return lint_paths([root], LintConfig(), changed_only=True,
-                          cache_path=cache)
-
-    def test_cold_warm_and_cone(self, tmp_path):
-        root, cache = self.setup_tree(tmp_path)
-
-        cold = self.run(root, cache)
-        assert cold.cache_stats.analysed == 3
-        assert cold.cache_stats.reused == 0
-        assert {f.rule for f in cold.findings} == {"hot-path-transitive"}
-
-        warm = self.run(root, cache)
-        assert warm.cache_stats.analysed == 0
-        assert warm.cache_stats.dirty == 0
-        assert warm.cache_stats.reused == 3
-        # findings replay from the cache, identical to the cold run
-        assert [f.message for f in warm.findings] == \
-            [f.message for f in cold.findings]
-
-        # dirty the helper: itself + its importer re-run, loner reused
-        (tmp_path / "repro" / "helper.py").write_text(
-            HELPER + "\n# touched\n")
-        cone = self.run(root, cache)
-        assert cone.cache_stats.dirty == 1
-        assert cone.cache_stats.cone == 1
-        assert cone.cache_stats.analysed == 2
-        assert cone.cache_stats.reused == 1
-        assert {f.rule for f in cone.findings} == {"hot-path-transitive"}
-        assert "1 dirty + 1 dependents" in cone.cache_stats.line()
-
-    def test_dirty_dependent_picks_up_new_hazard(self, tmp_path):
-        root, cache = self.setup_tree(tmp_path)
-        self.run(root, cache)
-        # the helper grows a second hazard; the hot caller's findings
-        # must refresh even though hot.py itself did not change
-        (tmp_path / "repro" / "helper.py").write_text(
-            HELPER + "\n\ndef stamp():\n    import time\n"
-                     "    return time.time()\n")
-        (tmp_path / "repro" / "hot.py").write_text(
-            HOT.replace("from repro.helper import emit\n",
-                        "from repro.helper import emit, stamp\n")
-               .replace("    emit(n)\n",
-                        "    emit(n)\n    stamp()\n"))
-        run = self.run(root, cache)
-        assert run.cache_stats.dirty == 2
-        messages = " ".join(f.message for f in run.findings)
-        assert "emit()" in messages and "stamp()" in messages
-
-    def test_fixing_the_helper_clears_cached_findings(self, tmp_path):
-        root, cache = self.setup_tree(tmp_path)
-        assert self.run(root, cache).findings
-        (tmp_path / "repro" / "helper.py").write_text(
-            HELPER.replace(
-                "    _obs.metrics().counter('x').inc(count)\n",
-                "    if _obs.enabled():\n"
-                "        _obs.metrics().counter('x').inc(count)\n"))
-        run = self.run(root, cache)
-        assert run.cache_stats.analysed == 2
-        assert not run.findings
-
-    def test_config_change_invalidates_cache(self, tmp_path):
-        root, cache = self.setup_tree(tmp_path)
-        self.run(root, cache)
-        narrowed = lint_paths([root], LintConfig(),
-                              select=["determinism"],
-                              changed_only=True, cache_path=cache)
-        # different rule selection -> different cache key -> cold run
-        assert narrowed.cache_stats.analysed == 3
-        assert narrowed.cache_stats.reused == 0
-
-    def test_cache_file_shape(self, tmp_path):
-        root, cache = self.setup_tree(tmp_path)
-        self.run(root, cache)
-        document = json.loads(pathlib.Path(cache).read_text())
-        assert set(document) == {"version", "config_key", "files"}
-        assert len(document["files"]) == 3
-        for entry in document["files"].values():
-            assert "digest" in entry and "findings" in entry
-
-    def test_deleted_file_pruned_from_cache(self, tmp_path):
-        root, cache = self.setup_tree(tmp_path)
-        self.run(root, cache)
-        (tmp_path / "repro" / "loner.py").unlink()
-        run = self.run(root, cache)
-        assert run.cache_stats.total == 2
-        document = json.loads(pathlib.Path(cache).read_text())
-        assert len(document["files"]) == 2
-
-    def test_plain_run_ignores_cache(self, tmp_path):
-        root, _ = self.setup_tree(tmp_path)
-        run = lint_paths([root], LintConfig())
-        assert run.cache_stats is None
-        assert not (tmp_path / DEFAULT_CACHE_PATH).exists()
-
-
 class TestCLIIncrementalAndWhy:
     def lint_args(self, *extra):
         return ["lint", "--config", str(REPO_ROOT / "pyproject.toml"),
                 *extra]
-
-    def test_changed_prints_cache_stats_line(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(LONER)
-        cache = str(tmp_path / "cache.json")
-        code = main(self.lint_args(str(tmp_path), "--changed",
-                                   "--cache", cache))
-        assert code == 0
-        assert "cache: 1 analysed (1 dirty + 0 dependents)" \
-            in capsys.readouterr().out
-        code = main(self.lint_args(str(tmp_path), "--changed",
-                                   "--cache", cache))
-        assert code == 0
-        assert "cache: 0 analysed (0 dirty + 0 dependents), 1 reused" \
-            in capsys.readouterr().out
-
-    def test_no_cache_wins_over_changed(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(LONER)
-        code = main(self.lint_args(str(tmp_path), "--changed",
-                                   "--no-cache"))
-        assert code == 0
-        assert "cache:" not in capsys.readouterr().out
-        assert not (tmp_path / DEFAULT_CACHE_PATH).exists()
 
     def test_why_explains_a_finding_by_id_prefix(self, tmp_path, capsys):
         write_tree(tmp_path, {"helper.py": HELPER, "hot.py": HOT})
@@ -294,11 +127,11 @@ class TestCLIIncrementalAndWhy:
         out = capsys.readouterr().out
         assert code == 0
         assert f"finding {fid}" in out
-        assert "[hot-path-transitive]" in out
+        assert "[hot-path]" in out
         assert "drain() calls emit()" in out
 
     def test_why_unknown_id_exits_two(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(LONER)
+        (tmp_path / "mod.py").write_text("VALUE = 1\n")
         code = main(self.lint_args(str(tmp_path), "--why", "deadbeef"))
         assert code == 2
         assert "no finding" in capsys.readouterr().out
@@ -313,15 +146,16 @@ class TestSeededXModule:
 
     def test_all_three_program_rules_fire(self):
         rules = {f.rule for f in self.run().findings}
-        assert {"hot-path-transitive", "seed-flow", "layering"} <= rules
+        assert {"hot-path", "seed-flow", "layering"} <= rules
 
     def test_findings_cross_the_module_boundary(self):
         transitive = [f for f in self.run().findings
-                      if f.rule == "hot-path-transitive"]
+                      if f.rule == "hot-path"]
         assert transitive
         for finding in transitive:
             assert finding.path.endswith("hot.py")
             assert "helpers.py" in finding.message
+            assert "(depth 1)" in finding.message
 
     def test_chains_are_complete(self):
         for finding in self.run().findings:
@@ -336,7 +170,7 @@ class TestSeededXModule:
                      *XMODULE_FILES, "--strict"])
         out = capsys.readouterr().out
         assert code == 1
-        for rule in ("hot-path-transitive", "seed-flow", "layering"):
+        for rule in ("hot-path", "seed-flow", "layering"):
             assert f"[{rule}]" in out
 
 
@@ -352,7 +186,7 @@ class TestTransitiveChainRendering:
         })
         run = lint_paths([str(tmp_path)], LintConfig())
         finding = next(f for f in run.findings
-                       if f.rule == "hot-path-transitive")
+                       if f.rule == "hot-path")
         assert "via leaf() -> relay() -> stamp()" in finding.message
         assert "(depth 2)" in finding.message
         assert len(finding.chain) == 3

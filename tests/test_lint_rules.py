@@ -57,8 +57,7 @@ def test_corpus_is_present_and_balanced():
         else:
             negatives_exist = True
     assert positives == {"attribution", "determinism", "fp32-order",
-                         "hot-path", "hot-path-transitive", "layering",
-                         "seed-flow", "seqlock"}
+                         "hot-path", "layering", "seed-flow", "seqlock"}
     assert negatives_exist
 
 
@@ -76,6 +75,21 @@ def test_corpus_file(path):
     assert not missed and not unexpected, (
         f"{path.name}: missed={sorted(missed)} "
         f"unexpected={sorted(unexpected)}\nfindings:\n{detail}")
+
+
+def test_hot_path_pragma_covers_every_depth():
+    """``ok[hot-path]`` suppresses a body finding and a call-chain
+    finding alike; the retired rule name suppresses nothing and warns."""
+    source, relpath, options, _ = load_case(CORPUS_DIR /
+                                            "hotpath_depths.py")
+    result = lint_source(source, relpath, LintConfig(rule_options=options))
+    # drain()'s body hazard, then the stamp() calls of drain() and
+    # drain_stale().
+    assert ["(depth 1)" in f.message for f in result.findings] == \
+        [False, True, True]
+    assert result.suppressed_by_rule == {"hot-path": 2}
+    assert len(result.warnings) == 1
+    assert "unknown rule 'hot-path-transitive'" in result.warnings[0]
 
 
 def test_seeded_violation_file_fires():
