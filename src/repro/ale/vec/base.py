@@ -24,7 +24,9 @@ the batch width or on which other slots step alongside it:
   hops) run per affected slot;
 * rendering draws the same pixels per slot whatever the batch; what
   the listed slots share is stamped across them in one masked write,
-  or drawn once and copied in.
+  and what a slot changes rarely may live in a per-slot layer that is
+  repainted where it differs from that slot's state and copied in
+  (Breakout's bricks and life icons).
 
 ``tests/test_ale_golden.py`` pins every game's trace by digest, at
 ``B = 1`` and under random sub-batch stepping.
@@ -107,6 +109,15 @@ class BatchScreen:
             self.pixels[:] = frame
         else:
             self.pixels[slots] = frame
+
+    def copy_slots_from(self, slots: np.ndarray,
+                        source: "BatchScreen") -> None:
+        """Copy every listed slot's frame from the same slot of
+        ``source``, a screen of the same shape."""
+        if slots.size == self.batch:
+            self.pixels[:] = source.pixels
+        else:
+            self.pixels[slots] = source.pixels[slots]
 
     def fill_rect(self, slot: int, top: float, left: float, height: float,
                   width: float, color: typing.Tuple[int, int, int]) -> None:

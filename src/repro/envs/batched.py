@@ -226,14 +226,22 @@ class BatchedVectorEnv:
 
     @hot_path
     def step(self, actions: typing.Sequence[int]) -> VectorStep:
-        """Step every slot; finished slots auto-reset."""
+        """Step every slot; finished slots auto-reset.
+
+        ``actions`` must be integers; floats and strings raise
+        ``ValueError`` rather than being truncated.
+        """
         if len(actions) != self.num_envs:
             raise ValueError(f"expected {self.num_envs} actions, "
                              f"got {len(actions)}")
         old_obs = self.observations
         engine = self.engine
         batch = self.num_envs
-        actions = np.asarray(actions, dtype=np.int64)
+        actions = np.asarray(actions)
+        if actions.dtype.kind not in "iu":
+            raise ValueError(f"actions must be integers, got dtype "
+                             f"{actions.dtype}")
+        actions = actions.astype(np.int64, copy=False)
 
         rewards_raw, done_raw = self._skip_slots(self._all, actions)
         lives = engine.lives.copy()

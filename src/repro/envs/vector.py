@@ -84,7 +84,12 @@ class SyncVectorEnv:
         return self._observations
 
     def step(self, actions: typing.Sequence[int]) -> VectorStep:
-        """Step every slot; finished slots auto-reset."""
+        """Step every slot; finished slots auto-reset.
+
+        Each action goes to its env uncast, so the env's own action
+        check sees it: a float or string action (``2.9``, ``"1"``)
+        raises ``ValueError`` there instead of being truncated.
+        """
         if len(actions) != self.num_envs:
             raise ValueError(f"expected {self.num_envs} actions, "
                              f"got {len(actions)}")
@@ -94,7 +99,7 @@ class SyncVectorEnv:
         infos: typing.List[dict] = []
         finished: typing.List[typing.Tuple[int, float]] = []
         for index, (env, action) in enumerate(zip(self.envs, actions)):
-            obs, reward, done, info = env.step(int(action))
+            obs, reward, done, info = env.step(action)
             self._scores[index] += info.get("raw_reward", reward)
             rewards[index] = reward
             dones[index] = done

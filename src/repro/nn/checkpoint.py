@@ -9,6 +9,8 @@ the parameter arrays (prefixed ``theta/``), the shared RMSProp statistics
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import typing
 
 import numpy as np
@@ -20,10 +22,13 @@ from repro.nn.parameters import ParameterSet
 def save_checkpoint(path: str, params: ParameterSet,
                     optimizer: typing.Optional[RMSProp] = None,
                     metadata: typing.Optional[dict] = None) -> None:
-    """Write a checkpoint archive.
+    """Write a checkpoint archive to exactly ``path``.
 
     ``metadata`` must be JSON-serialisable (global step, learning-rate
-    schedule position, game name, ...).
+    schedule position, game name, ...).  The archive is written to a
+    temporary file in the same directory and renamed over ``path``, so
+    a write that fails part-way leaves any previous checkpoint intact
+    and no temporary file behind.
     """
     arrays: typing.Dict[str, np.ndarray] = {}
     for name, value in params.items():
@@ -33,7 +38,19 @@ def save_checkpoint(path: str, params: ParameterSet,
             arrays[f"g/{name}"] = value
     arrays["metadata"] = np.frombuffer(
         json.dumps(metadata or {}).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+    fd, temporary = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        # A file object, not a name: np.savez appends ".npz" to a name.
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def load_checkpoint(path: str) -> typing.Tuple[

@@ -16,6 +16,7 @@ from repro.ale.vec import (
     VecSpaceInvaders,
     make_vec_game,
 )
+from repro.ale.vec import breakout
 from repro.ale.vec.base import ALE_ACTIONS
 
 
@@ -43,6 +44,16 @@ class TestScreen:
         screen.clear_slots(np.array([1]), (1, 2, 3))
         assert (screen.pixels[1] == (1, 2, 3)).all()
         assert screen.pixels[0].sum() == 0
+
+    def test_copy_slots_from(self):
+        source = BatchScreen(3, height=4, width=4)
+        source.pixels[:] = np.arange(3, dtype=np.uint8)[:, None, None, None]
+        screen = BatchScreen(3, height=4, width=4)
+        screen.copy_slots_from(np.array([2, 0]), source)
+        assert (screen.pixels[[0, 2]] == source.pixels[[0, 2]]).all()
+        assert screen.pixels[1].sum() == 0
+        screen.copy_slots_from(np.arange(3), source)
+        assert np.array_equal(screen.pixels, source.pixels)
 
 
 class TestGameContract:
@@ -177,6 +188,80 @@ class TestBreakout:
                 break
         assert rewards <= {1.0, 4.0, 7.0}
         assert rewards            # at least one brick hit
+
+    # The engine keeps each slot's bricks and life icons in a layer that
+    # it repaints only where the state differs from what it last drew.
+    # These tests pin that every frame is still a function of the state.
+
+    @staticmethod
+    def _engine(batch, seeds):
+        engine = make_vec_game("breakout", batch)
+        engine.seed(seeds)
+        engine.reset()
+        return engine
+
+    def test_wall_clear_redraws_the_wall_in_one_slot(self):
+        engine = self._engine(3, [1, 2, 3])
+        reference = self._engine(3, [1, 2, 3])
+        noop = np.zeros(3, dtype=np.int64)
+        # Slot 1 keeps one brick (bottom row, column 9), and a frame
+        # draws that wall before the ball clears it.
+        engine.bricks[1] = False
+        engine.bricks[1, 5, 9] = True
+        engine.step(noop)
+        reference.step(noop)
+        band = slice(breakout._BRICK_TOP, breakout._BRICK_TOP
+                     + breakout._N_ROWS * breakout._BRICK_H)
+        top, left, height, width = breakout._brick_rect(5, 9)
+        assert (engine.frames[1, band] != reference.frames[1, band]).any()
+        engine.ball[1] = (left + 2, top + height + 3)
+        engine.ball_vel[1] = (0.0, -engine.BALL_SPEED)
+        engine.ball_in_play[1] = True
+        rewards, _ = engine.step(noop)
+        reference.step(noop)
+        assert rewards[1] == 1.0
+        assert engine.clears[1] == 1 and engine.bricks[1].all()
+        fresh = self._engine(1, [0])
+        assert np.array_equal(engine.frames[1, band], fresh.frames[0, band])
+        for k in (0, 2):
+            assert np.array_equal(engine.frames[k], reference.frames[k])
+
+    def test_hand_set_state_renders_like_a_fresh_engine(self):
+        engine = self._engine(2, [4, 5])
+        rng = np.random.default_rng(6)
+        noop = np.zeros(2, dtype=np.int64)
+        for trial in range(6):
+            for _ in range(20):
+                engine.step(rng.integers(0, 4, size=2))
+            # Hand-set bricks and lives.  With the ball out of play, a
+            # NOOP frame changes no state before it renders.
+            engine.bricks[:] = rng.random((2, 6, 18)) < 0.5
+            engine.lives[:] = rng.integers(1, 9, size=2)
+            engine.ball_in_play[:] = False
+            engine.step(noop)
+            fresh = self._engine(2, [0, 0])
+            for name in ("paddle_x", "ball", "ball_vel", "bricks",
+                         "ball_in_play", "lives"):
+                getattr(fresh, name)[:] = getattr(engine, name)
+            fresh.step(noop)
+            assert np.array_equal(engine.frames, fresh.frames), trial
+
+    def test_layer_rects_are_pairwise_disjoint(self):
+        # Repainting one brick or icon in the background colour restores
+        # exactly the backdrop only if nothing else in the layer overlaps
+        # it.  Every icon that can land on the screen is included.
+        screen = BatchScreen(1)
+        rects = list(breakout._WALL_RECTS)
+        rects += [breakout._brick_rect(row, col)
+                  for row in range(6) for col in range(18)]
+        rects += [breakout._icon_rect(icon)
+                  for icon in range(screen.width // 8)]
+        cover = np.zeros((screen.height, screen.width), dtype=np.int64)
+        for rect in rects:
+            t, l, b, r = screen._clipped(*rect)
+            cover[t:b, l:r] += 1
+        assert cover.max() == 1
+        assert cover.sum() > 108 * 5 * 7
 
 
 class TestSpaceInvaders:

@@ -85,6 +85,43 @@ class TestCheckpoint:
         _, _, metadata = load_checkpoint(path)
         assert metadata == {}
 
+    def test_writes_exactly_the_named_path(self, tmp_path):
+        # np.savez given a name appends ".npz"; the checkpoint must land
+        # at the path it was asked for, whatever its suffix.
+        _, params = self._params()
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_checkpoint(path, params, metadata={"global_step": 7})
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        loaded, _, metadata = load_checkpoint(path)
+        assert loaded.allclose(params, rtol=0, atol=0)
+        assert metadata == {"global_step": 7}
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        _, params = self._params(seed=0)
+        path = os.path.join(tmp_path, "ckpt.npz")
+        save_checkpoint(path, params, metadata={"global_step": 1})
+        write_array = np.lib.format.write_array
+        written = []
+
+        def fail_after_first_array(*args, **kwargs):
+            if written:
+                raise OSError("disk full")
+            written.append(True)
+            write_array(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array",
+                            fail_after_first_array)
+        _, newer = self._params(seed=1)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, newer, metadata={"global_step": 2})
+        monkeypatch.undo()
+        assert written
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        loaded, _, metadata = load_checkpoint(path)
+        assert loaded.allclose(params, rtol=0, atol=0)
+        assert metadata == {"global_step": 1}
+
 
 class TestSweep:
     def _run(self, rates, seeds=(0,)):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.envs import Catch, SyncVectorEnv
+from repro.ale import make_game
+from repro.envs import BatchedVectorEnv, Catch, SyncVectorEnv, make_atari_env
 from repro.envs.classic import MemoryCue
 
 
@@ -105,3 +106,48 @@ class TestSyncVectorEnv:
         vec = SyncVectorEnv([lambda: Catch(size=5),
                              lambda: Catch(size=7)], seed=0)
         assert vec.num_envs == 2
+
+
+# Non-integer actions must fail loudly: truncating 2.9 to 2, or parsing
+# "1", would get round the integer checks of Discrete.contains and of
+# the batched engine.
+NON_INTEGER_ACTIONS = pytest.mark.parametrize(
+    "actions", [[2.9, 1.0], ["1", "2"], np.array([2.0, 1.0])],
+    ids=["float", "str", "float-array"])
+
+
+@NON_INTEGER_ACTIONS
+def test_sync_vector_env_rejects_non_integer_actions(actions):
+    vec = _vec(2)
+    vec.reset()
+    with pytest.raises(ValueError):
+        vec.step(actions)
+
+
+@NON_INTEGER_ACTIONS
+def test_sync_atari_vector_env_rejects_non_integer_actions(actions):
+    vec = SyncVectorEnv([lambda: make_atari_env(make_game("breakout"))
+                         for _ in range(2)], seed=0)
+    vec.reset()
+    with pytest.raises(ValueError):
+        vec.step(actions)
+
+
+@NON_INTEGER_ACTIONS
+def test_batched_vector_env_rejects_non_integer_actions(actions):
+    vec = BatchedVectorEnv("breakout", num_envs=2, seed=0)
+    vec.reset()
+    with pytest.raises(ValueError):
+        vec.step(actions)
+    assert (vec.engine.frame == 0).all()
+
+
+def test_vector_envs_accept_numpy_integer_actions():
+    actions = np.array([2, 1], dtype=np.int32)
+    sync = SyncVectorEnv([lambda: make_atari_env(make_game("breakout"))
+                          for _ in range(2)], seed=0)
+    batched = BatchedVectorEnv("breakout", num_envs=2, seed=0)
+    sync.reset()
+    batched.reset()
+    assert np.array_equal(sync.step(actions).observations,
+                          batched.step(actions).observations)
