@@ -1,54 +1,22 @@
-"""Telemetry-overhead audit for the wall-clock fast path.
+"""Telemetry-overhead timing for the wall-clock fast path.
 
 The fast path hoists the ``REPRO_OBS`` gate out of the simulator's inner
 loops: each task binds to either a bare replay body or an observing one
 *once*, so with telemetry disabled the hot loops neither branch on the
-gate per stage nor touch any :mod:`repro.obs` object.  Two checks keep
-that property from regressing:
-
-* a tracemalloc audit that runs a warmed FA3C measurement with telemetry
-  off and asserts **zero** allocations attributed to ``repro/obs`` code;
-* a timing comparison of the same scenario with telemetry off vs on —
-  recording cycle attribution is expected to cost real time, which is
-  exactly why the disabled path must stay free of it.
+gate per stage nor touch any :mod:`repro.obs` object.  The tracemalloc
+audit that pins the "touch no repro.obs object" half lives in
+``tests/test_obs_overhead.py``; this bench times the same scenario with
+telemetry off vs on — recording cycle attribution is expected to cost
+real time, which is exactly why the disabled path must stay free of it.
 """
 
-import os
-import tracemalloc
+import time
 
 from repro import obs
 from repro.fpga.platform import FA3CPlatform
 from repro.platforms import ThroughputSetup
 
-
-def _fa3c_setup(topology):
-    return ThroughputSetup(FA3CPlatform.fa3c(topology))
-
-
-def test_disabled_obs_path_allocates_nothing(topology, show):
-    """With telemetry off, the sim hot path never allocates in repro.obs."""
-    if os.environ.get("REPRO_OBS_DIR"):
-        # The autouse snapshot fixture enables telemetry; this audit is
-        # specifically about the disabled path.
-        import pytest
-        pytest.skip("REPRO_OBS_DIR forces telemetry on")
-    assert not obs.enabled()
-    setup = _fa3c_setup(topology)
-    setup.measure(8, routines_per_agent=10)      # warm the plan caches
-    obs_filter = tracemalloc.Filter(
-        True, os.path.join("*", "repro", "obs", "*"))
-    tracemalloc.start(1)
-    try:
-        tracemalloc.clear_traces()
-        setup.measure(8, routines_per_agent=10)
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    stats = snapshot.filter_traces([obs_filter]).statistics("filename")
-    leaked = sum(stat.size for stat in stats)
-    show(f"allocations attributed to repro.obs with telemetry off: "
-         f"{leaked} bytes across {len(stats)} site(s)")
-    assert leaked == 0, [str(stat) for stat in stats]
+OFF_RUNS = 5
 
 
 def test_obs_gate_hoisted_out_of_hot_loop(benchmark, topology, show):
@@ -56,20 +24,23 @@ def test_obs_gate_hoisted_out_of_hot_loop(benchmark, topology, show):
 
     The margin is what the hoisted gate buys: attribution recording
     (counter cells, spans) happens only on the observing task bodies.
+    The telemetry-off time is the best of this test's own runs, so the
+    ratio is asserted under ``--benchmark-disable`` too.
     """
-    setup = _fa3c_setup(topology)
-    setup.measure(8, routines_per_agent=10)      # warm the plan caches
+    setup = ThroughputSetup(FA3CPlatform.fa3c(topology))
 
-    disabled = benchmark(lambda: setup.measure(8, routines_per_agent=10))
-    del disabled
-
-    import time
-    with obs.enabled_scope(reset=True):
-        setup.measure(8, routines_per_agent=10)  # warm observing bodies
+    def measure():
         started = time.perf_counter()
         setup.measure(8, routines_per_agent=10)
-        enabled_seconds = time.perf_counter() - started
-    disabled_seconds = benchmark.stats.stats.min
+        return time.perf_counter() - started
+
+    measure()                                    # warm the plan caches
+    benchmark(measure)
+    disabled_seconds = min(measure() for _ in range(OFF_RUNS))
+
+    with obs.enabled_scope(reset=True):
+        measure()                                # warm observing bodies
+        enabled_seconds = measure()
     ratio = enabled_seconds / disabled_seconds
     show(f"fa3c-n8 (10 routines/agent): telemetry off "
          f"{disabled_seconds * 1e3:.1f} ms, on {enabled_seconds * 1e3:.1f}"

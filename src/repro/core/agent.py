@@ -8,8 +8,10 @@ Figure 2 and Table 2) is:
 2. up to ``t_max`` inference tasks, each choosing an action from π and
    stepping the environment;
 3. a bootstrapping inference of V(s_{t+k}) (skipped at terminal states);
-4. a training task: batched FW over the rollout, host-side objective
-   gradients, BW + GC, and a shared-RMSProp update of global θ.
+4. a training task: FW of the dense head over the rollout (the trunk's
+   feature maps are the ones step 2 kept: local θ has not moved),
+   host-side objective gradients, BW + GC, and a shared-RMSProp update
+   of global θ.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ class A3CAgent:
             derive_policy_seed(config.seed, agent_id))
         self.local_params: ParameterSet = server.snapshot()
         self.rollout = Rollout()
+        #: Trunk feature maps of the rollout's inferences, in step order.
+        self._maps: typing.List[typing.Tuple[np.ndarray, ...]] = []
         self._state = env.reset()
         self._episode_score = 0.0
         self.episodes_finished = 0
@@ -66,6 +70,7 @@ class A3CAgent:
         """One inference task: sample an action from π(a|s; local θ)."""
         state = self._state
         logits, values = self.network.forward(state[None], self.local_params)
+        self._maps.append(self.network.feature_maps())
         probs = softmax(logits[0])
         action = int(self.rng.choice(len(probs), p=probs))
         return action, float(values[0]), state
@@ -85,6 +90,7 @@ class A3CAgent:
             lat.add_ns("param_sync",
                        time.perf_counter_ns() - phase_started)
         self.rollout.clear()
+        self._maps.clear()
         scores: typing.List[float] = []
 
         terminal = False
@@ -140,7 +146,8 @@ class A3CAgent:
         loss = apply_rollout_update(self.network, self.local_params,
                                     self.server, states, actions,
                                     returns, self.config.entropy_beta,
-                                    lat=lat)
+                                    maps=self._maps, lat=lat)
+        self._maps.clear()
 
         return RoutineStats(steps=steps,
                             bootstrap_inferences=bootstrap_inferences,

@@ -37,7 +37,7 @@ def apply_rollout_update(network, params, server,
                          states: np.ndarray, actions: np.ndarray,
                          returns: np.ndarray,
                          entropy_beta: float,
-                         lat=None) -> A3CLossResult:
+                         maps=None, lat=None) -> A3CLossResult:
     """One training task: the batched rollout through to the global θ.
 
     Runs the forward pass over ``params`` (the caller decides whether
@@ -47,11 +47,19 @@ def apply_rollout_update(network, params, server,
     shared RMSProp.  The operation order is fixed — it is the fp32
     accumulation order all three trainers were verified against.
 
+    ``maps`` are the trunk feature maps the rollout's inferences kept
+    (``network.feature_maps()`` after each one that chose an action,
+    in the order of ``states``).  They are valid only if ``params`` is
+    the θ those inferences ran under, as in A3C and PAAC; the forward
+    pass then runs only the dense head
+    (:meth:`repro.nn.network.Sequential.forward`).  GA3C passes none:
+    its global θ moves between prediction and training.
+
     ``lat`` is an optional :class:`repro.obs.lat.RoutineLatency`; when
     present the whole update is attributed to its ``train`` segment.
     """
     train_started = time.perf_counter_ns() if lat is not None else 0
-    logits, values = network.forward(states, params)
+    logits, values = network.forward(states, params, maps)
     loss = a3c_loss_and_head_gradients(
         logits, values, actions, returns, entropy_beta=entropy_beta)
     grads = network.backward_and_grads(loss.dlogits, loss.dvalues,

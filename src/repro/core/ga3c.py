@@ -185,7 +185,8 @@ class GA3CTrainer:
             lat.add_ns("batch_form",
                        time.perf_counter_ns() - phase_started)
         # GA3C trains against the single global parameter set (the
-        # source of its policy lag) through the shared update path.
+        # source of its policy lag) through the shared update path.  It
+        # keeps no feature maps: θ has moved since they were computed.
         apply_rollout_update(self.network, self.server.params,
                              self.server, states, actions, returns,
                              self.config.entropy_beta, lat=lat)

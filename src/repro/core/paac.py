@@ -86,21 +86,25 @@ class PAACTrainer:
     def _rollout_phase(self, lat=None
                        ) -> typing.Tuple[np.ndarray, np.ndarray,
                                          np.ndarray, np.ndarray,
-                                         np.ndarray]:
+                                         np.ndarray, list]:
         """Step all agents t_max times in lockstep.
 
         Shapes: states ``(T, N, ...)``, actions/rewards/dones ``(T, N)``,
-        final bootstrap values ``(N,)``.  ``lat``, when present,
-        receives every batched forward pass as ``infer``.
+        final bootstrap values ``(N,)``; then the trunk feature maps of
+        each step's inference, which the update reuses (θ does not move
+        before it).  ``lat``, when present, receives every batched
+        forward pass as ``infer``.
         """
         timed = lat is not None
         n = self.config.num_agents
         all_states, all_actions, all_rewards, all_dones = [], [], [], []
+        maps = []
         for _ in range(self.config.t_max):
             states = self.vector_env.observations
             phase_started = time.perf_counter_ns() if timed else 0
             logits, _values = self.network.forward(states,
                                                    self.server.params)
+            maps.append(self.network.feature_maps())
             if timed:
                 lat.add_ns("infer",
                            time.perf_counter_ns() - phase_started)
@@ -123,7 +127,8 @@ class PAACTrainer:
         if timed:
             lat.add_ns("infer", time.perf_counter_ns() - phase_started)
         return (np.stack(all_states), np.stack(all_actions),
-                np.stack(all_rewards), np.stack(all_dones), bootstrap)
+                np.stack(all_rewards), np.stack(all_dones), bootstrap,
+                maps)
 
     def _returns(self, rewards: np.ndarray, dones: np.ndarray,
                  bootstrap: np.ndarray) -> np.ndarray:
@@ -149,7 +154,7 @@ class PAACTrainer:
                                        platform=self._lat_platform)
                    if _obs.enabled() else None)
             with _obs.span("paac", "rollout_phase"):
-                states, actions, rewards, dones, bootstrap = \
+                states, actions, rewards, dones, bootstrap, maps = \
                     self._rollout_phase(lat=lat)
             phase_started = (time.perf_counter_ns()
                              if lat is not None else 0)
@@ -165,7 +170,8 @@ class PAACTrainer:
                     self.network, self.server.params, self.server,
                     flat_states, actions.reshape(-1).astype(np.int64),
                     returns.reshape(-1), self.config.entropy_beta,
-                    lat=lat)
+                    maps=maps, lat=lat)
+                del maps    # not held through the next rollout
             self._routines += 1
             if _obs.enabled():
                 # Rollout/update tracer spans are recorded above; the

@@ -17,8 +17,9 @@ class Discrete:
 
     def contains(self, value) -> bool:
         """True if ``value`` is a valid action index: a Python or NumPy
-        integer in range (``"3"`` and ``2.9`` are not)."""
-        return isinstance(value, (int, np.integer)) and 0 <= value < self.n
+        integer in range (``"3"``, ``2.9`` and ``True`` are not)."""
+        return (isinstance(value, (int, np.integer))
+                and not isinstance(value, bool) and 0 <= value < self.n)
 
     def sample(self, rng: np.random.Generator) -> int:
         """A uniformly random action."""

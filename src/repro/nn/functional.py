@@ -140,8 +140,13 @@ def conv_grad_params(x: np.ndarray, dy: np.ndarray, weight_shape:
                      ) -> typing.Tuple[np.ndarray, np.ndarray]:
     """GC stage: gradients of the convolution weights and bias.
 
-    ``x`` is the layer input the FW stage read (FA3C likewise keeps
-    forward feature maps in DRAM for the training task, Section 4.3).
+    ``x`` is the layer input the FW stage read, or the one a training
+    task installed from kept trunk maps
+    (:meth:`repro.nn.network.Sequential.forward`): the training batch
+    for the first convolution, and for a later one the activation
+    recomputed from the kept output of the convolution below.  FA3C
+    likewise reads the inference's feature maps back from DRAM for GC
+    instead of running the convolutions again (Section 4.3).
     """
     o, _, k, _ = weight_shape
     dw = extract_patches(x, k, stride, transpose=True) @ _dy_rows(dy)

@@ -4,9 +4,13 @@ Layers are *stateless with respect to parameters*: every call takes a
 :class:`~repro.nn.parameters.ParameterSet`, so an A3C agent can run the same
 network object against its local θ for inference and compute gradients
 against the same local θ during training, exactly as the paper's dataflow
-does.  Layers do cache forward activations (feature maps), mirroring FA3C's
-decision to store forward feature maps in DRAM for reuse by the training
-task instead of recomputing them (Section 4.3).
+does.  Each layer caches what its last FW read, for the BW and GC that
+follow.  FA3C stores the inference's forward feature maps in DRAM for the
+training task instead of recomputing them (Section 4.3); here
+:meth:`Conv2D.reuse_forward` installs such a kept map as a convolution's
+FW instead of running it, and :class:`~repro.nn.network.Sequential` keeps
+and reuses the trunk's maps that way, while the dense head runs again at
+the training batch.
 """
 
 from __future__ import annotations
@@ -126,6 +130,15 @@ class Conv2D(Layer):
         return F.conv_forward(x, params[f"{self.name}.weight"],
                               params[f"{self.name}.bias"], self.stride,
                               policy=self.policy, key=self.name)
+
+    def reuse_forward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """FW stage whose output ``y`` an earlier FW of the same rows of
+        ``x`` under the same θ already computed: caches ``x`` for BW and
+        GC as :meth:`forward` does, and returns ``y`` unchanged.  Only a
+        layer without a precision policy may reuse (its coercion of ``x``
+        depends on the batch)."""
+        self._x = np.ascontiguousarray(x, dtype=np.float32)
+        return y
 
     def backward_input(self, dy: np.ndarray,
                        params: ParameterSet) -> np.ndarray:

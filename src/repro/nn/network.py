@@ -140,14 +140,29 @@ class NetworkTopology:
 
 
 class Sequential:
-    """A plain feed-forward stack of layers sharing one ParameterSet."""
+    """A plain feed-forward stack of layers sharing one ParameterSet.
+
+    The layers below the first :class:`Dense` one are the *trunk*, the
+    rest the dense *head*.  A full FW keeps the outputs of the trunk's
+    parameterised layers (:meth:`feature_maps`), so that a later FW over
+    the same rows under the same θ can reuse them and run only the head:
+    FA3C's training task likewise reads the inference's feature maps back
+    from DRAM instead of recomputing them (paper Section 4.3).
+    """
 
     def __init__(self, layers: typing.Sequence[Layer], input_shape: Shape):
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
+        self.policy = None
         self._first_with_params = next(
             (index for index, layer in enumerate(self.layers)
              if layer.param_shapes()), len(self.layers))
+        self._head_start = next(
+            (index for index, layer in enumerate(self.layers)
+             if isinstance(layer, Dense)), len(self.layers))
+        self._kept = frozenset(index for index in range(self._head_start)
+                               if self.layers[index].param_shapes())
+        self._maps: typing.Tuple[np.ndarray, ...] = ()
         # Validate shape compatibility eagerly.
         shape = self.input_shape
         self._shapes = [shape]
@@ -165,6 +180,7 @@ class Sequential:
         The shared policy gives the quantized datapath one calibration
         state across the stack; keys stay distinct per layer/tensor.
         """
+        self.policy = policy
         for layer in self.layers:
             layer.policy = policy
 
@@ -177,10 +193,56 @@ class Sequential:
             layer.init_params(params, rng, weight_init, bias_init)
         return params
 
-    def forward(self, x: np.ndarray, params: ParameterSet) -> np.ndarray:
-        """FW through every layer, caching activations for training."""
-        for layer in self.layers:
-            x = layer.forward(x, params)
+    def forward(self, x: np.ndarray, params: ParameterSet,
+                maps: typing.Optional[typing.Sequence[
+                    typing.Tuple[np.ndarray, ...]]] = None) -> np.ndarray:
+        """FW through every layer, caching activations for training.
+
+        ``maps`` is the :meth:`feature_maps` of each earlier FW whose
+        rows, concatenated in order, are the rows of ``x``, all under
+        ``params``.  The trunk then caches ``x`` and those outputs
+        instead of recomputing them, its parameter-free layers recompute
+        theirs, and the head runs at this batch.  The head is never
+        reused: a batch-1 dense FW is a GEMV, which sums in another
+        order than the batched GEMM, while a conv row does not depend on
+        the batch.  With a precision policy ``maps`` is ignored and
+        every layer runs, since a dynamic per-tensor scale depends on
+        the whole batch.
+        """
+        first = 0
+        if maps is not None and self.policy is None:
+            x = self._reuse_trunk(x, params, maps)
+            first = self._head_start
+        kept = []
+        for index in range(first, len(self.layers)):
+            x = self.layers[index].forward(x, params)
+            if index in self._kept:
+                kept.append(x)
+        self._maps = tuple(kept)
+        return x
+
+    def feature_maps(self) -> typing.Tuple[np.ndarray, ...]:
+        """The trunk maps the last FW computed, for :meth:`forward` to
+        reuse: each parameterised trunk layer's output.  Activations are
+        not kept; the reusing FW recomputes them."""
+        return self._maps
+
+    def _reuse_trunk(self, x: np.ndarray, params: ParameterSet,
+                     maps: typing.Sequence[typing.Tuple[np.ndarray, ...]]
+                     ) -> np.ndarray:
+        """The trunk's FW from kept maps; returns the head's input."""
+        if self._kept:
+            rows = sum(len(kept[0]) for kept in maps)
+            if rows != len(x):
+                raise ValueError(f"kept feature maps hold {rows} rows, "
+                                 f"the batch has {len(x)}")
+        outputs = iter([np.concatenate(column) for column in zip(*maps)])
+        for index in range(self._head_start):
+            layer = self.layers[index]
+            if index in self._kept:
+                x = layer.reuse_forward(x, next(outputs))
+            else:
+                x = layer.forward(x, params)
         return x
 
     def backward_and_grads(self, dy: np.ndarray,
@@ -225,43 +287,18 @@ class Sequential:
                                layers=tuple(specs))
 
 
-class A3CNetwork:
-    """The Table 1 network with softmax policy and linear value heads.
+class PolicyValueNetwork:
+    """A :class:`Sequential` read as action logits, then the state value.
 
-    The final fully-connected layer (FC4) has ``fc4_width`` outputs
-    (default 32, as the paper's hardware pads it); logits occupy the first
-    ``num_actions`` slots and the value the next one.  Padding outputs
-    receive zero gradient, so they never train and never affect results.
+    The model's first ``num_actions`` outputs are the logits and the
+    next one is the value; any further outputs are padding, which gets
+    zero gradient, so it never trains and never affects results.
     """
 
-    DEFAULT_INPUT_SHAPE: Shape = (4, 84, 84)
-
-    def __init__(self, num_actions: int,
-                 input_shape: Shape = DEFAULT_INPUT_SHAPE,
-                 fc4_width: int = 32, hidden: int = 256,
-                 conv_channels: typing.Tuple[int, int] = (16, 32),
-                 precision: str = "fp32"):
-        if num_actions + 1 > fc4_width:
-            raise ValueError(f"fc4_width={fc4_width} too small for "
-                             f"{num_actions} actions plus a value output")
+    def __init__(self, model: Sequential, num_actions: int,
+                 precision: str):
+        self.model = model
         self.num_actions = num_actions
-        self.fc4_width = fc4_width
-        c1, c2 = conv_channels
-        in_c = input_shape[0]
-        conv1 = Conv2D("Conv1", in_c, c1, kernel=8, stride=4)
-        conv2 = Conv2D("Conv2", c1, c2, kernel=4, stride=2)
-        conv2_out = conv2.output_shape(conv1.output_shape(input_shape))
-        flat = int(np.prod(conv2_out))
-        self.model = Sequential([
-            conv1,
-            ReLU("ReLU1"),
-            conv2,
-            ReLU("ReLU2"),
-            Flatten("Flatten"),
-            Dense("FC3", flat, hidden),
-            ReLU("ReLU3"),
-            Dense("FC4", hidden, fc4_width),
-        ], input_shape)
         self.precision = precision
         self.policy = policy_for(precision)
         if self.policy is not None:
@@ -276,76 +313,88 @@ class A3CNetwork:
         """Fresh fan-in-uniform parameters (matching the reference A3C)."""
         return self.model.init_params(rng)
 
-    def forward(self, states: np.ndarray, params: ParameterSet
-                ) -> typing.Tuple[np.ndarray, np.ndarray]:
-        """FW pass; returns (logits ``(N, A)``, values ``(N,)``)."""
-        out = self.model.forward(states, params)
-        logits = out[:, :self.num_actions]
-        values = out[:, self.num_actions]
-        return logits, values
+    def forward(self, states: np.ndarray, params: ParameterSet,
+                maps=None) -> typing.Tuple[np.ndarray, np.ndarray]:
+        """FW pass; returns (logits ``(N, A)``, values ``(N,)``).
+
+        ``maps`` are kept trunk maps of the same rows, as
+        :meth:`Sequential.forward` takes them.
+        """
+        out = self.model.forward(states, params, maps)
+        return out[:, :self.num_actions], out[:, self.num_actions]
+
+    def feature_maps(self) -> typing.Tuple[np.ndarray, ...]:
+        """The last FW's trunk maps (:meth:`Sequential.feature_maps`)."""
+        return self.model.feature_maps()
 
     def backward_and_grads(self, dlogits: np.ndarray, dvalues: np.ndarray,
                            params: ParameterSet) -> ParameterSet:
         """BW + GC from the head gradients; returns parameter gradients.
 
-        ``dlogits`` is ``(N, A)``, ``dvalues`` is ``(N,)``.  The padded FC4
-        outputs receive zero gradient.
+        ``dlogits`` is ``(N, A)``, ``dvalues`` is ``(N,)``.
         """
-        n = dlogits.shape[0]
-        dy = np.zeros((n, self.fc4_width), dtype=np.float32)
+        dy = np.zeros((dlogits.shape[0],) + self.model.output_shape,
+                      dtype=np.float32)
         dy[:, :self.num_actions] = dlogits
         dy[:, self.num_actions] = dvalues
         return self.model.backward_and_grads(dy, params)
 
     def topology(self) -> NetworkTopology:
-        """Table 1 description for the hardware models."""
+        """Hardware-facing description of the parameterised layers."""
         return self.model.topology()
 
 
-class MLPPolicyNetwork:
+class A3CNetwork(PolicyValueNetwork):
+    """The Table 1 network with softmax policy and linear value heads.
+
+    The final fully-connected layer (FC4) has ``fc4_width`` outputs
+    (default 32, as the paper's hardware pads it); logits occupy the first
+    ``num_actions`` slots and the value the next one.
+    """
+
+    DEFAULT_INPUT_SHAPE: Shape = (4, 84, 84)
+
+    def __init__(self, num_actions: int,
+                 input_shape: Shape = DEFAULT_INPUT_SHAPE,
+                 fc4_width: int = 32, hidden: int = 256,
+                 conv_channels: typing.Tuple[int, int] = (16, 32),
+                 precision: str = "fp32"):
+        if num_actions + 1 > fc4_width:
+            raise ValueError(f"fc4_width={fc4_width} too small for "
+                             f"{num_actions} actions plus a value output")
+        self.fc4_width = fc4_width
+        c1, c2 = conv_channels
+        in_c = input_shape[0]
+        conv1 = Conv2D("Conv1", in_c, c1, kernel=8, stride=4)
+        conv2 = Conv2D("Conv2", c1, c2, kernel=4, stride=2)
+        conv2_out = conv2.output_shape(conv1.output_shape(input_shape))
+        flat = int(np.prod(conv2_out))
+        super().__init__(Sequential([
+            conv1,
+            ReLU("ReLU1"),
+            conv2,
+            ReLU("ReLU2"),
+            Flatten("Flatten"),
+            Dense("FC3", flat, hidden),
+            ReLU("ReLU3"),
+            Dense("FC4", hidden, fc4_width),
+        ], input_shape), num_actions, precision)
+
+
+class MLPPolicyNetwork(PolicyValueNetwork):
     """A small dense policy/value network for non-pixel environments.
 
-    Same interface as :class:`A3CNetwork` (forward -> (logits, values),
-    backward_and_grads, init_params, topology) but with a
-    flatten-dense-ReLU trunk, so the A3C core can be exercised quickly on
-    the classic-control environments in tests and the quickstart example.
+    Same interface as :class:`A3CNetwork` but with a flatten-dense-ReLU
+    stack, so the A3C core can be exercised quickly on the
+    classic-control environments in tests and the quickstart example.
     """
 
     def __init__(self, num_actions: int, input_shape: Shape,
                  hidden: int = 64, precision: str = "fp32"):
-        self.num_actions = num_actions
         features = int(np.prod(input_shape))
-        self.model = Sequential([
+        super().__init__(Sequential([
             Flatten("Flatten"),
             Dense("FC1", features, hidden),
             ReLU("ReLU1"),
             Dense("FC2", hidden, num_actions + 1),
-        ], input_shape)
-        self.precision = precision
-        self.policy = policy_for(precision)
-        if self.policy is not None:
-            self.model.set_policy(self.policy)
-
-    @property
-    def input_shape(self) -> Shape:
-        return self.model.input_shape
-
-    def init_params(self, rng: typing.Optional[np.random.Generator] = None
-                    ) -> ParameterSet:
-        return self.model.init_params(rng)
-
-    def forward(self, states: np.ndarray, params: ParameterSet
-                ) -> typing.Tuple[np.ndarray, np.ndarray]:
-        out = self.model.forward(states, params)
-        return out[:, :self.num_actions], out[:, self.num_actions]
-
-    def backward_and_grads(self, dlogits: np.ndarray, dvalues: np.ndarray,
-                           params: ParameterSet) -> ParameterSet:
-        n = dlogits.shape[0]
-        dy = np.zeros((n, self.num_actions + 1), dtype=np.float32)
-        dy[:, :self.num_actions] = dlogits
-        dy[:, self.num_actions] = dvalues
-        return self.model.backward_and_grads(dy, params)
-
-    def topology(self) -> NetworkTopology:
-        return self.model.topology()
+        ], input_shape), num_actions, precision)

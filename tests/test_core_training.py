@@ -1,8 +1,11 @@
 """Tests for the parameter server, agents, trainers, and baselines."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from repro.ale import make_game
 from repro.core import (
     A3CConfig,
     A3CTrainer,
@@ -13,11 +16,11 @@ from repro.core import (
     moving_average,
 )
 from repro.core.parameter_server import clip_by_global_norm
-from repro.envs import Catch
+from repro.envs import Catch, make_atari_env
 from repro.envs.base import Env
 from repro.envs.spaces import Box, Discrete
-from repro.nn import ParameterSet
-from repro.nn.network import MLPPolicyNetwork
+from repro.nn import Conv2D, ParameterSet
+from repro.nn.network import A3CNetwork, MLPPolicyNetwork
 
 
 class Bandit(Env):
@@ -219,3 +222,51 @@ class TestScoreTracker:
 
     def test_recent_mean_empty_is_nan(self):
         assert np.isnan(ScoreTracker().recent_mean())
+
+
+class TestTrainingReusesInferenceMaps:
+    """A3C and PAAC train on the trunk feature maps their rollout's
+    inferences kept, so no convolution FW runs inside
+    apply_rollout_update; GA3C's global θ moves between prediction and
+    training, so its update still runs the trunk."""
+
+    TRAINERS = {"a3c": A3CTrainer, "paac": PAACTrainer,
+                "ga3c": GA3CTrainer}
+
+    @pytest.mark.parametrize("algorithm, trunk_runs",
+                             [("a3c", False), ("paac", False),
+                              ("ga3c", True)])
+    def test_conv_forward_inside_the_update(self, algorithm, trunk_runs,
+                                            monkeypatch):
+        calls = {"update": 0, "conv_fw": 0}
+        updating = []
+        conv_forward = Conv2D.forward
+
+        def counted_conv_forward(layer, x, params):
+            calls["conv_fw"] += bool(updating)
+            return conv_forward(layer, x, params)
+
+        monkeypatch.setattr(Conv2D, "forward", counted_conv_forward)
+        for name in ("agent", "paac", "ga3c"):
+            module = importlib.import_module(f"repro.core.{name}")
+
+            def update(*args, _update=module.apply_rollout_update,
+                       **kwargs):
+                calls["update"] += 1
+                updating.append(True)
+                try:
+                    return _update(*args, **kwargs)
+                finally:
+                    updating.pop()
+            monkeypatch.setattr(module, "apply_rollout_update", update)
+
+        config = A3CConfig(num_agents=2, t_max=5, max_steps=40, seed=0)
+        trainer = self.TRAINERS[algorithm](
+            lambda agent_id: make_atari_env(make_game("breakout")),
+            lambda: A3CNetwork(4), config)
+        if algorithm == "a3c":
+            trainer.train(actors="serial")
+        else:
+            trainer.train()
+        assert calls["update"] > 0
+        assert (calls["conv_fw"] > 0) == trunk_runs, calls

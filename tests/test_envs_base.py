@@ -26,6 +26,7 @@ class TestDiscrete:
         assert not space.contains(4)
         assert not space.contains(-1)
         assert not space.contains("x")
+        assert not space.contains(True)
         assert space.contains(np.int64(2))
         assert not space.contains("1")
         assert not space.contains(2.9)

@@ -112,8 +112,9 @@ class TestSyncVectorEnv:
 # "1", would get round the integer checks of Discrete.contains and of
 # the batched engine.
 NON_INTEGER_ACTIONS = pytest.mark.parametrize(
-    "actions", [[2.9, 1.0], ["1", "2"], np.array([2.0, 1.0])],
-    ids=["float", "str", "float-array"])
+    "actions", [[2.9, 1.0], ["1", "2"], np.array([2.0, 1.0]),
+                [True, False]],
+    ids=["float", "str", "float-array", "bool"])
 
 
 @NON_INTEGER_ACTIONS

@@ -13,6 +13,7 @@ from repro.nn import (
     Sequential,
 )
 from repro.nn.gradcheck import check_param_gradients
+from repro.nn.losses import a3c_loss_and_head_gradients
 from repro.nn.network import MLPPolicyNetwork
 from repro.nn.network_lstm import lstm_a3c_network
 
@@ -328,3 +329,109 @@ class TestStaleForwardCache:
         with pytest.raises(ValueError, match=r"FC4: dy shape \(5, 32\)"):
             net.backward_and_grads(np.zeros((5, 6), dtype=np.float32),
                                    np.zeros(5, dtype=np.float32), params)
+
+
+def _inferences(net, params, batches):
+    """The feature maps one inference per batch keeps, in order."""
+    maps = []
+    for batch in batches:
+        net.forward(batch, params)
+        maps.append(net.feature_maps())
+    return maps
+
+
+def _kept_and_full(net, batches, rng):
+    """One training task's loss and gradients, first from the maps each
+    batch's inference kept, then from a training-time FW of the trunk.
+
+    A forward of another state runs between the inferences and the
+    training task, as A3C's bootstrap inference does.
+    """
+    params = net.init_params(rng)
+    states = np.concatenate(batches)
+    maps = _inferences(net, params, batches)
+    net.forward(rng.standard_normal((1,) + net.input_shape)
+                .astype(np.float32), params)
+    actions = rng.integers(net.num_actions, size=len(states))
+    returns = rng.standard_normal(len(states)).astype(np.float32)
+    results = []
+    for kept in (maps, None):
+        logits, values = net.forward(states, params, kept)
+        loss = a3c_loss_and_head_gradients(logits, values, actions,
+                                           returns, entropy_beta=0.01)
+        results.append((loss, net.backward_and_grads(
+            loss.dlogits, loss.dvalues, params)))
+    return results
+
+
+def _assert_same_task(kept, full):
+    (kept_loss, kept_grads), (full_loss, full_grads) = kept, full
+    for field in ("policy_loss", "value_loss", "entropy"):
+        assert getattr(kept_loss, field) == getattr(full_loss, field), field
+    for field in ("dlogits", "dvalues"):
+        assert getattr(kept_loss, field).tobytes() == \
+            getattr(full_loss, field).tobytes(), field
+    assert sorted(kept_grads.names()) == sorted(full_grads.names())
+    for name in full_grads.names():
+        assert kept_grads[name].tobytes() == full_grads[name].tobytes(), name
+
+
+def _batches(net, rng, rows, count):
+    return [rng.random((rows,) + net.input_shape).astype(np.float32)
+            for _ in range(count)]
+
+
+class TestKeptFeatureMaps:
+    """A training task that reuses the trunk maps its rollout's
+    inferences kept gets, byte for byte, the loss and gradients of one
+    that runs the trunk again."""
+
+    @pytest.mark.parametrize("t_max", [1, 2, 3, 4, 5])
+    def test_a3c_rows_kept_one_at_a_time(self, t_max):
+        net = A3CNetwork(num_actions=6)
+        rng = np.random.default_rng(t_max)
+        _assert_same_task(*_kept_and_full(net, _batches(net, rng, 1, t_max),
+                                          rng))
+
+    def test_paac_steps_of_sixteen_rows(self):
+        net = A3CNetwork(num_actions=6)
+        rng = np.random.default_rng(16)
+        _assert_same_task(*_kept_and_full(net, _batches(net, rng, 16, 5),
+                                          rng))
+
+    def test_mlp_policy_network(self):
+        net = MLPPolicyNetwork(num_actions=3, input_shape=(7, 7))
+        rng = np.random.default_rng(7)
+        _assert_same_task(*_kept_and_full(net, _batches(net, rng, 1, 5),
+                                          rng))
+
+    def test_kept_maps_are_the_conv_outputs(self):
+        net = A3CNetwork(num_actions=6)
+        params = net.init_params(np.random.default_rng(0))
+        net.forward(np.ones((2, 4, 84, 84), dtype=np.float32), params)
+        assert [m.shape for m in net.feature_maps()] == \
+            [(2, 16, 20, 20), (2, 32, 9, 9)]
+
+    def test_row_count_mismatch_names_both_counts(self):
+        net = A3CNetwork(num_actions=6)
+        rng = np.random.default_rng(4)
+        params = net.init_params(rng)
+        batches = _batches(net, rng, 1, 4)
+        maps = _inferences(net, params, batches)
+        states = np.concatenate(batches + _batches(net, rng, 1, 1))
+        with pytest.raises(ValueError, match=r"\b4 rows.*\b5\b"):
+            net.forward(states, params, maps)
+
+    def test_int8_network_runs_its_trunk_at_training(self):
+        """A dynamic int8 scale is per tensor, so a batch-5 trunk differs
+        from five batch-1 trunks; the kept maps are not used."""
+        net = A3CNetwork(num_actions=6, precision="int8")
+        rng = np.random.default_rng(8)
+        batches = _batches(net, rng, 1, 5)
+        kept, full = _kept_and_full(net, batches, rng)
+        _assert_same_task(kept, full)
+        params = net.init_params(np.random.default_rng(0))
+        rows = [maps[0] for maps in _inferences(net, params, batches)]
+        net.forward(np.concatenate(batches), params)
+        assert not np.array_equal(np.concatenate(rows),
+                                  net.feature_maps()[0])
