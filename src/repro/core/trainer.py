@@ -131,13 +131,19 @@ class A3CTrainer:
         """Resume from :meth:`save_checkpoint`: restores theta, the
         optimizer statistics, the step counter (and hence the annealed
         learning rate), and re-syncs every agent's local parameters.
-        Returns the checkpoint metadata."""
-        from repro.nn.checkpoint import load_checkpoint, \
-            restore_optimizer
+        Returns the checkpoint metadata.  A θ or statistics tensor that
+        does not match the model raises ``ValueError`` naming the
+        checkpoint and the tensor, before anything is restored."""
+        from repro.nn.checkpoint import check_same_tensors, \
+            load_checkpoint, restore_optimizer
         params, statistics, metadata = load_checkpoint(path)
+        try:
+            check_same_tensors(params, self.server.params, "θ")
+            if statistics is not None:
+                restore_optimizer(self.server.optimizer, statistics)
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
         self.server.params.copy_from(params)
-        if statistics is not None:
-            restore_optimizer(self.server.optimizer, statistics)
         self.server.set_global_step(metadata.get("global_step", 0))
         for agent in self.agents:
             self.server.snapshot_into(agent.local_params)

@@ -150,17 +150,23 @@ class BatchedVectorEnv:
         """One MaxAndSkip cycle for ``slots``; the de-flickered frames land
         in ``self._raw[slots]``.  Returns (total_rewards, dones)."""
         engine = self.engine
+        batch = self.num_envs
         rewards = np.zeros(slots.size)
         dones = np.zeros(slots.size, dtype=bool)
         seen = np.zeros(slots.size, dtype=np.int64)
         alive = np.ones(slots.size, dtype=bool)
+        # ``slots`` never repeats a slot, so ``batch`` of them are every
+        # slot: whole frames then move as slices, not as gathers.
         for sub in range(self.frame_skip):
             idx = np.nonzero(alive)[0]
             if idx.size == 0:
                 break
             current = slots[idx]
             if sub:
-                self._prev[current] = engine.frames[current]
+                if current.size == batch:
+                    np.copyto(self._prev, engine.frames)
+                else:
+                    self._prev[current] = engine.frames[current]
             sub_rewards, sub_dones = engine.step(actions[idx], current)
             rewards[idx] += sub_rewards
             seen[idx] += 1
@@ -168,7 +174,9 @@ class BatchedVectorEnv:
             alive[idx] = ~sub_dones
         two = seen >= 2
         pair = slots[two]
-        if pair.size:
+        if pair.size == batch:
+            np.maximum(engine.frames, self._prev, out=self._raw)
+        elif pair.size:
             self._raw[pair] = np.maximum(engine.frames[pair],
                                          self._prev[pair])
         single = slots[~two]
@@ -290,7 +298,10 @@ class BatchedVectorEnv:
         new_obs = np.empty((batch, self.stack) + self._pre.out_shape,
                            dtype=np.float32)
         live_idx = np.nonzero(~dones)[0]
-        if live_idx.size:
+        if live_idx.size == batch:
+            new_obs[:, :-1] = old_obs[:, 1:]
+            new_obs[:, -1] = self._pre(self._raw)
+        elif live_idx.size:
             new_obs[live_idx, :-1] = old_obs[live_idx, 1:]
             new_obs[live_idx, -1] = self._pre(self._raw[live_idx])
         if self.episodic_life:

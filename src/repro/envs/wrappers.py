@@ -21,6 +21,7 @@ import typing
 import numpy as np
 
 from repro.envs.base import Env, TimeLimit, Wrapper
+from repro.envs.batched import BatchPreprocessor
 from repro.envs.preprocessing import preprocess_frame
 from repro.envs.spaces import Box
 
@@ -100,9 +101,21 @@ class AtariPreprocessing(Wrapper):
         self.height = height
         self.width = width
         self.observation_space = Box(0.0, 1.0, (height, width))
+        self._frame_shape: typing.Optional[typing.Tuple[int, ...]] = None
+        self._batch: typing.Optional[BatchPreprocessor] = None
 
     def _process(self, frame: np.ndarray) -> np.ndarray:
-        return preprocess_frame(frame, self.height, self.width)
+        """An RGB frame goes through a :class:`BatchPreprocessor` built
+        for its shape, so the resize's gather indices and weights are
+        computed once, not per frame; any other frame goes through
+        :func:`preprocess_frame`.  Both give the same bits."""
+        if frame.ndim != 3 or frame.shape[-1] != 3:
+            return preprocess_frame(frame, self.height, self.width)
+        if frame.shape != self._frame_shape:
+            self._frame_shape = frame.shape
+            self._batch = BatchPreprocessor(frame.shape[0], frame.shape[1],
+                                            self.height, self.width)
+        return self._batch(frame[None])[0]
 
     def reset(self) -> np.ndarray:
         return self._process(self.env.reset())

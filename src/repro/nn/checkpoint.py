@@ -72,7 +72,35 @@ def load_checkpoint(path: str) -> typing.Tuple[
     return params, (statistics if len(statistics) else None), metadata
 
 
+def check_same_tensors(saved: ParameterSet, current: ParameterSet,
+                       what: str) -> None:
+    """Raise ``ValueError`` naming the first tensor of ``current`` that
+    ``saved`` lacks or holds in another shape, or else the first tensor
+    ``saved`` has beyond ``current``'s.  ``what`` names the saved set
+    in the message."""
+    for name in current:
+        if name not in saved:
+            raise ValueError(f"{name}: missing from the saved {what}")
+        if saved[name].shape != current[name].shape:
+            raise ValueError(f"{name}: shape {saved[name].shape} in the "
+                             f"saved {what}, {current[name].shape} in "
+                             f"the model")
+    for name in saved:
+        if name not in current:
+            raise ValueError(f"{name}: in the saved {what} but not in "
+                             f"the model")
+
+
 def restore_optimizer(optimizer: RMSProp,
                       statistics: ParameterSet) -> None:
-    """Load saved second-moment estimates into an optimizer."""
+    """Load saved second-moment estimates into an optimizer.
+
+    An optimizer that already holds statistics keeps them unless the
+    saved set has their names and shapes: otherwise this raises
+    ``ValueError`` naming the first tensor that differs, instead of a
+    later apply failing on it (or a training thread dying of it).
+    """
+    if optimizer.statistics is not None:
+        check_same_tensors(statistics, optimizer.statistics,
+                           "RMSProp statistics")
     optimizer._g = statistics.copy()

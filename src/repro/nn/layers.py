@@ -67,10 +67,19 @@ class Layer:
         gradient of the layer below, so a network can skip the first
         layer's BW (nothing reads it) without changing any gradient.
         """
-        for suffix, shape in self.param_shapes().items():
-            key = f"{self.name}.{suffix}"
-            if key not in grads:
-                grads[key] = np.zeros(shape, dtype=np.float32)
+        raise NotImplementedError
+
+    def _accumulate(self, grads: ParameterSet, suffix: str,
+                    grad: np.ndarray) -> None:
+        """Add ``grad`` into ``grads``.  A key's first gradient is stored
+        as a contiguous array, not added into a zero-filled one, which
+        would cost a second parameter-sized block for the same values
+        (only a -0.0 element keeps its sign)."""
+        key = f"{self.name}.{suffix}"
+        if key in grads:
+            grads[key] += grad
+        else:
+            grads[key] = np.ascontiguousarray(grad, dtype=np.float32)
 
     def _forward_input(self, dy: np.ndarray) -> np.ndarray:
         """The input the last FW cached as ``_x``, checked against ``dy``:
@@ -149,11 +158,10 @@ class Conv2D(Layer):
 
     def grad_params(self, dy: np.ndarray, grads: ParameterSet) -> None:
         x = self._forward_input(dy)
-        super().grad_params(dy, grads)
         weight_shape = self.param_shapes()["weight"]
         dw, db = F.conv_grad_params(x, dy, weight_shape, self.stride)
-        grads[f"{self.name}.weight"] += dw
-        grads[f"{self.name}.bias"] += db
+        self._accumulate(grads, "weight", dw)
+        self._accumulate(grads, "bias", db)
 
 
 class Dense(Layer):
@@ -195,10 +203,9 @@ class Dense(Layer):
 
     def grad_params(self, dy: np.ndarray, grads: ParameterSet) -> None:
         x = self._forward_input(dy)
-        super().grad_params(dy, grads)
         dw, db = F.dense_grad_params(x, dy)
-        grads[f"{self.name}.weight"] += dw
-        grads[f"{self.name}.bias"] += db
+        self._accumulate(grads, "weight", dw)
+        self._accumulate(grads, "bias", db)
 
 
 class ReLU(Layer):

@@ -9,7 +9,11 @@ RMSProp with shared (not per-agent) statistics ``g`` (paper Sections 2.2 and
 
 The FPGA RMSProp module (:mod:`repro.fpga.rmsprop_module`) implements the
 same recurrence as a pipelined datapath; the two are cross-validated in the
-test suite.
+test suite.  Its RUs stream θ and g through an on-chip buffer one chunk at
+a time, and :meth:`RMSProp.step` does the same in software: it runs the
+update over consecutive :data:`BLOCK`-element blocks of each tensor,
+through two scratch buffers it allocates once, so an apply allocates
+no array and each block's passes stay in one core's L2 cache.
 """
 
 from __future__ import annotations
@@ -19,6 +23,12 @@ import typing
 import numpy as np
 
 from repro.nn.parameters import ParameterSet
+
+#: Elements per block of :meth:`RMSProp.step`: 64 Ki fp32 values, 256 KiB
+#: per operand, so a block of θ, g and the gradient plus the two scratch
+#: buffers (1.25 MiB) fit in a 2 MiB per-core L2 across the update's
+#: passes, where whole tensors overflow it on every pass.
+BLOCK = 1 << 16
 
 
 class Optimizer:
@@ -58,6 +68,8 @@ class RMSProp(Optimizer):
         self.rho = rho
         self.eps = eps
         self._g: typing.Optional[ParameterSet] = None
+        self._scratch = (np.empty(BLOCK, dtype=np.float32),
+                         np.empty(BLOCK, dtype=np.float32))
 
     @property
     def statistics(self) -> typing.Optional[ParameterSet]:
@@ -78,15 +90,62 @@ class RMSProp(Optimizer):
 
     def step(self, params: ParameterSet, grads: ParameterSet,
              learning_rate: typing.Optional[float] = None) -> None:
+        """Apply one update in place, :data:`BLOCK` elements at a time.
+
+        Each block runs the three statements of the recurrence with the
+        operand order and Python-float scalars of the whole-tensor
+        expressions, so θ and g are bit-identical to them.  A NumPy
+        float64 scalar would promote a block to float64 under NEP 50 and
+        change θ.  The two scratch buffers are the optimizer's own, so
+        calls must not overlap: the parameter servers apply under a lock.
+        """
         lr = self.learning_rate if learning_rate is None else learning_rate
         if self._g is None:
             self.attach(params)
         g = self._g
+        rho = self.rho
+        one_minus_rho = 1.0 - rho
+        eps = self.eps
+        terms, roots = self._scratch
         for name in grads:
+            theta = params[name]
+            stats = g[name]
             grad = grads[name]
-            g[name] *= self.rho
-            g[name] += (1.0 - self.rho) * grad * grad
-            params[name] -= lr * grad / np.sqrt(g[name] + self.eps)
+            # A flat view would take a transposed operand of θ's size.
+            if stats.shape != theta.shape or grad.shape != theta.shape:
+                raise ValueError(f"{name}: RMSProp statistics "
+                                 f"{stats.shape} and gradient {grad.shape} "
+                                 f"must have θ's shape {theta.shape}")
+            theta = _flat(theta, name, "θ")
+            stats = _flat(stats, name, "RMSProp statistics")
+            grad = grad.reshape(-1)
+            for start in range(0, theta.size, BLOCK):
+                stop = min(start + BLOCK, theta.size)
+                theta_block = theta[start:stop]
+                g_block = stats[start:stop]
+                grad_block = grad[start:stop]
+                term = terms[:stop - start]
+                root = roots[:stop - start]
+                # g <- rho * g + (1 - rho) * grad * grad
+                g_block *= rho
+                np.multiply(one_minus_rho, grad_block, out=term)
+                term *= grad_block
+                g_block += term
+                # theta <- theta - lr * grad / sqrt(g + eps)
+                np.multiply(lr, grad_block, out=term)
+                np.add(g_block, eps, out=root)
+                np.sqrt(root, out=root)
+                term /= root
+                theta_block -= term
+
+
+def _flat(array: np.ndarray, name: str, what: str) -> np.ndarray:
+    """The flat view of an array :meth:`RMSProp.step` updates in place.
+    Only a C-contiguous array has one; a flattened copy would drop the
+    update, so any other layout raises."""
+    if not array.flags.c_contiguous:
+        raise ValueError(f"{name}: {what} is not C-contiguous")
+    return array.reshape(-1)
 
 
 class SharedRMSProp(RMSProp):

@@ -78,6 +78,29 @@ class TestCheckpoint:
         optimizer_b.step(params_b, grads)
         assert params_b.allclose(params_a, rtol=0, atol=0)
 
+    def _restored(self, statistics):
+        _, params = self._params()
+        optimizer = RMSProp(learning_rate=1e-3)
+        optimizer.attach(params)
+        kept = optimizer.statistics
+        with pytest.raises(ValueError, match=r"FC1\.weight") as error:
+            restore_optimizer(optimizer, statistics)
+        assert optimizer.statistics is kept
+        return str(error.value)
+
+    def test_restore_rejects_statistics_missing_a_tensor(self):
+        _, params = self._params()
+        saved = ParameterSet({name: value for name, value
+                              in params.zeros_like().items()
+                              if name != "FC1.weight"})
+        assert "missing" in self._restored(saved)
+
+    def test_restore_rejects_transposed_statistics(self):
+        _, params = self._params()
+        saved = params.zeros_like()
+        saved["FC1.weight"] = saved["FC1.weight"].T.copy()
+        assert "(2, 4)" in self._restored(saved)
+
     def test_empty_metadata_default(self, tmp_path):
         _, params = self._params()
         path = os.path.join(tmp_path, "ckpt.npz")

@@ -7,6 +7,8 @@ import pytest
 
 from repro.core import A3CConfig, A3CTrainer
 from repro.envs import Catch
+from repro.nn import ParameterSet, RMSProp
+from repro.nn.checkpoint import save_checkpoint
 from repro.nn.network import MLPPolicyNetwork
 
 
@@ -71,3 +73,41 @@ class TestTrainerCheckpoint:
         resumed.restore_checkpoint(path)
         result = resumed.train(threads=False)
         assert result.global_steps >= 4000
+
+    def test_restore_rejects_statistics_that_do_not_match_theta(
+            self, tmp_path):
+        """Statistics without one of θ's tensors must fail the restore,
+        naming the checkpoint and the tensor.  Accepted, they would kill
+        every training thread at its first apply (a KeyError on stderr)
+        while ``train`` returned normally."""
+        trainer = _trainer()
+        statistics = ParameterSet({
+            name: value for name, value in trainer.server.params.items()
+            if name != "FC1.weight"})
+        optimizer = RMSProp()
+        optimizer.adopt_statistics(statistics)
+        path = os.path.join(tmp_path, "ckpt.npz")
+        save_checkpoint(path, trainer.server.params, optimizer=optimizer,
+                        metadata={"global_step": 100})
+        resumed = _trainer()
+        kept = resumed.server.params.copy()
+        with pytest.raises(ValueError) as error:
+            resumed.restore_checkpoint(path)
+        assert str(error.value).startswith(f"{path}: FC1.weight")
+        assert resumed.server.global_step == 0
+        assert resumed.server.params.allclose(kept, rtol=0, atol=0)
+
+    def test_restore_rejects_a_transposed_theta_tensor(self, tmp_path):
+        """A transposed θ tensor must fail the restore by name before
+        any tensor is copied, not in ``np.copyto`` after the tensors
+        before it were overwritten."""
+        saved = _trainer(seed=3).server.params.copy()
+        saved["FC2.weight"] = saved["FC2.weight"].T.copy()
+        path = os.path.join(tmp_path, "ckpt.npz")
+        save_checkpoint(path, saved)
+        resumed = _trainer(seed=4)
+        kept = resumed.server.params.copy()
+        with pytest.raises(ValueError) as error:
+            resumed.restore_checkpoint(path)
+        assert str(error.value).startswith(f"{path}: FC2.weight")
+        assert resumed.server.params.allclose(kept, rtol=0, atol=0)
