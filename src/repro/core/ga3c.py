@@ -128,7 +128,8 @@ class GA3CTrainer:
             # Already one (N, ...) float32 batch — no gather/copy needed.
             states = self.batched_env.observations
         else:
-            states = np.stack([w.state for w in workers]).astype(np.float32)
+            states = np.stack([w.state for w in workers]).astype(
+                np.float32, copy=False)
         if lat is not None:
             lat.add_ns("batch_form",
                        time.perf_counter_ns() - phase_started)

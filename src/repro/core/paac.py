@@ -34,7 +34,17 @@ from repro.obs import runtime as _obs
 
 
 class PAACTrainer:
-    """Synchronous batched advantage actor-critic."""
+    """Synchronous batched advantage actor-critic.
+
+    The rollout keeps each step's ``vector_env.observations`` array as it
+    is, without a copy, until the update stacks them.  That relies on the
+    vector env's contract: ``reset`` and ``step`` return a new
+    observations array and never write into one they have returned
+    before.  :class:`~repro.envs.vector.SyncVectorEnv` and
+    :class:`~repro.envs.batched.BatchedVectorEnv` keep it, life-loss and
+    game-over resets included (``tests/test_envs_vector.py``); a
+    ``vector_env`` passed in must keep it too.
+    """
 
     def __init__(self, env_factory: typing.Callable[[int], Env],
                  network_factory: typing.Callable[[], A3CNetwork],
@@ -112,7 +122,7 @@ class PAACTrainer:
             actions = np.array([
                 self.rngs[i].choice(probs.shape[1], p=probs[i])
                 for i in range(n)])
-            all_states.append(states.copy())
+            all_states.append(states)
             step = self.vector_env.step(actions)
             for _slot, score in step.finished_scores:
                 self.tracker.record(self.server.global_step, score)

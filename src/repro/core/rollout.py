@@ -66,7 +66,7 @@ class Rollout:
         """Stack into training arrays: (states, actions, returns)."""
         if not self.states:
             raise ValueError("empty rollout")
-        states = np.stack(self.states).astype(np.float32)
+        states = np.stack(self.states).astype(np.float32, copy=False)
         actions = np.asarray(self.actions, dtype=np.int64)
         returns = compute_returns(self.rewards, bootstrap_value, gamma)
         return states, actions, returns

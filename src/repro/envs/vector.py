@@ -73,7 +73,8 @@ class SyncVectorEnv:
         """Reset every slot; returns stacked observations."""
         self._scores[:] = 0.0
         observations = [env.reset() for env in self.envs]
-        self._observations = np.stack(observations).astype(np.float32)
+        self._observations = np.stack(observations).astype(np.float32,
+                                                           copy=False)
         return self._observations
 
     @property
@@ -93,7 +94,7 @@ class SyncVectorEnv:
         if len(actions) != self.num_envs:
             raise ValueError(f"expected {self.num_envs} actions, "
                              f"got {len(actions)}")
-        observations = self.observations.copy()
+        observations = np.empty_like(self.observations)
         rewards = np.zeros(self.num_envs, dtype=np.float32)
         dones = np.zeros(self.num_envs, dtype=bool)
         infos: typing.List[dict] = []

@@ -4,8 +4,8 @@ Each convolution stage is one matrix multiplication over the I*K*K
 reduction axis — the same operational structure the FA3C processing
 elements execute (multiply + accumulate, paper Section 4.2.1).  The
 patch matrix a stage multiplies is built straight from the layer input
-with one strided copy (:func:`extract_patches`), in the layout its GEMM
-reads, and :func:`scatter_patches` is its adjoint:
+with one copy (:func:`extract_patches`), in the layout its GEMM reads,
+and :func:`scatter_patches` is its adjoint:
 
 * FW: ``(N*OH*OW, I*K*K) @ W^T``, one row per output pixel;
 * GC: ``(I*K*K, N*OH*OW) @ dy_rows``, then transposed;
@@ -45,22 +45,39 @@ def extract_patches(x: np.ndarray, kernel: int, stride: int,
     Returns ``(N*OH*OW, C*K*K)``: one row per output pixel, ordered by
     image, output row and output column, with columns in the order of a
     ``(O, C, K, K)`` weight's flattened rows.  With ``transpose`` it
-    returns that matrix's transpose ``(C*K*K, N*OH*OW)`` instead.  Either
-    is one copy through a strided view.
+    returns that matrix's transpose ``(C*K*K, N*OH*OW)`` instead.
+
+    Each is one copy.  A kernel row, the K neighbouring values of one
+    input row under a window, is contiguous both in a C-contiguous input
+    and in a patch row, so the row layout copies each kernel row as one
+    K-value item rather than value by value, as FA3C's DRAM bursts move
+    contiguous runs (Section 4.2).  The transposed layout's inner axis
+    steps ``stride`` values through the input, so it has no run longer
+    than one value and copies value by value.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kernel, stride)
     ow = conv_output_size(w, kernel, stride)
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, oh, ow, c, kernel, kernel),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
-        writeable=False,
-    )
     if transpose:
+        sn, sc, sh, sw = x.strides
+        windows = np.lib.stride_tricks.as_strided(
+            x,
+            shape=(n, oh, ow, c, kernel, kernel),
+            strides=(sn, sh * stride, sw * stride, sc, sh, sw),
+            writeable=False,
+        )
         return windows.transpose(3, 4, 5, 0, 1, 2).reshape(-1, n * oh * ow)
-    return windows.reshape(n * oh * ow, -1)
+    # The item view reads x's buffer, which must be C-contiguous.
+    x = np.ascontiguousarray(x)
+    sn, sc, sh, sw = x.strides
+    kernel_row = np.dtype((np.void, kernel * x.itemsize))
+    rows = np.ndarray((n, oh, ow, c, kernel), dtype=kernel_row, buffer=x,
+                      strides=(sn, sh * stride, sw * stride, sc, sh))
+    # Into a new array: a reshape would return a view of x where the
+    # items happen to be contiguous (one window, or one-value rows).
+    out = np.empty((n * oh * ow, c * kernel), dtype=kernel_row)
+    np.copyto(out.reshape(rows.shape), rows)
+    return out.view(x.dtype)
 
 
 def scatter_patches(rows: np.ndarray,

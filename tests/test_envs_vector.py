@@ -152,3 +152,33 @@ def test_vector_envs_accept_numpy_integer_actions():
     batched.reset()
     assert np.array_equal(sync.step(actions).observations,
                           batched.step(actions).observations)
+
+
+@pytest.mark.parametrize("kind", ["sync", "batched"])
+def test_returned_observations_are_never_written(kind):
+    """A step leaves the previous step's observations array byte for
+    byte as it was, through life-loss pseudo-resets and game-over
+    resets: PAACTrainer keeps each step's array without a copy."""
+    if kind == "sync":
+        vec = SyncVectorEnv([lambda: make_atari_env(make_game("breakout"))
+                             for _ in range(2)], seed=0)
+    else:
+        vec = BatchedVectorEnv("breakout", num_envs=2, seed=0)
+    rng = np.random.default_rng(0)
+    previous = vec.reset()
+    kept = previous.copy()
+    seen = set()
+    for _ in range(1000):
+        step = vec.step(rng.integers(0, vec.action_space.n, vec.num_envs))
+        assert step.observations is vec.observations
+        assert not np.shares_memory(step.observations, previous)
+        assert previous.tobytes() == kept.tobytes()
+        if any(info.get("life_lost") for info in step.infos):
+            seen.add("life lost")
+        if step.finished_scores:
+            seen.add("game over")
+        if len(seen) == 2:
+            break
+        previous = step.observations
+        kept = previous.copy()
+    assert seen == {"life lost", "game over"}

@@ -1,6 +1,7 @@
 """Tests for the convolution/dense/activation primitives, including
-property-based checks of the extract/scatter patch adjoint pair and
-numerical gradient validation."""
+property-based checks of the extract/scatter patch adjoint pair, the
+kernel-row patch copy against an element-wise reference, and numerical
+gradient validation."""
 
 import hypothesis
 import hypothesis.strategies as st
@@ -25,6 +26,32 @@ def naive_conv(x, w, b, stride):
                               col * stride:col * stride + k]
                     y[ni, oi, r, col] = (patch * w[oi]).sum() + b[oi]
     return y.astype(np.float32)
+
+
+def strided_patches(x, k, stride):
+    """Reference patch rows: a strided view of every window, copied a
+    value at a time by ``reshape``."""
+    n, c, h, width = x.shape
+    oh = (h - k) // stride + 1
+    ow = (width - k) // stride + 1
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, oh, ow, c, k, k),
+        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
+        writeable=False)
+    return windows.reshape(n * oh * ow, -1)
+
+
+def assert_same_patches(x, k, stride):
+    """``extract_patches`` equals the reference byte for byte and owns a
+    C-contiguous copy."""
+    rows = F.extract_patches(x, k, stride)
+    expected = strided_patches(x, k, stride)
+    assert rows.dtype == x.dtype
+    assert rows.shape == expected.shape
+    assert rows.flags.c_contiguous
+    assert not np.shares_memory(rows, x)
+    assert rows.tobytes() == expected.tobytes()
 
 
 small_conv = st.tuples(
@@ -82,6 +109,7 @@ class TestPatchAdjoint:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, size, size)).astype(np.float64)
         rows = F.extract_patches(x, k, stride)
+        assert rows.tobytes() == strided_patches(x, k, stride).tobytes()
         y = rng.standard_normal(rows.shape)
         lhs = float((rows * y).sum())
         back = F.scatter_patches(y, x.shape, k, stride)
@@ -96,6 +124,53 @@ class TestPatchAdjoint:
         # centre element overlaps all four windows
         assert out[0, 0, 1, 1] == 4.0
         assert out[0, 0, 0, 0] == 1.0
+
+
+class TestPatchRowCopy:
+    """``extract_patches`` moves each kernel row as one item; these pin
+    its bytes to the element-wise strided copy."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,k,stride", [
+        ((2, 3, 9, 11), 3, 2),     # K % S != 0, non-square input
+        ((1, 2, 8, 8), 4, 4),      # windows tile the input
+        ((3, 1, 6, 5), 1, 1),      # one-value kernel rows
+        ((1, 1, 4, 4), 4, 2),      # one window: a reshape would alias x
+    ])
+    def test_dtypes(self, dtype, shape, k, stride):
+        x = np.random.default_rng(0).standard_normal(shape).astype(dtype)
+        assert_same_patches(x, k, stride)
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 80])
+    @pytest.mark.parametrize("c,size,k,stride", [
+        (4, 84, 8, 4),             # Table 1 Conv1
+        (16, 20, 4, 2),            # Table 1 Conv2
+    ])
+    def test_table1_shapes(self, n, c, size, k, stride):
+        x = np.random.default_rng(n).standard_normal(
+            (n, c, size, size)).astype(np.float32)
+        assert_same_patches(x, k, stride)
+
+    def test_non_contiguous_input(self):
+        nhwc = np.random.default_rng(1).standard_normal(
+            (2, 12, 10, 3)).astype(np.float32)
+        x = nhwc.transpose(0, 3, 1, 2)
+        assert not x.flags.c_contiguous
+        assert_same_patches(x, 4, 2)
+
+    def test_contiguous_slice_at_an_offset(self):
+        size = 2 * 3 * 11 * 11
+        buffer = np.random.default_rng(2).standard_normal(
+            3 * size).astype(np.float32)
+        x = buffer[size + 5:2 * size + 5].reshape(2, 3, 11, 11)
+        assert x.flags.c_contiguous and x.base is not None
+        assert_same_patches(x, 3, 2)
+
+    def test_read_only_input(self):
+        x = np.random.default_rng(3).standard_normal(
+            (2, 4, 20, 20)).astype(np.float32)
+        x.flags.writeable = False
+        assert_same_patches(x, 8, 4)
 
 
 class TestGradients:
