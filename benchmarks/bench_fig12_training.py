@@ -38,7 +38,7 @@ def _train_game(name, steps, seed):
                        seed=seed)
     trainer = A3CTrainer(env_factory,
                          lambda: A3CNetwork(num_actions), config)
-    result = trainer.train(threads=True)
+    result = trainer.train(actors="threads")
     return result
 
 

@@ -37,7 +37,7 @@ def _train(t_max, max_steps):
         lambda i: make_atari_env(make_game("breakout"),
                                  max_episode_steps=1500),
         lambda: A3CNetwork(4), config)
-    return trainer.train(threads=True)
+    return trainer.train(actors="threads")
 
 
 def _summarise(t_max, result):

@@ -45,7 +45,7 @@ def main(max_steps: int = 20_000):
           f"{config.num_agents} agents, {max_steps} steps "
           f"(lr 7e-4, t_max 5, shared RMSProp)...")
     result = trainer.train(
-        threads=True,
+        actors="threads",
         progress=lambda step, tracker: print(
             f"  step {step:>7}: episodes={len(tracker)} "
             f"mean score={tracker.recent_mean(50):.1f}"),

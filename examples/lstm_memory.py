@@ -24,7 +24,7 @@ def train(label, network_factory, agent_class=None):
     kwargs = {} if agent_class is None else {"agent_class": agent_class}
     trainer = A3CTrainer(lambda i: MemoryCue(delay=3), network_factory,
                          config, **kwargs)
-    result = trainer.train(threads=False)
+    result = trainer.train(actors="serial")
     score = result.tracker.recent_mean(500)
     print(f"  {label:22s} final mean score: {score:+.3f}")
     return score

@@ -39,7 +39,7 @@ def main():
     print(f"Training A3C on Catch: {config.num_agents} agents, "
           f"t_max={config.t_max}, {config.max_steps} steps...")
     result = trainer.train(
-        threads=False,
+        actors="serial",
         progress=lambda step, tracker: print(
             f"  step {step:>6}: mean score (last 500) = "
             f"{tracker.recent_mean(500):+.3f}"),

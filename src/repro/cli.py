@@ -37,7 +37,8 @@ import sys
 import typing
 
 from repro.ale import GAME_NAMES, make_game
-from repro.core import A3CConfig, A3CTrainer, RecurrentA3CAgent
+from repro.core import A3CConfig, A3CTrainer, RecurrentA3CAgent, \
+    WorkerFailed
 from repro.envs import make_atari_env
 from repro.harness import format_curve, format_series, format_table
 from repro.nn.checkpoint import save_checkpoint
@@ -89,31 +90,30 @@ def cmd_train(args) -> int:
         obs.enable(reset=True)
     trainer = _build_trainer(args)
     variant = "A3C-LSTM" if args.lstm else "A3C"
-    actors = args.actors
-    if actors is None and args.serial:
-        actors = "serial"
     runlog = _open_runlog(
         args, "train",
         config={"game": args.game, "steps": args.steps,
                 "agents": args.agents, "t_max": args.t_max,
                 "learning_rate": args.learning_rate,
-                "actors": actors, "workers": args.workers,
+                "actors": args.actors, "workers": args.workers,
                 "lstm": args.lstm},
         topology={"variant": variant,
                   "params": trainer.server.params.names()})
     print(f"Training {variant} on {args.game}: {args.agents} agents, "
-          f"{args.steps} steps, lr {args.learning_rate}"
-          + (f", actors {actors}" if actors else "")
+          f"{args.steps} steps, lr {args.learning_rate}, "
+          f"actors {args.actors}"
           + (f", platform {args.platform}" if args.platform else ""))
-    result = trainer.train(
-        threads=not args.serial,
-        actors=actors,
-        workers=args.workers,
-        progress=lambda step, tracker: print(
-            f"  step {step:>8}: episodes={len(tracker)} "
-            f"mean={tracker.recent_mean(100):.1f}"),
-        progress_interval=max(args.steps // 10, 1),
-        runlog=runlog)
+    try:
+        result = trainer.train(
+            actors=args.actors, workers=args.workers,
+            progress=lambda step, tracker: print(
+                f"  step {step:>8}: episodes={len(tracker)} "
+                f"mean={tracker.recent_mean(100):.1f}"),
+            progress_interval=max(args.steps // 10, 1), runlog=runlog)
+    except WorkerFailed as error:
+        if runlog is not None:
+            runlog.finish(outcome="failed", error=str(error))
+        raise
     steps, scores = result.tracker.curve()
     print(format_curve(steps, scores, args.game))
     print(f"{result.global_steps} steps, {result.episodes} episodes, "
@@ -556,7 +556,7 @@ def cmd_sweep(args) -> int:
                                  max_episode_steps=args.episode_cap),
         lambda: A3CNetwork(num_actions), config,
         learning_rates=args.rates, seeds=tuple(range(args.seeds)),
-        threads=True, platform=args.platform)
+        actors="threads", platform=args.platform)
     print(format_table(result.rows(),
                        title=f"Learning-rate sweep on {args.game} "
                              f"({args.steps} steps/run)"))
@@ -601,12 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=1)
     train.add_argument("--lstm", action="store_true",
                        help="use the A3C-LSTM variant")
-    train.add_argument("--serial", action="store_true",
-                       help="deterministic round-robin agents")
     train.add_argument("--actors", choices=["threads", "procs", "serial"],
-                       default=None,
-                       help="actor execution model (default: threads, "
-                            "or serial when --serial is given)")
+                       default="threads",
+                       help="actor execution model (default: threads; "
+                            "serial is deterministic round-robin)")
     train.add_argument("--platform", choices=backend_names,
                        default=None,
                        help="compute backend from the repro.backends "

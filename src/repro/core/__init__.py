@@ -31,7 +31,7 @@ from repro.core.shared_params import (
     SharedParameterStore,
 )
 from repro.core.sweep import SweepResult, sweep_learning_rates
-from repro.core.trainer import A3CTrainer, TrainResult
+from repro.core.trainer import A3CTrainer, TrainResult, WorkerFailed
 
 __all__ = [
     "A3CAgent",
@@ -48,6 +48,7 @@ __all__ = [
     "SharedParameterStore",
     "SweepResult",
     "TrainResult",
+    "WorkerFailed",
     "compute_returns",
     "evaluate_policy",
     "evaluate_recurrent_policy",

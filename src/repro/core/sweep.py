@@ -75,15 +75,15 @@ def sweep_learning_rates(
         learning_rates: typing.Sequence[float],
         seeds: typing.Sequence[int] = (0,),
         score_window: int = 100,
-        threads: bool = False,
+        actors: str = "serial",
         agent_class: typing.Optional[type] = None,
         platform=None) -> SweepResult:
     """Train once per (learning rate, seed); returns every outcome.
 
     Each run gets an independent config (same budget, different rate and
-    seed), matching the paper's per-game tuning protocol.  ``platform``
-    is a compute-backend registry name (or instance) handed to every
-    trainer unchanged.
+    seed), matching the paper's per-game tuning protocol.  ``actors`` and
+    ``platform`` (a compute-backend registry name or instance) are handed
+    to every trainer unchanged.
     """
     entries = []
     for learning_rate in learning_rates:
@@ -95,7 +95,7 @@ def sweep_learning_rates(
                 else {"agent_class": agent_class}
             trainer = A3CTrainer(env_factory, network_factory, config,
                                  platform=platform, **kwargs)
-            result = trainer.train(threads=threads)
+            result = trainer.train(actors=actors)
             entries.append(SweepEntry(
                 learning_rate=learning_rate, seed=seed,
                 final_score=result.tracker.recent_mean(score_window),

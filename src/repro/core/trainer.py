@@ -1,24 +1,23 @@
 """The multi-agent asynchronous A3C trainer.
 
 ``A3CTrainer`` drives ``num_agents`` agents against a shared
-:class:`~repro.core.parameter_server.ParameterServer`.  Two execution modes
-are provided:
+:class:`~repro.core.parameter_server.ParameterServer`.  One routine
+driver steps agents round-robin (paper Figures 3/4: sync, infer, train);
+the actor mode decides who runs it:
 
-* ``threads=True`` — each agent runs in a host thread, exactly the paper's
-  host-side structure (Figure 3/4: one thread per agent interacting with
-  its own environment).  NumPy releases the GIL inside large kernels, so
+* ``actors="threads"`` (default) — one host thread per agent, the paper's
+  host-side structure.  NumPy releases the GIL inside large kernels, so
   updates genuinely interleave (Hogwild-style, serialised only at the
   parameter server as in FA3C's RMSProp module).
-* ``threads=False`` — agents are stepped round-robin on the calling thread.
-  Deterministic given the seed; used by the test-suite and the shorter
-  benches.
-* ``actors="procs"`` — agents are partitioned over worker *processes*
-  (``fork`` start method), sidestepping the GIL for the host-side NumPy
-  work.  Global θ and the shared RMSProp statistics live in shared memory
-  behind a seqlock-style versioned snapshot
-  (:mod:`repro.core.shared_params`), so parameter sync stays lock-free
-  while gradient application serialises on a writer lock, preserving the
-  Hogwild update semantics of the threaded backend.
+* ``actors="serial"`` — every agent on the calling thread.  Deterministic
+  given the seed; used by the test-suite, perfbench and shorter benches.
+* ``actors="procs"`` — agents partitioned over forked worker processes,
+  sidestepping the GIL.  Global θ and the RMSProp statistics live in
+  shared memory behind a seqlock (:mod:`repro.core.shared_params`), so
+  parameter sync stays lock-free while gradient application serialises
+  on a writer lock, as in the threaded backend.
+
+A worker that fails stops the others and fails the run (:class:`WorkerFailed`).
 """
 
 from __future__ import annotations
@@ -47,6 +46,20 @@ from repro.nn.parameters import ParameterSet
 from repro.obs import lat as _lat
 from repro.obs import runtime as _obs
 from repro.perf.hotpath import hot_path
+
+
+class WorkerFailed(RuntimeError):
+    """A training worker failed, so the run stopped.  ``worker`` is
+    ``agent-<i>`` (serial or thread; the routine's exception is the
+    ``__cause__``) or ``worker-<i>`` (a process; the message carries its
+    traceback, or its exit code if it exited without reporting)."""
+
+    def __init__(self, worker: str, detail: str):
+        super().__init__(worker, detail)      # picklable: processes send it
+        self.worker = worker
+
+    def __str__(self) -> str:
+        return f"{self.worker} failed: {self.args[1]}"
 
 
 @dataclasses.dataclass
@@ -105,7 +118,6 @@ class A3CTrainer:
             self.agents.append(agent_class(agent_id, env, network,
                                            self.server, config))
         self._routines = 0
-        self._routines_lock = threading.Lock()
 
     @property
     def backend(self):
@@ -150,31 +162,45 @@ class A3CTrainer:
         return metadata
 
     @hot_path
-    def _agent_loop(self, agent: A3CAgent, stop: threading.Event) -> None:
-        while not stop.is_set() and \
-                self.server.global_step < self.config.max_steps:
-            started = time.perf_counter() if _obs.enabled() else 0.0
-            lat = (_lat.RoutineLatency("a3c",
-                                       platform=self._lat_platform)
-                   if _obs.enabled() else None)
-            stats = agent.run_routine(lat=lat)
-            if _obs.enabled():
-                self._record_routine(f"agent-{agent.agent_id}",
-                                     started, stats.steps, lat=lat)
-            with self._routines_lock:
-                self._routines += 1
-            for score in stats.episode_scores:
-                self.tracker.record(self.server.global_step, score)
-
-    def _record_routine(self, lane: str, started: float,
-                        steps: int, lat=None) -> None:
-        """One finished routine into the metrics/trace sinks."""
-        record_routine("a3c", started, steps, lane=lane,
-                       span_labels={"steps": steps}, lat=lat)
+    def _drive(self, agents, server, record_score, stop=None,
+               on_round=None) -> int:
+        """The routine driver of every actor mode: ``agents`` take turns,
+        one routine each, against ``server`` until its global step reaches
+        ``max_steps`` or the ``stop`` event is set.  Scores go to
+        ``record_score(global_step, score)``; ``on_round(routines)`` runs
+        after each round.  Returns the routine count.  A routine that
+        raises becomes a :class:`WorkerFailed` naming its agent."""
+        max_steps = self.config.max_steps
+        routines = 0
+        while server.global_step < max_steps and \
+                not (stop is not None and stop.is_set()):
+            for agent in agents:
+                if server.global_step >= max_steps:
+                    break
+                started = time.perf_counter() if _obs.enabled() else 0.0
+                lat = (_lat.RoutineLatency("a3c",
+                                           platform=self._lat_platform)
+                       if _obs.enabled() else None)
+                try:
+                    stats = agent.run_routine(lat=lat)
+                except Exception as error:
+                    raise WorkerFailed(
+                        f"agent-{agent.agent_id}",
+                        f"{type(error).__name__}: {error}") from error
+                if _obs.enabled():
+                    record_routine("a3c", started, stats.steps,
+                                   lane=f"agent-{agent.agent_id}",
+                                   span_labels={"steps": stats.steps},
+                                   lat=lat)
+                routines += 1
+                for score in stats.episode_scores:
+                    record_score(server.global_step, score)
+            if on_round is not None:
+                on_round(routines)
+        return routines
 
     def train(self, max_steps: typing.Optional[int] = None,
-              threads: bool = True,
-              actors: typing.Optional[str] = None,
+              actors: str = "threads",
               workers: typing.Optional[int] = None,
               progress: typing.Optional[
                   typing.Callable[[int, ScoreTracker], None]] = None,
@@ -182,104 +208,111 @@ class A3CTrainer:
               runlog=None) -> TrainResult:
         """Run until ``max_steps`` global inference steps.
 
-        ``actors`` selects the actor execution mode: ``"threads"`` (one
-        host thread per agent), ``"procs"`` (agents partitioned over
-        ``workers`` forked processes, default ``num_agents``), or
-        ``"serial"`` (deterministic round-robin).  When ``actors`` is
-        ``None`` the legacy ``threads`` flag picks between ``"threads"``
-        and ``"serial"``.
-
-        ``progress(global_step, tracker)`` is invoked roughly every
-        ``progress_interval`` steps (only in round-robin mode is the exact
-        cadence deterministic).
-
-        ``runlog`` is an optional :class:`repro.obs.runlog.RunLog`; with
-        ``actors="procs"`` each worker process then writes heartbeat and
-        telemetry shards into the run directory.
+        ``actors`` is ``"threads"`` (one host thread per agent),
+        ``"procs"`` (agents partitioned over ``workers`` forked processes,
+        default ``num_agents``) or ``"serial"`` (deterministic round-robin
+        on the calling thread).  ``progress(global_step, tracker)`` runs
+        about every ``progress_interval`` steps, at a deterministic cadence
+        only in serial mode.  With ``actors="procs"`` and a ``runlog``
+        (:class:`repro.obs.runlog.RunLog`), each worker writes heartbeat
+        and telemetry shards into the run directory.  A failed worker
+        raises :class:`WorkerFailed` once the others are stopped.
         """
-        if max_steps is not None:
-            self.config.max_steps = max_steps
-        if actors is None:
-            actors = "threads" if threads else "serial"
-        # perf_counter: monotonic, so rates survive NTP clock steps.
-        start = time.perf_counter()
-        if actors == "threads":
-            self._train_threaded(progress, progress_interval)
-        elif actors == "procs":
-            self._train_procs(workers, progress, progress_interval,
-                              runlog=runlog)
-        elif actors == "serial":
-            self._train_round_robin(progress, progress_interval)
-        else:
+        if actors not in ("threads", "procs", "serial"):
             raise ValueError(f"unknown actor backend {actors!r}; "
                              f"expected 'threads', 'procs', or 'serial'")
+        if max_steps is not None:
+            self.config.max_steps = max_steps
+        next_report = progress_interval
+
+        def report(global_step: int) -> None:
+            nonlocal next_report
+            if progress and global_step >= next_report:
+                progress(global_step, self.tracker)
+                next_report += progress_interval
+
+        # perf_counter: monotonic, so rates survive NTP clock steps.
+        start = time.perf_counter()
+        if actors == "serial":
+            self._routines += self._drive(
+                self.agents, self.server, self.tracker.record,
+                on_round=lambda _: report(self.server.global_step))
+        elif actors == "threads":
+            self._train_threads(report)
+        else:
+            self._train_procs(workers, report, runlog)
         elapsed = time.perf_counter() - start
         episodes = sum(agent.episodes_finished for agent in self.agents)
         return TrainResult(global_steps=self.server.global_step,
-                           routines=self._routines,
-                           episodes=episodes,
-                           wall_seconds=elapsed,
-                           tracker=self.tracker,
+                           routines=self._routines, episodes=episodes,
+                           wall_seconds=elapsed, tracker=self.tracker,
                            params=self.server.snapshot())
 
-    def _train_threaded(self, progress, progress_interval: int) -> None:
+    @staticmethod
+    def _gather(workers, results, global_step, report, halt) -> list:
+        """Start ``workers``; return the record each puts on ``results``,
+        in worker order, calling ``report(global_step())`` while waiting
+        (records are drained before any join: a process blocked writing to
+        the queue never exits).  On an ``error`` record, or a worker gone
+        without one, ``halt()`` the rest and raise :class:`WorkerFailed`
+        naming that worker."""
+        for worker in workers:
+            worker.start()
+        records = [None] * len(workers)
+        try:
+            while None in records:
+                report(global_step())
+                try:
+                    record = results.get(timeout=0.05)
+                except queue_module.Empty:
+                    gone = [worker for worker, done in zip(workers, records)
+                            if done is None and not worker.is_alive()]
+                    # A worker's record is in the queue before it exits.
+                    if gone and results.empty():
+                        code = getattr(gone[0], "exitcode", None)  # procs
+                        raise WorkerFailed(
+                            gone[0].name.removeprefix("a3c-"),
+                            f"exited with code {code} before reporting")
+                    continue
+                if "error" in record:
+                    raise record["error"]
+                records[record["worker"]] = record
+        except BaseException:
+            halt()
+            raise
+        finally:
+            for worker in workers:
+                worker.join()
+        return records
+
+    def _train_threads(self, report) -> None:
+        """One host thread per agent, each driving it against the server."""
         stop = threading.Event()
-        workers = [threading.Thread(target=self._agent_loop,
-                                    args=(agent, stop),
+        results: queue_module.Queue = queue_module.Queue()
+
+        def work(agent: A3CAgent) -> None:
+            try:
+                record = {"routines": self._drive(
+                    [agent], self.server, self.tracker.record, stop)}
+            except WorkerFailed as error:
+                record = {"error": error}
+            results.put(dict(record, worker=agent.agent_id))
+
+        threads = [threading.Thread(target=work, args=(agent,),
                                     name=f"a3c-agent-{agent.agent_id}",
                                     daemon=True)
                    for agent in self.agents]
-        for worker in workers:
-            worker.start()
-        try:
-            next_report = progress_interval
-            while any(worker.is_alive() for worker in workers):
-                time.sleep(0.05)
-                if progress and self.server.global_step >= next_report:
-                    progress(self.server.global_step, self.tracker)
-                    next_report += progress_interval
-        finally:
-            stop.set()
-            for worker in workers:
-                worker.join()
+        records = self._gather(threads, results,
+                               lambda: self.server.global_step, report,
+                               halt=stop.set)
+        self._routines += sum(record["routines"] for record in records)
 
-    def _train_round_robin(self, progress, progress_interval: int) -> None:
-        next_report = progress_interval
-        while self.server.global_step < self.config.max_steps:
-            for agent in self.agents:
-                if self.server.global_step >= self.config.max_steps:
-                    break
-                started = time.perf_counter() if _obs.enabled() else 0.0
-                lat = (_lat.RoutineLatency("a3c",
-                                           platform=self._lat_platform)
-                       if _obs.enabled() else None)
-                stats = agent.run_routine(lat=lat)
-                if _obs.enabled():
-                    self._record_routine(f"agent-{agent.agent_id}",
-                                         started, stats.steps, lat=lat)
-                self._routines += 1
-                for score in stats.episode_scores:
-                    self.tracker.record(self.server.global_step, score)
-            if progress and self.server.global_step >= next_report:
-                progress(self.server.global_step, self.tracker)
-                next_report += progress_interval
-
-    # -- multiprocessing backend -------------------------------------------
-
-    def _train_procs(self, workers: typing.Optional[int],
-                     progress, progress_interval: int,
-                     runlog=None) -> None:
-        """Partition the agents over forked worker processes.
-
-        θ and the RMSProp statistics move into a shared-memory
-        :class:`~repro.core.shared_params.SharedParameterStore`; each
-        worker wraps it in a
-        :class:`~repro.core.shared_params.SharedParameterServer` and runs
-        its share of the agents round-robin against it.  On completion the
-        final θ/g/step state is read back into ``self.server`` so
-        checkpointing and :class:`TrainResult` behave identically to the
-        threaded backend.
-        """
+    def _train_procs(self, workers, report, runlog=None) -> None:
+        """Partition the agents over forked worker processes, which drive
+        them against θ and the RMSProp statistics in a shared-memory
+        :class:`~repro.core.shared_params.SharedParameterStore`.  The final
+        θ/g/step state is read back into ``self.server``, so checkpointing
+        and :class:`TrainResult` behave as in the threaded backend."""
         import multiprocessing
 
         from repro.core.shared_params import SharedParameterStore
@@ -302,51 +335,29 @@ class A3CTrainer:
                                    results, runlog),
                              name=f"a3c-worker-{worker_id}", daemon=True)
                  for worker_id in range(num_workers)]
-        for proc in procs:
-            proc.start()
-        reports = []
-        try:
-            next_report = progress_interval
-            # Drain the queue while polling: a worker blocked on a full
-            # result queue can never be joined.
-            while len(reports) < num_workers:
-                try:
-                    reports.append(results.get(timeout=0.05))
-                    continue
-                except queue_module.Empty:
-                    pass
-                if progress and store.global_step >= next_report:
-                    progress(store.global_step, self.tracker)
-                    next_report += progress_interval
-                if not any(proc.is_alive() for proc in procs):
-                    # Dead workers cannot report again; drain stragglers
-                    # whose results are still in the queue's pipe buffer.
-                    try:
-                        while len(reports) < num_workers:
-                            reports.append(results.get(timeout=0.5))
-                    except queue_module.Empty:
-                        break
-        finally:
+
+        def halt() -> None:
+            # No stop flag: a survivor may be stuck behind a dead writer.
             for proc in procs:
-                proc.join()
-        for report in reports:
-            self._routines += report["routines"]
-            for agent_id, episodes in report["episodes"].items():
+                proc.terminate()
+
+        records = self._gather(procs, results, lambda: store.global_step,
+                               report, halt)
+        for record in records:
+            self._routines += record["routines"]
+            for agent_id, episodes in record["episodes"].items():
                 self.agents[agent_id].episodes_finished = episodes
-            for step, score in report["scores"]:
+            for step, score in record["scores"]:
                 self.tracker.record(step, score)
-            # Fold the worker's final metric snapshot into the parent
-            # registry so ps.* / trainer.* counters survive the process
-            # boundary, attributable via the worker label.
-            rows = report.get("metrics")
-            if rows and _obs.enabled():
-                # Priority (generation, pid) makes gauge folding
-                # deterministic under worker queue-arrival order.
+            # The worker's final metric snapshot, so ps.* / trainer.*
+            # counters survive the process boundary under a worker label;
+            # priority (generation, pid) makes gauge folding deterministic.
+            if record["metrics"] and _obs.enabled():
                 _obs.metrics().absorb_rows(
-                    rows,
-                    priority=(float(report.get("generation", 0) or 0),
-                              float(report.get("pid", 0) or 0)),
-                    worker=f"worker-{report['worker']}")
+                    record["metrics"],
+                    priority=(float(record["generation"]),
+                              float(record["pid"])),
+                    worker=f"worker-{record['worker']}")
         # Fold the shared state back into the in-process server.
         store.read_params_into(self.server.params)
         if statistics is not None:
@@ -356,60 +367,48 @@ class A3CTrainer:
 
     def _proc_worker(self, worker_id: int, num_workers: int,
                      store, results, runlog=None) -> None:
-        """Worker-process body: run this worker's agents to completion.
+        """Worker-process body: drive this worker's share of the agents.
 
-        Runs in a forked child, so ``self`` (agents, envs, networks) is an
-        inherited copy; only the shared store is common state.  Results
-        travel back through ``results`` as plain dicts — including, when
-        observability is on, the worker's final metric snapshot (the
-        parent's registry cannot see samples recorded after the fork).
-        ``runlog`` additionally gives the worker a telemetry shard in the
-        run directory, flushed at a heartbeat interval and on exit.
-        """
+        Runs in a forked child, so ``self`` is an inherited copy.  Puts one
+        dict on ``results``: the routines, scores, episodes and (obs on)
+        final metric snapshot, or a :class:`WorkerFailed` carrying the
+        formatted traceback.  ``runlog`` gives the worker a telemetry
+        shard, flushed by heartbeat and on exit."""
+        import traceback
+
         from repro.core.shared_params import SharedParameterServer
 
-        if _obs.enabled():
-            # The forked registry/tracer hold copies of the parent's
-            # pre-fork samples, which the parent still owns; start clean
-            # so the shipped snapshot is this worker's work only.
-            _obs.metrics().reset()
-            _obs.tracer().clear()
-        shard = (runlog.shard(f"worker-{worker_id}")
-                 if runlog is not None else None)
-        server = SharedParameterServer(store, self.config)
-        agents = [agent for agent in self.agents
-                  if agent.agent_id % num_workers == worker_id]
-        for agent in agents:
-            agent.server = server
-        routines = 0
-        scores: typing.List[typing.Tuple[int, float]] = []
-        while server.global_step < self.config.max_steps:
+        try:
+            if _obs.enabled():
+                # The forked registry/tracer hold copies of the parent's
+                # pre-fork samples, which the parent still owns; start
+                # clean so the shipped snapshot is this worker's work.
+                _obs.metrics().reset()
+                _obs.tracer().clear()
+            shard = (runlog.shard(f"worker-{worker_id}")
+                     if runlog is not None else None)
+            server = SharedParameterServer(store, self.config)
+            agents = self.agents[worker_id::num_workers]
             for agent in agents:
-                if server.global_step >= self.config.max_steps:
-                    break
-                started = time.perf_counter() if _obs.enabled() else 0.0
-                lat = (_lat.RoutineLatency("a3c",
-                                           platform=self._lat_platform)
-                       if _obs.enabled() else None)
-                stats = agent.run_routine(lat=lat)
-                if _obs.enabled():
-                    self._record_routine(f"agent-{agent.agent_id}",
-                                         started, stats.steps, lat=lat)
-                routines += 1
-                for score in stats.episode_scores:
-                    scores.append((server.global_step, score))
+                agent.server = server
+            scores: typing.List[typing.Tuple[int, float]] = []
+            heartbeat = None if shard is None else (
+                lambda routines: shard.maybe_heartbeat(
+                    routines=routines, global_step=server.global_step))
+            routines = self._drive(
+                agents, server, lambda *pair: scores.append(pair),
+                on_round=heartbeat)
             if shard is not None:
-                shard.maybe_heartbeat(routines=routines,
-                                      global_step=server.global_step)
-        if shard is not None:
-            shard.flush(final=True, routines=routines,
-                        global_step=server.global_step)
-        results.put({"worker": worker_id,
-                     "routines": routines,
-                     "scores": scores,
-                     "pid": os.getpid(),
-                     "generation": shard.seq if shard is not None else 0,
-                     "metrics": (_obs.metrics().snapshot()
-                                 if _obs.enabled() else None),
-                     "episodes": {agent.agent_id: agent.episodes_finished
-                                  for agent in agents}})
+                shard.flush(final=True, routines=routines,
+                            global_step=server.global_step)
+            record = {"worker": worker_id, "routines": routines,
+                      "scores": scores, "pid": os.getpid(),
+                      "generation": shard.seq if shard is not None else 0,
+                      "metrics": (_obs.metrics().snapshot()
+                                  if _obs.enabled() else None),
+                      "episodes": {agent.agent_id: agent.episodes_finished
+                                   for agent in agents}}
+        except Exception:
+            record = {"worker": worker_id, "error": WorkerFailed(
+                f"worker-{worker_id}", "\n" + traceback.format_exc())}
+        results.put(record)

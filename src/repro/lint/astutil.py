@@ -193,7 +193,7 @@ class FileContext:
         return self._qualnames.get(id(func), func.name)
 
     def full_name(self, func: FunctionNode) -> str:
-        """``repro.core.trainer.A3CTrainer._agent_loop``-style name."""
+        """``repro.core.trainer.A3CTrainer._drive``-style name."""
         return f"{self.module}.{self.qualname(func)}"
 
     def functions(self) -> typing.List[FunctionNode]:

@@ -3,12 +3,13 @@
 Each convolution stage is one matrix multiplication over the I*K*K
 reduction axis — the same operational structure the FA3C processing
 elements execute (multiply + accumulate, paper Section 4.2.1).  The
-patch matrix a stage multiplies is built straight from the layer input
-with one copy (:func:`extract_patches`), in the layout its GEMM reads,
-and :func:`scatter_patches` is its adjoint:
+patch matrix, one row per output pixel, is built straight from the layer
+input with one copy (:func:`extract_patches`), and
+:func:`scatter_patches` is its adjoint:
 
-* FW: ``(N*OH*OW, I*K*K) @ W^T``, one row per output pixel;
-* GC: ``(I*K*K, N*OH*OW) @ dy_rows``, then transposed;
+* FW: ``patches @ W^T``;
+* GC: ``patches^T @ dy_rows``, the GEMM reading ``patches`` through its
+  transposed view, then transposed;
 * BW: ``dy_rows @ W``, scattered back into the input shape,
 
 where ``W`` is the weight flattened to ``(O, I*K*K)`` and ``dy_rows``
@@ -38,35 +39,23 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
 
 
-def extract_patches(x: np.ndarray, kernel: int, stride: int,
-                    transpose: bool = False) -> np.ndarray:
+def extract_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """The receptive field of every output pixel of ``(N, C, H, W)``.
 
     Returns ``(N*OH*OW, C*K*K)``: one row per output pixel, ordered by
     image, output row and output column, with columns in the order of a
-    ``(O, C, K, K)`` weight's flattened rows.  With ``transpose`` it
-    returns that matrix's transpose ``(C*K*K, N*OH*OW)`` instead.
+    ``(O, C, K, K)`` weight's flattened rows.  FW multiplies it as it is
+    and GC through its ``.T`` view, so it is the one patch copy of both.
 
-    Each is one copy.  A kernel row, the K neighbouring values of one
-    input row under a window, is contiguous both in a C-contiguous input
-    and in a patch row, so the row layout copies each kernel row as one
-    K-value item rather than value by value, as FA3C's DRAM bursts move
-    contiguous runs (Section 4.2).  The transposed layout's inner axis
-    steps ``stride`` values through the input, so it has no run longer
-    than one value and copies value by value.
+    A kernel row, the K neighbouring values of one input row under a
+    window, is contiguous both in a C-contiguous input and in a patch
+    row, so the copy moves each kernel row as one K-value item rather
+    than value by value, as FA3C's DRAM bursts move contiguous runs
+    (Section 4.2).
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kernel, stride)
     ow = conv_output_size(w, kernel, stride)
-    if transpose:
-        sn, sc, sh, sw = x.strides
-        windows = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, oh, ow, c, kernel, kernel),
-            strides=(sn, sh * stride, sw * stride, sc, sh, sw),
-            writeable=False,
-        )
-        return windows.transpose(3, 4, 5, 0, 1, 2).reshape(-1, n * oh * ow)
     # The item view reads x's buffer, which must be C-contiguous.
     x = np.ascontiguousarray(x)
     sn, sc, sh, sw = x.strides
@@ -166,7 +155,7 @@ def conv_grad_params(x: np.ndarray, dy: np.ndarray, weight_shape:
     instead of running the convolutions again (Section 4.3).
     """
     o, _, k, _ = weight_shape
-    dw = extract_patches(x, k, stride, transpose=True) @ _dy_rows(dy)
+    dw = extract_patches(x, k, stride).T @ _dy_rows(dy)
     db = dy.reshape(dy.shape[0], o, -1).sum(axis=(0, 2))
     return dw.T.reshape(weight_shape), db
 

@@ -49,7 +49,7 @@ class TestCommands:
         checkpoint = os.path.join(tmp_path, "ckpt.npz")
         code = main(["train", "--game", "pong", "--steps", "60",
                      "--agents", "1", "--episode-cap", "50",
-                     "--serial", "--checkpoint", checkpoint])
+                     "--actors", "serial", "--checkpoint", checkpoint])
         assert code == 0
         out = capsys.readouterr().out
         assert "Training A3C on pong" in out
@@ -62,8 +62,8 @@ class TestCommands:
 
     def test_train_lstm_tiny_run(self, capsys):
         code = main(["train", "--game", "pong", "--steps", "30",
-                     "--agents", "1", "--episode-cap", "50", "--serial",
-                     "--lstm"])
+                     "--agents", "1", "--episode-cap", "50",
+                     "--actors", "serial", "--lstm"])
         assert code == 0
         assert "A3C-LSTM" in capsys.readouterr().out
 
@@ -74,8 +74,9 @@ class TestCommands:
         trace = os.path.join(tmp_path, "t.json")
         metrics = os.path.join(tmp_path, "m.jsonl")
         code = main(["train", "--game", "pong", "--max-steps", "60",
-                     "--agents", "2", "--episode-cap", "50", "--serial",
-                     "--trace", trace, "--metrics", metrics])
+                     "--agents", "2", "--episode-cap", "50",
+                     "--actors", "serial", "--trace", trace,
+                     "--metrics", metrics])
         obs.disable()
         obs.metrics().reset()
         assert code == 0
@@ -117,7 +118,8 @@ class TestRunLogCLI:
         from repro.obs import runlog
 
         code = main(["train", "--game", "pong", "--steps", "30",
-                     "--agents", "1", "--episode-cap", "50", "--serial"])
+                     "--agents", "1", "--episode-cap", "50",
+                     "--actors", "serial"])
         assert code == 0
         assert "run log:" in capsys.readouterr().out
         runs = runlog.list_runs()
@@ -133,11 +135,31 @@ class TestRunLogCLI:
         from repro.obs import runlog
 
         code = main(["train", "--game", "pong", "--steps", "30",
-                     "--agents", "1", "--episode-cap", "50", "--serial",
-                     "--no-runlog"])
+                     "--agents", "1", "--episode-cap", "50",
+                     "--actors", "serial", "--no-runlog"])
         assert code == 0
         assert "run log:" not in capsys.readouterr().out
         assert runlog.list_runs() == []
+
+    def test_failed_train_lists_as_failed(self, capsys, monkeypatch):
+        from repro.core import A3CAgent, WorkerFailed
+        from repro.obs import runlog
+
+        def raise_runtime_error(agent, lat=None):
+            raise RuntimeError("injected fault")
+        monkeypatch.setattr(A3CAgent, "run_routine", raise_runtime_error)
+        with pytest.raises(WorkerFailed):
+            main(["train", "--game", "pong", "--steps", "30",
+                  "--agents", "1", "--episode-cap", "50",
+                  "--actors", "serial"])
+        capsys.readouterr()
+        assert main(["runs", "list"]) == 0
+        assert "failed" in capsys.readouterr().out
+        [run] = runlog.list_runs()
+        assert run["outcome"] == "failed"
+        manifest = runlog.load_manifest(runlog.resolve_run(run["run_id"]))
+        assert manifest["error"] == \
+            "agent-0 failed: RuntimeError: injected fault"
 
     def test_runs_list_and_diff_between_benches(self, capsys):
         from repro.obs import runlog

@@ -131,7 +131,7 @@ class TestA3CTrainer:
                            learning_rate=1e-2, anneal_steps=10 ** 9,
                            seed=1)
         trainer = A3CTrainer(lambda i: Bandit(), bandit_net, config)
-        result = trainer.train(threads=False)
+        result = trainer.train(actors="serial")
         assert result.global_steps >= 4000
         assert result.tracker.recent_mean(200) > 0.8
 
@@ -139,7 +139,7 @@ class TestA3CTrainer:
         config = A3CConfig(num_agents=2, t_max=5, max_steps=600,
                            learning_rate=1e-2, seed=2)
         trainer = A3CTrainer(lambda i: Bandit(), bandit_net, config)
-        result = trainer.train(threads=True)
+        result = trainer.train(actors="threads")
         assert result.global_steps >= 600
         assert result.episodes > 0
 
@@ -147,7 +147,7 @@ class TestA3CTrainer:
         config = A3CConfig(num_agents=1, t_max=5, max_steps=300, seed=0)
         trainer = A3CTrainer(lambda i: Bandit(), bandit_net, config)
         calls = []
-        trainer.train(threads=False,
+        trainer.train(actors="serial",
                       progress=lambda step, tracker: calls.append(step),
                       progress_interval=100)
         assert calls and calls[0] >= 100
@@ -159,7 +159,7 @@ class TestA3CTrainer:
         trainer = A3CTrainer(
             lambda i: Catch(size=5),
             lambda: MLPPolicyNetwork(3, (5, 5), hidden=32), config)
-        result = trainer.train(threads=False)
+        result = trainer.train(actors="serial")
         assert result.tracker.recent_mean(300) > 0.5
 
     def test_agents_have_independent_envs_and_networks(self):

@@ -44,7 +44,7 @@ class TestAlgorithmConsistency:
             3, (5, 5), hidden=32)
         if algorithm == "a3c":
             trainer = A3CTrainer(env_factory, net_factory, config)
-            result = trainer.train(threads=False)
+            result = trainer.train(actors="serial")
         elif algorithm == "ga3c":
             result = GA3CTrainer(env_factory, net_factory, config,
                                  training_batch_rollouts=2).train()
@@ -81,7 +81,7 @@ class TestDeterminism:
                                  lambda: MLPPolicyNetwork(3, (5, 5),
                                                           hidden=8),
                                  config)
-            result = trainer.train(threads=False)
+            result = trainer.train(actors="serial")
             return result.params.flatten()
 
         np.testing.assert_array_equal(run(), run())

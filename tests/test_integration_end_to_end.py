@@ -28,7 +28,7 @@ class TestAtariPipeline:
                                   max_episode_steps=300)
 
         trainer = A3CTrainer(env_factory, lambda: A3CNetwork(6), config)
-        result = trainer.train(threads=False)
+        result = trainer.train(actors="serial")
         assert result.global_steps >= 200
         assert result.routines >= 40
         # global parameters actually moved

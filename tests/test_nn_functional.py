@@ -1,7 +1,7 @@
 """Tests for the convolution/dense/activation primitives, including
 property-based checks of the extract/scatter patch adjoint pair, the
-kernel-row patch copy against an element-wise reference, and numerical
-gradient validation."""
+kernel-row patch copy and GC's weight gradient against element-wise
+references, and numerical gradient validation."""
 
 import hypothesis
 import hypothesis.strategies as st
@@ -28,18 +28,36 @@ def naive_conv(x, w, b, stride):
     return y.astype(np.float32)
 
 
-def strided_patches(x, k, stride):
-    """Reference patch rows: a strided view of every window, copied a
-    value at a time by ``reshape``."""
+def patch_windows(x, k, stride):
+    """Every window of ``x`` as a strided ``(N, OH, OW, C, K, K)`` view."""
     n, c, h, width = x.shape
     oh = (h - k) // stride + 1
     ow = (width - k) // stride + 1
     sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x, shape=(n, oh, ow, c, k, k),
         strides=(sn, sh * stride, sw * stride, sc, sh, sw),
         writeable=False)
-    return windows.reshape(n * oh * ow, -1)
+
+
+def strided_patches(x, k, stride):
+    """Reference patch rows: every window, copied a value at a time by
+    ``reshape``."""
+    windows = patch_windows(x, k, stride)
+    return windows.reshape(-1, int(np.prod(windows.shape[3:])))
+
+
+def reference_dw(x, dy, weight_shape, stride):
+    """Reference GC weight gradient: the GEMM over the patch matrix's
+    transpose ``(C*K*K, N*OH*OW)``, copied a value at a time, as
+    ``conv_grad_params`` built its operand before it read the patch rows
+    through their ``.T`` view."""
+    o, _, k, _ = weight_shape
+    windows = patch_windows(x, k, stride)
+    columns = windows.transpose(3, 4, 5, 0, 1, 2).reshape(
+        -1, int(np.prod(windows.shape[:3])))
+    dy_rows = dy.reshape(dy.shape[0], o, -1).transpose(0, 2, 1)
+    return (columns @ dy_rows.reshape(-1, o)).T.reshape(weight_shape)
 
 
 def assert_same_patches(x, k, stride):
@@ -95,8 +113,6 @@ class TestConvForward:
         y = F.conv_forward(x, w, np.zeros(16, dtype=np.float32), 4)
         assert y.shape == (2, 16, 20, 20)
         assert F.extract_patches(x, 8, 4).shape == (2 * 400, 4 * 64)
-        assert F.extract_patches(x, 8, 4, transpose=True).shape == \
-            (4 * 64, 2 * 400)
 
 
 class TestPatchAdjoint:
@@ -115,8 +131,6 @@ class TestPatchAdjoint:
         back = F.scatter_patches(y, x.shape, k, stride)
         rhs = float((x * back).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9)
-        np.testing.assert_array_equal(
-            F.extract_patches(x, k, stride, transpose=True), rows.T)
 
     def test_scatter_accumulates_overlaps(self):
         rows = np.ones((4, 4), dtype=np.float32)  # k=2, 3x3 input, s=1
@@ -171,6 +185,44 @@ class TestPatchRowCopy:
             (2, 4, 20, 20)).astype(np.float32)
         x.flags.writeable = False
         assert_same_patches(x, 8, 4)
+
+
+class TestGradParamsReadsRowsTransposed:
+    """GC multiplies the patch rows through their ``.T`` view.  At the
+    Table 1 shapes, which every training path runs, its weight gradient
+    is byte for byte the product over the value-by-value transposed copy
+    it replaced.  At some small shapes BLAS sums the transposed operand
+    in another order (every O = 1 product is a GEMV), so there the two
+    agree to fp32 rounding only."""
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 80])
+    @pytest.mark.parametrize("c,o,size,k,stride", [
+        (4, 16, 84, 8, 4),         # Table 1 Conv1
+        (16, 32, 20, 4, 2),        # Table 1 Conv2
+    ])
+    def test_table1_shapes(self, n, c, o, size, k, stride):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, c, size, size)).astype(np.float32)
+        out = F.conv_output_size(size, k, stride)
+        dy = rng.standard_normal((n, o, out, out)).astype(np.float32)
+        dw, _ = F.conv_grad_params(x, dy, (o, c, k, k), stride)
+        expected = reference_dw(x, dy, (o, c, k, k), stride)
+        assert dw.shape == expected.shape
+        assert dw.tobytes() == expected.tobytes()
+
+    @hypothesis.given(small_conv, st.integers(0, 2 ** 31 - 1))
+    @hypothesis.settings(max_examples=25, deadline=None)
+    def test_small_shapes(self, dims, seed):
+        n, c, o, (size, k, stride) = dims
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, size, size)).astype(np.float32)
+        out = F.conv_output_size(size, k, stride)
+        dy = rng.standard_normal((n, o, out, out)).astype(np.float32)
+        dw, _ = F.conv_grad_params(x, dy, (o, c, k, k), stride)
+        # fp32 sums of at most 32 products, added in another order.
+        np.testing.assert_allclose(
+            dw, reference_dw(x, dy, (o, c, k, k), stride),
+            rtol=1e-5, atol=1e-5)
 
 
 class TestGradients:

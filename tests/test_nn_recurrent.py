@@ -202,7 +202,7 @@ class TestRecurrentAgentLearning:
             lambda i: MemoryCue(delay=3),
             lambda: mlp_lstm_network(2, (3,), hidden=16, lstm_hidden=16),
             config, agent_class=RecurrentA3CAgent)
-        result = trainer.train(threads=False)
+        result = trainer.train(actors="serial")
         assert result.tracker.recent_mean(500) > 0.85
 
     def test_feedforward_agent_fails_memory_task(self):
@@ -212,7 +212,7 @@ class TestRecurrentAgentLearning:
         trainer = A3CTrainer(
             lambda i: MemoryCue(delay=3),
             lambda: MLPPolicyNetwork(2, (3,), hidden=16), config)
-        result = trainer.train(threads=False)
+        result = trainer.train(actors="serial")
         assert abs(result.tracker.recent_mean(500)) < 0.4  # chance
 
     def test_lstm_agent_on_markov_task_still_works(self):
@@ -225,7 +225,7 @@ class TestRecurrentAgentLearning:
             lambda: mlp_lstm_network(3, (5, 5), hidden=32,
                                      lstm_hidden=16),
             config, agent_class=RecurrentA3CAgent)
-        result = trainer.train(threads=False)
+        result = trainer.train(actors="serial")
         assert result.tracker.recent_mean(300) > 0.3
 
 

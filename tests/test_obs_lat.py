@@ -208,7 +208,7 @@ class TestTrainerInvariant:
     def test_a3c_serial_records_exact_segments(self):
         with obs.enabled_scope():
             A3CTrainer(lambda i: Bandit(), bandit_net,
-                       self._config()).train(threads=False)
+                       self._config()).train(actors="serial")
             rows = self._validate_live()
         segments = {r["labels"]["segment"] for r in rows
                     if r["name"] == lat.SEGMENT_NS}
@@ -218,7 +218,7 @@ class TestTrainerInvariant:
     def test_a3c_threads_record_exact_segments(self):
         with obs.enabled_scope():
             A3CTrainer(lambda i: Bandit(), bandit_net,
-                       self._config()).train(threads=True)
+                       self._config()).train(actors="threads")
             self._validate_live()
 
     def test_ga3c_records_queue_wait(self):

@@ -127,7 +127,7 @@ class TestEvaluatePolicy:
         trainer = A3CTrainer(
             lambda i: Catch(size=5),
             lambda: MLPPolicyNetwork(3, (5, 5), hidden=32), config)
-        result = trainer.train(threads=False)
+        result = trainer.train(actors="serial")
         return trainer.agents[0].network, result.params
 
     def test_trained_policy_beats_untrained(self):
@@ -173,7 +173,7 @@ class TestEvaluatePolicy:
             lambda: mlp_lstm_network(2, (3,), hidden=16,
                                      lstm_hidden=16),
             config, agent_class=RecurrentA3CAgent)
-        result = trainer.train(threads=False)
+        result = trainer.train(actors="serial")
         network = trainer.agents[0].network
         evaluation = evaluate_recurrent_policy(
             MemoryCue(delay=3), network, result.params, episodes=50,

@@ -23,7 +23,7 @@ def _trainer(seed=3, max_steps=3000):
 class TestTrainerCheckpoint:
     def test_save_restore_round_trip(self, tmp_path):
         trainer = _trainer()
-        trainer.train(threads=False)
+        trainer.train(actors="serial")
         path = os.path.join(tmp_path, "ckpt.npz")
         trainer.save_checkpoint(path)
 
@@ -37,7 +37,7 @@ class TestTrainerCheckpoint:
 
     def test_restore_syncs_agent_local_params(self, tmp_path):
         trainer = _trainer()
-        trainer.train(threads=False)
+        trainer.train(actors="serial")
         path = os.path.join(tmp_path, "ckpt.npz")
         trainer.save_checkpoint(path)
 
@@ -49,7 +49,7 @@ class TestTrainerCheckpoint:
 
     def test_restore_resumes_annealed_learning_rate(self, tmp_path):
         trainer = _trainer(max_steps=2000)
-        trainer.train(threads=False)
+        trainer.train(actors="serial")
         path = os.path.join(tmp_path, "ckpt.npz")
         trainer.save_checkpoint(path)
 
@@ -65,13 +65,13 @@ class TestTrainerCheckpoint:
 
     def test_resumed_training_continues(self, tmp_path):
         trainer = _trainer(max_steps=2000)
-        trainer.train(threads=False)
+        trainer.train(actors="serial")
         path = os.path.join(tmp_path, "ckpt.npz")
         trainer.save_checkpoint(path)
 
         resumed = _trainer(max_steps=4000)
         resumed.restore_checkpoint(path)
-        result = resumed.train(threads=False)
+        result = resumed.train(actors="serial")
         assert result.global_steps >= 4000
 
     def test_restore_rejects_statistics_that_do_not_match_theta(
