@@ -1,15 +1,17 @@
-"""Environment-step microbenchmark: scalar wrapper chains vs the SoA batch.
+"""Environment-step microbenchmark: N one-slot envs vs one N-slot batch.
 
 PAAC/GA3C spend their host time stepping N environments in lockstep.
-The scalar path pays N Python wrapper chains per vector step; the
-structure-of-arrays engine (:mod:`repro.ale.vec` behind
-:class:`~repro.envs.BatchedVectorEnv`) advances all N slots with batched
+The "scalar" column is a ``SyncVectorEnv`` of N ``make_atari_env``
+envs, each a one-slot :class:`~repro.envs.BatchedVectorEnv`, so a
+vector step pays N Python calls into N batch-1 engines; the "batched"
+column is one N-slot ``BatchedVectorEnv``, which advances all N slots
+of one structure-of-arrays engine (:mod:`repro.ale.vec`) with batched
 NumPy.  This bench measures both at several batch widths, and the bare
 engine as well.  It asserts that the engine vectorizes: at B = 64 and
 B = 256 the engine alone must step at least twice as many frames per
 second as at B = 1.  A per-slot engine scales by about 1x.  The batched
-env is not gated against the per-env stack: both step the same engine
-and a faster B = 1 engine speeds up the per-env stack most.
+env is not gated against the one-slot envs: both run the same code,
+and a faster B = 1 engine speeds up the one-slot envs most.
 
 Set ``REPRO_ENV_STEP_JSON=/some/file.json`` to also write the measured
 rows as a machine-readable artifact (CI uploads this from the
@@ -25,12 +27,12 @@ import numpy as np
 from repro.ale import make_game
 from repro.ale.vec import make_vec_game
 from repro.envs import BatchedVectorEnv, SyncVectorEnv, make_atari_env
+from repro.envs.batched import FRAME_SKIP
 from repro.harness import format_table
 
 GAME = "breakout"
 SEED = 11
 BATCHES = (1, 8, 64, 256)
-FRAME_SKIP = 4
 
 
 def _steps_for(batch):

@@ -5,11 +5,11 @@ PAAC (Clemente et al., 2017) steps all agents in lockstep and trains on
 one synchronous batch; the environment half of that loop is exactly what
 `repro.ale.vec` accelerates.  This example builds a
 `BatchedVectorEnv` — B copies of Breakout living in structure-of-arrays
-NumPy state behind the full DeepMind preprocessing stack — and hands it
-to `PAACTrainer` via `vector_env=`, replacing the N scalar wrapper
-chains of `SyncVectorEnv` with one vectorized `step(actions)` per
-frame-skip cycle.  The training dynamics are bit-identical to the scalar
-path (tests/test_envs_batched.py); only the wall clock changes.
+NumPy state behind the DeepMind preprocessing pipeline — and hands it
+to `PAACTrainer` via `vector_env=`, replacing a `SyncVectorEnv` of N
+one-slot envs with one vectorized `step(actions)` per frame-skip
+cycle.  The training dynamics are bit-identical to the one-slot path
+(tests/test_envs_batched.py); only the wall clock changes.
 
 Run:  python examples/paac_batched.py [steps]
 (default 4,000 steps — a CI-sized smoke; scale up as your budget
@@ -40,7 +40,7 @@ def main(max_steps: int = 4_000):
 
     # One SoA engine stepping all 8 slots per call.  Seeding with
     # config.seed applies the same per-slot derivation SyncVectorEnv
-    # uses, so this run is bit-identical to the scalar vector env.
+    # uses, so this run is bit-identical to the one-slot vector env.
     batched = BatchedVectorEnv(game_name, num_envs=config.num_agents,
                                seed=config.seed, max_episode_steps=1500)
 

@@ -4,9 +4,9 @@ Each game renders to a 210x160 RGB screen (the real Atari 2600 / ALE
 frame size), exposes a *minimal action set* drawn from the canonical 18
 ALE actions, tracks lives and score, and advances one frame per
 :meth:`AtariGame.step` (frame-skipping is applied by the preprocessing
-wrappers, as in the real pipeline).  The dynamics and rendering live in
-the batched engine (:mod:`repro.ale.vec`); this view adds the gym-style
-protocol.
+pipeline, :mod:`repro.envs.batched`, as in the real one).  The dynamics
+and rendering live in the batched engine (:mod:`repro.ale.vec`); this
+view adds the gym-style protocol.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class AtariGame(Env):
         self._action[0] = action
         rewards, dones = engine._advance(self._action, self._slot)
         info = {"lives": self.lives, "score": self.score}
-        # A fresh frame: MaxAndSkip keeps two and takes their max.
+        # A fresh frame, which the caller may keep past the next step.
         return self.screen.copy(), float(rewards[0]), bool(dones[0]), info
 
     @property

@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.config import A3CConfig
 from repro.core.execution import (
     apply_rollout_update,
-    derive_agent_seed,
     derive_policy_seed,
     record_routine,
     resolve_backend,
@@ -34,6 +33,7 @@ from repro.core.parameter_server import ParameterServer
 from repro.core.rollout import Rollout
 from repro.core.trainer import TrainResult
 from repro.envs.base import Env
+from repro.envs.vector import SyncVectorEnv
 from repro.obs import lat as _lat
 from repro.obs import runtime as _obs
 from repro.nn.losses import softmax
@@ -45,28 +45,30 @@ from repro.perf.hotpath import hot_path
 class _GA3CWorker:
     """Host-side state of one GA3C agent (no local parameters)."""
 
-    env: typing.Optional[Env]
     rng: np.random.Generator
     state: np.ndarray
     rollout: Rollout
-    episode_score: float = 0.0
-    episodes: int = 0
 
 
 class GA3CTrainer:
-    """Batched single-model A3C (GA3C)."""
+    """Batched single-model A3C (GA3C).
+
+    All agents' environments step as one vector env, as PAAC's do: a
+    ``vector_env`` passed in (e.g. a
+    :class:`~repro.envs.batched.BatchedVectorEnv`, which the caller
+    seeds with ``config.seed``), or a
+    :class:`~repro.envs.vector.SyncVectorEnv` over ``env_factory``.
+    """
 
     def __init__(self, env_factory: typing.Callable[[int], Env],
                  network_factory: typing.Callable[[], A3CNetwork],
                  config: A3CConfig,
-                 prediction_batch: typing.Optional[int] = None,
                  training_batch_rollouts: int = 4,
                  tracker: typing.Optional[ScoreTracker] = None,
                  platform=None,
-                 batched_env=None):
+                 vector_env=None):
         self.config = config
         self.tracker = tracker or ScoreTracker()
-        self.prediction_batch = prediction_batch or config.num_agents
         self.training_batch_rollouts = training_batch_rollouts
         self._platform = platform if platform is not None else "ga3c-tf"
         self._lat_platform = (self._platform
@@ -75,34 +77,27 @@ class GA3CTrainer:
         rng = np.random.default_rng(config.seed)
         self.network = network_factory()
         self.server = ParameterServer(self.network.init_params(rng), config)
-        self.batched_env = batched_env
-        self.workers: typing.List[_GA3CWorker] = []
-        if batched_env is not None:
-            # All agents share one repro.envs.BatchedVectorEnv stepped as
-            # a single batch; the caller seeds it with config.seed so the
-            # per-slot contract (derive_agent_seed) holds.
-            if batched_env.num_envs != config.num_agents:
+        if vector_env is not None:
+            if vector_env.num_envs != config.num_agents:
                 raise ValueError(
-                    f"batched_env has {batched_env.num_envs} slots; "
+                    f"vector_env has {vector_env.num_envs} slots; "
                     f"config.num_agents is {config.num_agents}")
-            observations = batched_env.reset()
-            for agent_id in range(config.num_agents):
-                self.workers.append(_GA3CWorker(
-                    env=None,
-                    rng=np.random.default_rng(
-                        derive_policy_seed(config.seed, agent_id)),
-                    state=observations[agent_id],
-                    rollout=Rollout()))
+            self.vector_env = vector_env
         else:
-            for agent_id in range(config.num_agents):
-                env = env_factory(agent_id)
-                env.seed(derive_agent_seed(config.seed, agent_id))
-                self.workers.append(_GA3CWorker(
-                    env=env,
-                    rng=np.random.default_rng(
-                        derive_policy_seed(config.seed, agent_id)),
-                    state=env.reset(),
-                    rollout=Rollout()))
+            # SyncVectorEnv applies the repro-wide seeding contract
+            # (repro.backends.protocol.derive_agent_seed) per slot.
+            self.vector_env = SyncVectorEnv(
+                [lambda i=i: env_factory(i)
+                 for i in range(config.num_agents)],
+                seed=config.seed)
+        observations = self.vector_env.reset()
+        self.workers = [
+            _GA3CWorker(rng=np.random.default_rng(
+                            derive_policy_seed(config.seed, agent_id)),
+                        state=observations[agent_id],
+                        rollout=Rollout())
+            for agent_id in range(config.num_agents)]
+        self.episodes = 0
         self._train_queue: collections.deque = collections.deque()
         self._routines = 0
 
@@ -114,8 +109,7 @@ class GA3CTrainer:
             self._backend = resolve_backend(self._platform)
         return self._backend
 
-    def _predict(self, workers: typing.Sequence[_GA3CWorker], lat=None
-                 ) -> typing.Tuple[np.ndarray, np.ndarray]:
+    def _predict(self, lat=None) -> typing.Tuple[np.ndarray, np.ndarray]:
         """One batched inference over the *global* model.
 
         ``lat``, when present, receives the request-gathering time as
@@ -124,12 +118,8 @@ class GA3CTrainer:
         hinges on.
         """
         phase_started = time.perf_counter_ns() if lat is not None else 0
-        if self.batched_env is not None:
-            # Already one (N, ...) float32 batch — no gather/copy needed.
-            states = self.batched_env.observations
-        else:
-            states = np.stack([w.state for w in workers]).astype(
-                np.float32, copy=False)
+        # Already one (N, ...) float32 batch — no gather/copy needed.
+        states = self.vector_env.observations
         if lat is not None:
             lat.add_ns("batch_form",
                        time.perf_counter_ns() - phase_started)
@@ -197,53 +187,26 @@ class GA3CTrainer:
                            lane="ga3c-trainer", span_name="train_batch",
                            span_labels={"samples": len(states)}, lat=lat)
 
-    def _advance_scalar(self, logits: np.ndarray,
-                        values: np.ndarray) -> None:
-        """Sample and apply one action per worker on its own env."""
-        for index, worker in enumerate(self.workers):
-            probs = softmax(logits[index])
-            action = int(worker.rng.choice(len(probs), p=probs))
-            obs, reward, done, info = worker.env.step(action)
-            worker.episode_score += info.get("raw_reward", reward)
-            worker.rollout.add(worker.state, action, reward,
-                               float(values[index]))
-            worker.state = obs
-            if done:
-                if not info.get("life_lost"):
-                    self.tracker.record(self.server.global_step,
-                                        worker.episode_score)
-                    worker.episode_score = 0.0
-                    worker.episodes += 1
-                worker.state = worker.env.reset()
-                self._finish_rollout(worker, terminal=True)
-            elif len(worker.rollout) >= self.config.t_max:
-                self._finish_rollout(worker, terminal=False)
-
     @hot_path
-    def _advance_batched(self, logits: np.ndarray,
-                         values: np.ndarray) -> None:
+    def _advance(self, logits: np.ndarray, values: np.ndarray) -> None:
         """Sample every worker's action, then advance all slots in one
-        batched env step (finished slots auto-reset inside it)."""
+        vector env step (finished slots auto-reset inside it)."""
         probs = softmax(logits)
         actions = np.array([
             int(worker.rng.choice(probs.shape[1], p=probs[index]))
             for index, worker in enumerate(self.workers)])
-        step = self.batched_env.step(actions)
+        step = self.vector_env.step(actions)
+        for _slot, score in step.finished_scores:
+            self.tracker.record(self.server.global_step, score)
+            self.episodes += 1
         for index, worker in enumerate(self.workers):
-            info = step.infos[index]
-            reward = float(step.rewards[index])
-            worker.episode_score += info.get("raw_reward", reward)
-            worker.rollout.add(worker.state, int(actions[index]), reward,
+            worker.rollout.add(worker.state, int(actions[index]),
+                               float(step.rewards[index]),
                                float(values[index]))
             # For finished slots this row is already the reset
-            # observation, matching the scalar path's env.reset().
+            # observation.
             worker.state = step.observations[index]
             if step.dones[index]:
-                if not info.get("life_lost"):
-                    self.tracker.record(self.server.global_step,
-                                        worker.episode_score)
-                    worker.episode_score = 0.0
-                    worker.episodes += 1
                 self._finish_rollout(worker, terminal=True)
             elif len(worker.rollout) >= self.config.t_max:
                 self._finish_rollout(worker, terminal=False)
@@ -261,20 +224,17 @@ class GA3CTrainer:
                     if _obs.enabled() else None)
             with _obs.span("ga3c-predictor", "predict_batch",
                            batch=len(self.workers)):
-                logits, values = self._predict(self.workers, lat=plat)
+                logits, values = self._predict(lat=plat)
             if plat is not None:
                 plat.finish()
-            if self.batched_env is not None:
-                self._advance_batched(logits, values)
-            else:
-                self._advance_scalar(logits, values)
+            self._advance(logits, values)
             self.server.add_steps(len(self.workers))
             # Trainer: combine queued rollouts into large batches.
             self._train_from_queue()
         elapsed = time.perf_counter() - start
         return TrainResult(global_steps=self.server.global_step,
                            routines=self._routines,
-                           episodes=sum(w.episodes for w in self.workers),
+                           episodes=self.episodes,
                            wall_seconds=elapsed,
                            tracker=self.tracker,
                            params=self.server.snapshot())

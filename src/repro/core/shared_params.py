@@ -40,6 +40,17 @@ from repro.nn.parameters import ParameterSet
 from repro.obs import runtime as _obs
 from repro.perf.hotpath import hot_path
 
+#: How long a seqlock reader waits on one odd version before it takes
+#: that version's writer for dead (one apply keeps it odd for
+#: milliseconds).
+WRITER_STALL_BUDGET_S = 10.0
+#: Retries a reader spins through on one version before it sleeps
+#: between retries.
+_FREE_SPINS = 64
+#: A waiting reader's sleep per retry after its free spins.  The budget
+#: counts these sleeps, so the read path never reads a clock.
+_STALL_SLEEP_S = 1e-4
+
 
 class SharedParameterStore:
     """Flat θ and RMSProp ``g`` in shared memory behind a seqlock version."""
@@ -135,20 +146,35 @@ class SharedParameterStore:
         """Seqlock read: copy shared θ into ``dest`` without locking.
 
         Retries until a copy completes with the version word even and
-        unchanged, i.e. no writer overlapped the copy.
+        unchanged, i.e. no writer overlapped the copy.  A reader that
+        keeps finding one odd version spins :data:`_FREE_SPINS` times,
+        then sleeps between retries, and raises ``RuntimeError`` naming
+        the version once it has slept longer than
+        :data:`WRITER_STALL_BUDGET_S` on it: that writer died mid-write.
+        A version that moves on restarts the count, since its writer is
+        alive.
         """
         theta = self.theta_flat()
         version = self._version
-        spins = 0
+        last = -1
+        spins = 0                     # retries on version ``last``
         while True:
             before = version.value
             if not before & 1:
                 np.copyto(dest, theta)
                 if version.value == before:
                     return
+            if before != last:
+                last, spins = before, 0
             spins += 1
-            if spins % 64 == 0:
-                time.sleep(0)             # yield the core to the writer
+            if spins > _FREE_SPINS:
+                time.sleep(_STALL_SLEEP_S)
+                if (spins - _FREE_SPINS) * _STALL_SLEEP_S > \
+                        WRITER_STALL_BUDGET_S:
+                    raise RuntimeError(
+                        f"seqlock version {before} stayed odd for over "
+                        f"{WRITER_STALL_BUDGET_S} s: its writer died "
+                        "mid-write")
 
     def read_params_into(self, dest: ParameterSet) -> None:
         """Scatter a consistent θ snapshot into an ordinary set."""

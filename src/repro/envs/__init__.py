@@ -4,41 +4,33 @@ DeepMind-style Atari preprocessing pipeline.
 The API mirrors the familiar gym interface (``reset() -> obs``,
 ``step(a) -> (obs, reward, done, info)``) because the paper's software
 baselines are built on gym + the Arcade Learning Environment; ALE itself is
-simulated in :mod:`repro.ale`.
+simulated in :mod:`repro.ale`.  The Atari pipeline is written once, as
+:class:`BatchedVectorEnv`; a single Atari environment
+(:func:`make_atari_env`) is slot 0 of a one-slot ``BatchedVectorEnv``.
 """
 
-from repro.envs.base import Env, TimeLimit
-from repro.envs.batched import BatchedVectorEnv, BatchPreprocessor
+from repro.envs.base import Env
+from repro.envs.batched import (
+    BatchedVectorEnv,
+    BatchPreprocessor,
+    make_atari_env,
+)
 from repro.envs.classic import CartPole, Catch, GridWorld, MemoryCue
 from repro.envs.preprocessing import bilinear_resize, rgb_to_grayscale
 from repro.envs.spaces import Box, Discrete
 from repro.envs.vector import SyncVectorEnv, VectorStep
-from repro.envs.wrappers import (
-    AtariPreprocessing,
-    ClipReward,
-    EpisodicLife,
-    FrameStack,
-    MaxAndSkip,
-    make_atari_env,
-)
 
 __all__ = [
-    "AtariPreprocessing",
     "BatchPreprocessor",
     "BatchedVectorEnv",
     "Box",
     "CartPole",
     "Catch",
-    "ClipReward",
     "Discrete",
     "Env",
-    "EpisodicLife",
-    "FrameStack",
     "GridWorld",
     "MemoryCue",
-    "MaxAndSkip",
     "SyncVectorEnv",
-    "TimeLimit",
     "VectorStep",
     "bilinear_resize",
     "make_atari_env",

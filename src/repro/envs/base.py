@@ -1,4 +1,4 @@
-"""The environment interface and generic wrappers."""
+"""The environment interface."""
 
 from __future__ import annotations
 
@@ -40,63 +40,3 @@ class Env:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
-
-
-class Wrapper(Env):
-    """Forwarding base class for environment wrappers."""
-
-    def __init__(self, env: Env):
-        super().__init__()
-        self.env = env
-        self.observation_space = env.observation_space
-        self.action_space = env.action_space
-
-    def seed(self, seed: typing.Optional[int] = None) -> None:
-        self.env.seed(seed)
-
-    def reset(self) -> np.ndarray:
-        return self.env.reset()
-
-    def step(self, action: int):
-        return self.env.step(action)
-
-    def close(self) -> None:
-        self.env.close()
-
-    @property
-    def unwrapped(self) -> Env:
-        """The innermost environment."""
-        env = self.env
-        while isinstance(env, Wrapper):
-            env = env.env
-        return env
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__}{self.env!r}>"
-
-
-class TimeLimit(Wrapper):
-    """Terminate episodes after a fixed number of steps.
-
-    Sets ``info["truncated"] = True`` when the limit (rather than the
-    underlying game) ends the episode.
-    """
-
-    def __init__(self, env: Env, max_steps: int):
-        super().__init__(env)
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-        self.max_steps = max_steps
-        self._elapsed = 0
-
-    def reset(self) -> np.ndarray:
-        self._elapsed = 0
-        return self.env.reset()
-
-    def step(self, action: int):
-        obs, reward, done, info = self.env.step(action)
-        self._elapsed += 1
-        if self._elapsed >= self.max_steps and not done:
-            done = True
-            info = dict(info, truncated=True)
-        return obs, reward, done, info

@@ -1,20 +1,25 @@
-"""Batched DeepMind preprocessing over the structure-of-arrays engine.
+"""The DeepMind Atari preprocessing pipeline over the structure-of-arrays
+engine.
 
-:class:`BatchedVectorEnv` is a drop-in replacement for
-:class:`~repro.envs.vector.SyncVectorEnv` wrapping ``N`` copies of one
-Atari game: one :meth:`step` advances every slot through the full
-MaxAndSkip / EpisodicLife / grayscale-resize / FrameStack / ClipReward /
-TimeLimit stack with batched NumPy, instead of N wrapper chains of
-Python calls.  Per slot it is bit-identical to
-``SyncVectorEnv([make_atari_env(make_game(name)) ...], seed=s)`` — same
-observations, rewards, dones, infos and finished scores under the same
-seed and action sequence (see ``tests/test_envs_batched.py``; that
-wrapper stack is itself pinned by digest in
-``tests/test_ale_golden.py``).
+:class:`BatchedVectorEnv` runs ``N`` copies of one game through the
+host pipeline of the DQN/A3C papers, which the FA3C evaluation
+inherits, with batched NumPy:
 
-The frame-skip loop steps only still-active slots (``engine.step``
-accepts a slot subset), so a slot whose game ends mid-cycle drops out
-exactly where the scalar MaxAndSkip loop breaks.
+* repeat each action for :data:`FRAME_SKIP` frames and observe the
+  pixelwise max of the last two (de-flickers sprites drawn on
+  alternating frames); a slot whose game ends mid-cycle stops there;
+* end a training episode at a life loss, but reset the game only once
+  it is over: the new episode of a game that goes on starts with one
+  NOOP cycle;
+* grayscale and bilinear resize to :data:`SIZE` x :data:`SIZE`, in
+  [0, 1];
+* stack the last :data:`STACK` frames, the Table 1 network input;
+* clip rewards to their sign (``info["raw_reward"]`` keeps the sum);
+* end an episode after ``max_episode_steps`` steps, if set.
+
+A single environment (:func:`make_atari_env`) is slot 0 of a one-slot
+``BatchedVectorEnv``, as a single game is slot 0 of a ``B = 1`` engine.
+``tests/test_envs_golden.py`` pins both by digest.
 """
 
 from __future__ import annotations
@@ -23,10 +28,18 @@ import typing
 
 import numpy as np
 
+from repro.envs.base import Env
 from repro.envs.preprocessing import _LUMA
 from repro.envs.spaces import Box
 from repro.envs.vector import VectorStep
 from repro.perf.hotpath import hot_path
+
+#: Frames each action is repeated for.
+FRAME_SKIP = 4
+#: Processed frames per observation.
+STACK = 4
+#: Side of a processed frame.
+SIZE = 84
 
 
 class BatchPreprocessor:
@@ -41,9 +54,6 @@ class BatchPreprocessor:
     def __init__(self, in_height: int, in_width: int,
                  out_height: int, out_width: int):
         self.out_shape = (out_height, out_width)
-        self._identity = (in_height, in_width) == (out_height, out_width)
-        if self._identity:
-            return
         row_pos = (np.arange(out_height) + 0.5) * (in_height / out_height) \
             - 0.5
         col_pos = (np.arange(out_width) + 0.5) * (in_width / out_width) \
@@ -68,8 +78,6 @@ class BatchPreprocessor:
         """Process ``(N, H, W, 3)`` uint8 frames to ``(N, out_h, out_w)``
         float32 in [0, 1]."""
         gray = frames.astype(np.float32) @ _LUMA
-        if self._identity:
-            return gray / 255.0
         g0 = gray[:, self._r0]
         g1 = gray[:, self._r1]
         top = g0[:, :, self._c0] * self._omwc + g0[:, :, self._c1] * self._wc
@@ -84,58 +92,51 @@ class BatchedVectorEnv:
     Drop-in for :class:`~repro.envs.vector.SyncVectorEnv` (same
     ``reset``/``step``/``observations`` protocol and
     :class:`~repro.envs.vector.VectorStep` results), built on
-    :func:`repro.ale.vec.make_vec_game` instead of N scalar wrapper
-    chains.
+    :func:`repro.ale.vec.make_vec_game` or on a prebuilt engine.  Per
+    slot it equals a ``SyncVectorEnv`` of :func:`make_atari_env` envs
+    under the same seed and actions.
     """
 
     def __init__(self, game: typing.Union[str, "VecAtariGame"],
                  num_envs: typing.Optional[int] = None,
                  seed: typing.Optional[int] = None,
-                 frame_skip: int = 4, stack: int = 4,
-                 episodic_life: bool = True, clip_rewards: bool = True,
-                 size: int = 84,
                  max_episode_steps: typing.Optional[int] = None):
         # Imported here: repro.ale builds on repro.envs, so a module-level
         # import would be circular.
         from repro.ale.vec import make_vec_game
         from repro.ale.vec.base import VecAtariGame
         if isinstance(game, VecAtariGame):
+            if num_envs is not None and num_envs != game.batch:
+                raise ValueError(f"num_envs is {num_envs} but the engine "
+                                 f"has {game.batch} slots")
             engine = game
+        elif num_envs is None:
+            raise ValueError("num_envs is required when game is a name")
         else:
-            if num_envs is None:
-                raise ValueError("num_envs is required when game is a name")
             engine = make_vec_game(game, num_envs)
-        if frame_skip < 1:
-            raise ValueError(f"skip must be >= 1, got {frame_skip}")
-        if stack < 1:
-            raise ValueError(f"count must be >= 1, got {stack}")
         if max_episode_steps is not None and max_episode_steps < 1:
             raise ValueError(f"max_steps must be >= 1, "
                              f"got {max_episode_steps}")
         self.engine = engine
-        self.num_envs = engine.batch
-        self.frame_skip = int(frame_skip)
-        self.stack = int(stack)
-        self.episodic_life = bool(episodic_life)
-        self.clip_rewards = bool(clip_rewards)
+        self.num_envs = batch = engine.batch
         self.max_episode_steps = max_episode_steps
         self.action_space = engine.action_space
-        self.observation_space = Box(0.0, 1.0, (stack, size, size))
+        self.observation_space = Box(0.0, 1.0, (STACK, SIZE, SIZE))
         if seed is not None:
             # Lazy for the same layering reason as SyncVectorEnv: the
             # contract lives with the backend protocol.
             from repro.backends.protocol import derive_agent_seed
             engine.seed([derive_agent_seed(seed, index)
-                         for index in range(self.num_envs)])
+                         for index in range(batch)])
 
-        batch = self.num_envs
         height, width = engine.screen.height, engine.screen.width
-        self._pre = BatchPreprocessor(height, width, size, size)
+        self._pre = BatchPreprocessor(height, width, SIZE, SIZE)
         self._prev = np.zeros((batch, height, width, 3), dtype=np.uint8)
         self._raw = np.zeros_like(self._prev)
         self._lives = np.zeros(batch, dtype=np.int64)
-        # EpisodicLife._game_over per slot: a fresh env fully resets.
-        self._ep_game_over = np.ones(batch, dtype=bool)
+        # Did each slot's last cycle end its game?  A fresh env has no
+        # game to go on with.
+        self._game_over = np.ones(batch, dtype=bool)
         self._elapsed = np.zeros(batch, dtype=np.int64)
         self._scores = np.zeros(batch)
         self._observations: typing.Optional[np.ndarray] = None
@@ -143,12 +144,17 @@ class BatchedVectorEnv:
 
     # -- internals ---------------------------------------------------------
 
+    def _new_stacks(self) -> np.ndarray:
+        return np.empty((self.num_envs, STACK, SIZE, SIZE),
+                        dtype=np.float32)
+
     @hot_path
     def _skip_slots(self, slots: np.ndarray,
                     actions: np.ndarray) -> typing.Tuple[np.ndarray,
                                                          np.ndarray]:
-        """One MaxAndSkip cycle for ``slots``; the de-flickered frames land
-        in ``self._raw[slots]``.  Returns (total_rewards, dones)."""
+        """One frame-skip cycle for ``slots``; the de-flickered frames
+        land in ``self._raw[slots]``.  Returns (total_rewards,
+        game_overs)."""
         engine = self.engine
         batch = self.num_envs
         rewards = np.zeros(slots.size)
@@ -157,7 +163,7 @@ class BatchedVectorEnv:
         alive = np.ones(slots.size, dtype=bool)
         # ``slots`` never repeats a slot, so ``batch`` of them are every
         # slot: whole frames then move as slices, not as gathers.
-        for sub in range(self.frame_skip):
+        for sub in range(FRAME_SKIP):
             idx = np.nonzero(alive)[0]
             if idx.size == 0:
                 break
@@ -184,46 +190,81 @@ class BatchedVectorEnv:
             self._raw[single] = engine.frames[single]
         return rewards, dones
 
-    def _pseudo_reset(self, slots: np.ndarray,
-                      new_obs: np.ndarray) -> None:
-        """EpisodicLife life-loss reset: one NOOP skip cycle per slot (full
-        engine reset if the game ends during it), stacked into
-        ``new_obs``."""
+    @hot_path
+    def _advance(self, actions: np.ndarray
+                 ) -> typing.Tuple[np.ndarray, np.ndarray, typing.List[dict],
+                                   np.ndarray]:
+        """One frame-skip cycle of every slot.
+
+        Returns the unclipped rewards, the dones, the per-slot infos and
+        new stacks in which every slot shifts and appends its newest
+        frame, so a done slot's stack ends with its terminal frame.
+        """
+        old_obs = self.observations
         engine = self.engine
-        _, died = self._skip_slots(slots,
-                                   np.zeros(slots.size, dtype=np.int64))
-        kept = slots[~died]
-        if kept.size:
-            new_obs[kept] = self._pre(self._raw[kept])[:, None]
-        lost = slots[died]
-        if lost.size:
-            engine.reset_slots(lost)
-            new_obs[lost] = self._pre(engine.frames[lost])[:, None]
+        rewards, game_over = self._skip_slots(self._all, actions)
+        lives = engine.lives.copy()
+        life_lost = ~game_over & (lives > 0) & (lives < self._lives)
+        dones = game_over | life_lost
+        self._game_over = game_over
+        self._lives = lives
+        truncated = np.zeros(self.num_envs, dtype=bool)
+        if self.max_episode_steps is not None:
+            self._elapsed += 1
+            truncated = (self._elapsed >= self.max_episode_steps) & ~dones
+            dones |= truncated
+
+        scores = engine.score
+        infos: typing.List[dict] = []
+        for index in range(self.num_envs):
+            info = {"lives": int(lives[index]),
+                    "score": float(scores[index])}
+            if life_lost[index]:
+                info["life_lost"] = True
+            info["raw_reward"] = float(rewards[index])
+            if truncated[index]:
+                info["truncated"] = True
+            infos.append(info)
+
+        obs = self._new_stacks()
+        obs[:, :-1] = old_obs[:, 1:]
+        obs[:, -1] = self._pre(self._raw)
+        return rewards, dones, infos, obs
+
+    def _restart(self, slots: np.ndarray, obs: np.ndarray) -> None:
+        """Start a new episode in ``slots``, each stack in ``obs`` filled
+        with its first frame.
+
+        A slot whose game goes on (its episode ended at a life loss or
+        at ``max_episode_steps``) plays one NOOP cycle; a slot whose game
+        is over, or ends in that cycle, resets its game.
+        """
+        engine = self.engine
+        self._elapsed[slots] = 0
+        fresh = self._game_over[slots]
+        going = slots[~fresh]
+        if going.size:
+            _, ended = self._skip_slots(
+                going, np.zeros(going.size, dtype=np.int64))
+            kept = going[~ended]
+            if kept.size:
+                obs[kept] = self._pre(self._raw[kept])[:, None]
+            fresh[~fresh] = ended
+        reset = slots[fresh]
+        if reset.size:
+            engine.reset_slots(reset)
+            obs[reset] = self._pre(engine.frames[reset])[:, None]
+        self._lives[slots] = engine.lives[slots]
 
     # -- SyncVectorEnv protocol --------------------------------------------
 
     def reset(self) -> np.ndarray:
         """Reset every slot; returns stacked observations."""
-        engine = self.engine
         self._scores[:] = 0.0
-        self._elapsed[:] = 0
-        if self.episodic_life:
-            full = self._ep_game_over.copy()
-        else:
-            full = np.ones(self.num_envs, dtype=bool)
-        new_obs = np.empty(
-            (self.num_envs, self.stack) + self._pre.out_shape,
-            dtype=np.float32)
-        pseudo_idx = np.nonzero(~full)[0]
-        if pseudo_idx.size:
-            self._pseudo_reset(pseudo_idx, new_obs)
-        full_idx = np.nonzero(full)[0]
-        if full_idx.size:
-            engine.reset_slots(full_idx)
-            new_obs[full_idx] = self._pre(engine.frames[full_idx])[:, None]
-        self._lives[:] = engine.lives
-        self._observations = new_obs
-        return new_obs
+        obs = self._new_stacks()
+        self._restart(self._all, obs)
+        self._observations = obs
+        return obs
 
     @property
     def observations(self) -> np.ndarray:
@@ -242,85 +283,24 @@ class BatchedVectorEnv:
         if len(actions) != self.num_envs:
             raise ValueError(f"expected {self.num_envs} actions, "
                              f"got {len(actions)}")
-        old_obs = self.observations
-        engine = self.engine
-        batch = self.num_envs
         actions = np.asarray(actions)
         if actions.dtype.kind not in "iu":
             raise ValueError(f"actions must be integers, got dtype "
                              f"{actions.dtype}")
-        actions = actions.astype(np.int64, copy=False)
-
-        rewards_raw, done_raw = self._skip_slots(self._all, actions)
-        lives = engine.lives.copy()
-        dones = done_raw.copy()
-        life_lost = np.zeros(batch, dtype=bool)
-        if self.episodic_life:
-            life_lost = ~done_raw & (lives > 0) & (lives < self._lives)
-            dones |= life_lost
-            self._ep_game_over = done_raw.copy()
-        self._lives = lives
-        truncated = np.zeros(batch, dtype=bool)
-        if self.max_episode_steps is not None:
-            self._elapsed += 1
-            truncated = (self._elapsed >= self.max_episode_steps) & ~dones
-            dones |= truncated
-
-        # Per-slot infos, captured before any resets (as the scalar stack
-        # observes them).
-        scores = engine.score
-        infos: typing.List[dict] = []
-        for index in range(batch):
-            info = {"lives": int(lives[index]),
-                    "score": float(scores[index])}
-            if life_lost[index]:
-                info["life_lost"] = True
-            if self.clip_rewards:
-                info["raw_reward"] = float(rewards_raw[index])
-            if truncated[index]:
-                info["truncated"] = True
-            infos.append(info)
-
-        if self.clip_rewards:
-            rewards = np.sign(rewards_raw).astype(np.float32)
-        else:
-            rewards = rewards_raw.astype(np.float32)
-        self._scores += rewards_raw
+        rewards, dones, infos, obs = self._advance(
+            actions.astype(np.int64, copy=False))
+        self._scores += rewards
         finished: typing.List[typing.Tuple[int, float]] = []
         done_idx = np.nonzero(dones)[0]
         for index in done_idx:
             if not infos[index].get("life_lost"):
                 finished.append((int(index), float(self._scores[index])))
                 self._scores[index] = 0.0
-
-        # New frame stacks: live slots shift-and-append; finished slots
-        # rebuild from their reset observation.
-        new_obs = np.empty((batch, self.stack) + self._pre.out_shape,
-                           dtype=np.float32)
-        live_idx = np.nonzero(~dones)[0]
-        if live_idx.size == batch:
-            new_obs[:, :-1] = old_obs[:, 1:]
-            new_obs[:, -1] = self._pre(self._raw)
-        elif live_idx.size:
-            new_obs[live_idx, :-1] = old_obs[live_idx, 1:]
-            new_obs[live_idx, -1] = self._pre(self._raw[live_idx])
-        if self.episodic_life:
-            pseudo_idx = np.nonzero(dones & ~done_raw)[0]
-            full_idx = np.nonzero(done_raw)[0]
-        else:
-            pseudo_idx = np.zeros(0, dtype=np.intp)
-            full_idx = done_idx
-        if pseudo_idx.size:
-            self._pseudo_reset(pseudo_idx, new_obs)
-        if full_idx.size:
-            engine.reset_slots(full_idx)
-            new_obs[full_idx] = self._pre(engine.frames[full_idx])[:, None]
         if done_idx.size:
-            self._lives[done_idx] = engine.lives[done_idx]
-            self._elapsed[done_idx] = 0
-
-        self._observations = new_obs
-        return VectorStep(observations=new_obs, rewards=rewards,
+            self._restart(done_idx, obs)
+        self._observations = obs
+        return VectorStep(observations=obs,
+                          rewards=np.sign(rewards).astype(np.float32),
                           dones=dones, infos=infos,
                           finished_scores=finished)
 
@@ -328,3 +308,56 @@ class BatchedVectorEnv:
         close = getattr(self.engine, "close", None)
         if close is not None:
             close()
+
+
+class AtariEnv(Env):
+    """One game through the pipeline: slot 0 of a one-slot
+    :class:`BatchedVectorEnv`.
+
+    :meth:`step` is the vector env's advance alone, so at ``done`` it
+    returns the terminal stack and leaves the restart to :meth:`reset`,
+    which is the vector env's reset.
+    """
+
+    def __init__(self, vec: BatchedVectorEnv):
+        # Env.__init__ is skipped: the generator is the engine's slot 0.
+        self.vec = vec
+        self.action_space = vec.action_space
+        self.observation_space = vec.observation_space
+        self._action = np.zeros(1, dtype=np.int64)
+
+    def seed(self, seed: typing.Optional[int] = None) -> None:
+        self.vec.engine.seed([seed])
+
+    def reset(self) -> np.ndarray:
+        return self.vec.reset()[0]
+
+    def step(self, action: int):
+        vec = self.vec
+        if vec.engine.game_over[0]:
+            raise RuntimeError("step() called on a finished game; "
+                               "call reset()")
+        if not self.action_space.contains(action):
+            raise ValueError(f"invalid action {action!r} for "
+                             f"{type(vec.engine).__name__}")
+        self._action[0] = action
+        rewards, dones, infos, obs = vec._advance(self._action)
+        vec._observations = obs
+        return obs[0], float(np.sign(rewards[0])), bool(dones[0]), infos[0]
+
+    def __repr__(self) -> str:
+        return f"<AtariEnv {type(self.vec.engine).__name__}>"
+
+
+def make_atari_env(game: Env,
+                   max_episode_steps: typing.Optional[int] = None
+                   ) -> AtariEnv:
+    """The pipeline around ``game``, a :func:`repro.ale.make_game` env:
+    ``(4, 84, 84)`` float32 observations in [0, 1], the input of the
+    Table 1 network."""
+    from repro.ale.games.base import AtariGame
+    if not isinstance(game, AtariGame):
+        raise TypeError(f"make_atari_env takes a repro.ale.make_game env, "
+                        f"got {type(game).__name__}")
+    return AtariEnv(BatchedVectorEnv(game.engine,
+                                     max_episode_steps=max_episode_steps))

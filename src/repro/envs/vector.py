@@ -4,8 +4,8 @@ PAAC's defining trait is stepping all agents' environments in lockstep
 and batching every DNN call (paper Section 6).  :class:`SyncVectorEnv`
 provides that substrate: N independent environments advanced together,
 with automatic reset-on-done and per-slot episode-score accounting
-(respecting the EpisodicLife convention that a life loss ends a training
-episode but not the scored game).
+(respecting the Atari pipeline's convention that a life loss ends a
+training episode but not the scored game).
 """
 
 from __future__ import annotations

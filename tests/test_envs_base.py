@@ -1,18 +1,19 @@
-"""Tests for spaces, the Env contract, TimeLimit, and preprocessing."""
+"""Tests for spaces, the Env contract, the episode cap, and preprocessing."""
 
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from repro.ale import make_game
 from repro.envs import (
     Box,
     CartPole,
     Catch,
     Discrete,
     GridWorld,
-    TimeLimit,
     bilinear_resize,
+    make_atari_env,
     rgb_to_grayscale,
 )
 from repro.envs.preprocessing import preprocess_frame
@@ -63,8 +64,11 @@ class TestBox:
 
 
 class TestTimeLimit:
+    """``max_episode_steps`` ends a training episode, not the game."""
+
     def test_truncates_and_flags(self):
-        env = TimeLimit(GridWorld(size=50, max_steps=10_000), max_steps=3)
+        env = make_atari_env(make_game("seaquest"), max_episode_steps=3)
+        env.seed(0)
         env.reset()
         for _ in range(2):
             _, _, done, info = env.step(1)
@@ -72,9 +76,11 @@ class TestTimeLimit:
         _, _, done, info = env.step(1)
         assert done
         assert info["truncated"]
+        assert not env.vec.engine.game_over[0]
 
     def test_counter_resets(self):
-        env = TimeLimit(GridWorld(size=50, max_steps=10_000), max_steps=2)
+        env = make_atari_env(make_game("seaquest"), max_episode_steps=2)
+        env.seed(0)
         env.reset()
         env.step(1)
         env.reset()
@@ -83,7 +89,7 @@ class TestTimeLimit:
 
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
-            TimeLimit(Catch(), max_steps=0)
+            make_atari_env(make_game("pong"), max_episode_steps=0)
 
 
 class TestClassicEnvs:

@@ -1,10 +1,10 @@
 """BatchedVectorEnv as a bit-exact drop-in for SyncVectorEnv.
 
-The batched path must reproduce the scalar wrapper stack — MaxAndSkip /
-EpisodicLife / AtariPreprocessing / FrameStack / ClipReward / TimeLimit
-— per slot: same observations, rewards, dones, infos and finished
-scores under the same seed and actions.  ``Catch``-style toy envs are
-not covered (the engine wraps the SoA Atari games only).
+N slots stepped as one batch must give, per slot, what N one-slot
+``make_atari_env`` envs give in a ``SyncVectorEnv``: same observations,
+rewards, dones, infos and finished scores under the same seed and
+actions.  ``Catch``-style toy envs are not covered (the engine wraps the
+SoA Atari games only).
 """
 
 import numpy as np
@@ -56,24 +56,12 @@ def test_default_stack_bit_identical(name):
     _run_pair(name)
 
 
-def test_no_episodic_life():
-    _run_pair("breakout", steps=120, episodic_life=False)
-
-
-def test_unclipped_rewards():
-    _run_pair("qbert", steps=120, clip_rewards=False)
-
-
 def test_time_limit_truncation():
     _run_pair("pong", steps=120, max_episode_steps=25)
 
 
-def test_frame_skip_and_stack_variants():
-    _run_pair("seaquest", steps=80, frame_skip=2, stack=2)
-
-
 def test_reset_after_steps_matches():
-    """A mid-run reset (EpisodicLife pseudo-reset regime) stays aligned."""
+    """A mid-run reset (the life-loss pseudo-reset regime) stays aligned."""
     name = "breakout"
     batched = BatchedVectorEnv(name, num_envs=2, seed=SEED)
     scalar = _scalar_vec(name, 2, SEED)
@@ -92,6 +80,13 @@ class TestConstructor:
         with pytest.raises(ValueError):
             BatchedVectorEnv("pong")
 
+    def test_num_envs_must_match_a_prebuilt_engine(self):
+        from repro.ale.vec import make_vec_game
+        with pytest.raises(ValueError, match="5.*2"):
+            BatchedVectorEnv(make_vec_game("pong", 2), num_envs=5)
+        assert BatchedVectorEnv(make_vec_game("pong", 2),
+                                num_envs=2).num_envs == 2
+
     def test_accepts_prebuilt_engine(self):
         from repro.ale.vec import make_vec_game
         engine = make_vec_game("pong", 2)
@@ -101,10 +96,6 @@ class TestConstructor:
                               _scalar_vec("pong", 2, SEED).reset())
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            BatchedVectorEnv("pong", num_envs=2, frame_skip=0)
-        with pytest.raises(ValueError):
-            BatchedVectorEnv("pong", num_envs=2, stack=0)
         with pytest.raises(ValueError):
             BatchedVectorEnv("pong", num_envs=2, max_episode_steps=0)
 
@@ -127,13 +118,4 @@ class TestBatchPreprocessor:
         batched = BatchPreprocessor(210, 160, 84, 84)(frames)
         for index in range(4):
             assert np.array_equal(batched[index],
-                                  preprocess_frame(frames[index]))
-
-    def test_identity_size_skips_resize(self):
-        rng = np.random.default_rng(1)
-        frames = rng.integers(0, 256, size=(2, 84, 84, 3), dtype=np.uint8)
-        out = BatchPreprocessor(84, 84, 84, 84)(frames)
-        assert out.shape == (2, 84, 84)
-        for index in range(2):
-            assert np.array_equal(out[index],
                                   preprocess_frame(frames[index]))

@@ -1,109 +1,122 @@
-"""Tests for the DeepMind preprocessing wrapper stack."""
+"""Tests for the DeepMind preprocessing pipeline of ``make_atari_env``.
+
+Each stage is checked on a pipeline env against a raw ``make_game``
+replay under the same seed and actions: the raw game is the engine that
+``tests/test_ale_golden.py`` pins, so it is an independent reference for
+the frame skip, the max-of-two, the life-loss restart and the clipping.
+"""
 
 import numpy as np
 import pytest
 
 from repro.ale import make_game
-from repro.envs import (
-    AtariPreprocessing,
-    ClipReward,
-    Env,
-    FrameStack,
-    MaxAndSkip,
-    make_atari_env,
-)
-from repro.envs.spaces import Box, Discrete
+from repro.envs import Catch, make_atari_env
+from repro.envs.batched import FRAME_SKIP
+from repro.envs.preprocessing import preprocess_frame
 
 
-class _FlickerEnv(Env):
-    """Emits alternating frames so the max-pool behaviour is observable."""
+def _cycle(raw, action):
+    """One frame-skip cycle on the raw game: (frames, total, game over)."""
+    frames, total, over = [], 0.0, False
+    for _ in range(FRAME_SKIP):
+        frame, reward, over, _ = raw.step(action)
+        frames.append(frame)
+        total += reward
+        if over:
+            break
+    return frames, total, over
 
-    def __init__(self):
-        super().__init__()
-        self.observation_space = Box(0, 255, (4, 4, 3), dtype=np.uint8)
-        self.action_space = Discrete(2)
-        self.t = 0
 
-    def reset(self):
-        self.t = 0
-        return self._frame()
+def _paired(name, seed=1, steps=400):
+    """Step a pipeline env beside a raw game until the game is over.
 
-    def _frame(self):
-        frame = np.zeros((4, 4, 3), dtype=np.uint8)
-        if self.t % 2 == 0:
-            frame[0, 0] = 200        # sprite visible on even frames only
-        frame[1, 1] = self.t         # frame counter pixel
-        return frame
-
-    def step(self, action):
-        self.t += 1
-        reward = float(action) * 2.5 - 1.0
-        done = self.t >= 20
-        return self._frame(), reward, done, {}
+    Yields ``(env, raw, obs, reward, done, info, frames, total)`` per
+    step, where ``frames`` and ``total`` are the raw replay's cycle.
+    A life loss restarts both: the env with ``reset()``, the raw game
+    with one NOOP cycle (a full reset if the game ends in it).
+    """
+    env = make_atari_env(make_game(name))
+    env.seed(seed)
+    env.reset()
+    raw = make_game(name)
+    raw.seed(seed)
+    raw.reset()
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        action = int(rng.integers(env.action_space.n))
+        obs, reward, done, info = env.step(action)
+        frames, total, over = _cycle(raw, action)
+        yield env, raw, obs, reward, done, info, frames, total
+        if over:
+            return
+        if done:
+            env.reset()
+            if _cycle(raw, 0)[2]:
+                raw.reset()
+    raise AssertionError(f"{name}: no game over in {steps} steps")
 
 
 class TestMaxAndSkip:
     def test_skip_advances_underlying_frames(self):
-        env = MaxAndSkip(_FlickerEnv(), skip=4)
+        env = make_atari_env(make_game("breakout"))
+        env.seed(0)
         env.reset()
-        obs, _, _, _ = env.step(0)
-        assert obs[1, 1, 0] == 4     # four underlying frames advanced
+        env.step(0)
+        assert env.vec.engine.frame[0] == FRAME_SKIP
 
     def test_max_pool_deflickers(self):
-        env = MaxAndSkip(_FlickerEnv(), skip=4)
-        env.reset()
-        obs, _, _, _ = env.step(0)
-        # frames 3 and 4: sprite drawn only on frame 4 (even), max keeps it
-        assert obs[0, 0, 0] == 200
+        steps = 0
+        for _, _, obs, _, _, _, frames, _ in _paired("qbert"):
+            expected = np.maximum(frames[-2], frames[-1]) \
+                if len(frames) >= 2 else frames[-1]
+            np.testing.assert_array_equal(obs[-1],
+                                          preprocess_frame(expected))
+            steps += 1
+        assert steps > 1
 
     def test_rewards_summed_over_skip(self):
-        env = MaxAndSkip(_FlickerEnv(), skip=4)
-        env.reset()
-        _, reward, _, _ = env.step(1)
-        assert reward == pytest.approx(4 * 1.5)
+        totals = [(info["raw_reward"], total) for _, _, _, _, _, info, _,
+                  total in _paired("qbert")]
+        assert all(raw_reward == total for raw_reward, total in totals)
+        assert any(total for _, total in totals)
 
     def test_stops_at_done(self):
-        env = MaxAndSkip(_FlickerEnv(), skip=4)
-        env.reset()
-        done = False
-        for _ in range(5):
-            _, _, done, _ = env.step(0)
-        assert done
-
-    def test_invalid_skip(self):
-        with pytest.raises(ValueError):
-            MaxAndSkip(_FlickerEnv(), skip=0)
+        for env, raw, _, _, done, info, frames, _ in _paired("qbert"):
+            pass
+        assert done and not info.get("life_lost")
+        assert raw.game_over
+        # This game ends mid-cycle, and the cycle stops on that frame.
+        assert len(frames) < FRAME_SKIP
+        assert env.vec.engine.frame[0] == raw.frame
 
 
 class TestFrameStack:
     def test_reset_fills_stack_with_first_frame(self):
-        env = FrameStack(_FlickerEnv(), count=4)
+        env = make_atari_env(make_game("pong"))
+        env.seed(0)
         obs = env.reset()
-        assert obs.shape == (4, 4, 4, 3)
+        assert obs.shape == (4, 84, 84)
         for i in range(1, 4):
             np.testing.assert_array_equal(obs[0], obs[i])
 
     def test_stack_rolls(self):
-        env = FrameStack(_FlickerEnv(), count=3)
-        env.reset()
+        env = make_atari_env(make_game("pong"))
+        env.seed(0)
+        first = env.reset().copy()
         obs, _, _, _ = env.step(0)
-        assert obs[-1][1, 1, 0] == 1   # newest frame last
-        assert obs[0][1, 1, 0] == 0
+        np.testing.assert_array_equal(obs[:-1], first[1:])   # newest last
 
     def test_observation_space_shape(self):
-        env = FrameStack(_FlickerEnv(), count=4)
-        assert env.observation_space.shape == (4, 4, 4, 3)
+        env = make_atari_env(make_game("pong"))
+        assert env.observation_space.shape == (4, 84, 84)
 
 
 class TestClipReward:
     def test_clips_to_sign(self):
-        env = ClipReward(_FlickerEnv())
-        env.reset()
-        _, reward, _, info = env.step(1)
-        assert reward == 1.0
-        assert info["raw_reward"] == pytest.approx(1.5)
-        _, reward, _, info = env.step(0)
-        assert reward == -1.0
+        clipped = [(reward, info["raw_reward"]) for _, _, _, reward, _,
+                   info, _, _ in _paired("qbert")]
+        assert all(reward == np.sign(raw) for reward, raw in clipped)
+        assert any(raw > 1 for _, raw in clipped)
 
 
 class TestFullAtariStack:
@@ -127,7 +140,7 @@ class TestFullAtariStack:
                 env.reset()
 
     def test_episodic_life_shortens_episodes(self):
-        env = make_atari_env(make_game("breakout"), episodic_life=True)
+        env = make_atari_env(make_game("breakout"))
         env.seed(2)
         env.reset()
         rng = np.random.default_rng(2)
@@ -150,3 +163,24 @@ class TestFullAtariStack:
             _, _, done, info = env.step(0)
             steps += 1
         assert steps <= 5
+
+    def test_step_after_game_over_needs_reset(self):
+        for env, *_ in _paired("qbert"):
+            pass
+        with pytest.raises(RuntimeError, match="reset"):
+            env.step(0)
+        env.reset()
+        env.step(0)
+
+    @pytest.mark.parametrize("action", [2.9, "1", True])
+    def test_rejects_non_integer_actions(self, action):
+        env = make_atari_env(make_game("breakout"))
+        env.seed(0)
+        env.reset()
+        with pytest.raises(ValueError):
+            env.step(action)
+        assert env.vec.engine.frame[0] == 0
+
+    def test_rejects_an_env_that_is_not_a_game(self):
+        with pytest.raises(TypeError, match="Catch"):
+            make_atari_env(Catch())

@@ -6,7 +6,7 @@ import pytest
 
 from repro.ale import make_game
 from repro.core import A3CConfig, A3CTrainer, GA3CTrainer, PAACTrainer
-from repro.envs import Catch, make_atari_env
+from repro.envs import BatchedVectorEnv, Catch, make_atari_env
 from repro.nn.network import A3CNetwork, MLPPolicyNetwork
 
 
@@ -28,6 +28,32 @@ class TestBaselinesOnPixels:
                              config).train()
         assert result.global_steps >= 100
         assert result.routines == result.global_steps // (2 * 5)
+
+
+class TestGA3CVectorEnv:
+    """GA3C steps one vector env, as PAAC does: a prebuilt
+    ``BatchedVectorEnv`` and the ``SyncVectorEnv`` it builds over the
+    env factory give the same run."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_batched_env_matches_factory_path(self, seed):
+        def run(**kwargs):
+            config = A3CConfig(num_agents=3, max_steps=600, seed=seed)
+            return GA3CTrainer(
+                lambda i: make_atari_env(make_game("breakout")),
+                lambda: A3CNetwork(4), config, **kwargs).train()
+
+        factory = run()
+        batched = run(vector_env=BatchedVectorEnv("breakout", 3,
+                                                  seed=seed))
+        assert factory.episodes > 0
+        assert (batched.global_steps, batched.routines,
+                batched.episodes) == (factory.global_steps,
+                                      factory.routines, factory.episodes)
+        assert batched.params.names() == factory.params.names()
+        for name in factory.params.names():
+            np.testing.assert_array_equal(batched.params[name],
+                                          factory.params[name])
 
 
 class TestAlgorithmConsistency:

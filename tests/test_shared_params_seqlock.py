@@ -9,10 +9,12 @@ scripted version word whose reads can mutate θ at exact protocol points.
 
 import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import shared_params
 from repro.core.shared_params import SharedParameterStore
 from repro.nn.network import MLPPolicyNetwork
 
@@ -157,3 +159,77 @@ class TestConcurrentConsistency:
         for thread in threads:
             thread.join(timeout=30)
         assert not errors, f"torn snapshot observed: {errors[0]}"
+
+
+class TestDeadWriter:
+    """A writer that dies mid-write leaves the version odd; a reader
+    must then fail within the stall budget instead of spinning forever,
+    and must not fail while a live writer keeps moving the version."""
+
+    def test_wedged_store_raises_naming_the_version(self, monkeypatch):
+        monkeypatch.setattr(shared_params, "WRITER_STALL_BUDGET_S", 0.2)
+        store = make_store()
+        store.begin_write()                  # and no end_write()
+        errors = []
+
+        def read():
+            try:
+                store.read_params_into(template_params())
+            except RuntimeError as error:
+                errors.append(error)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "reader still spins on a dead writer"
+        assert len(errors) == 1
+        assert "version 1" in str(errors[0])
+
+    def test_read_racing_a_live_writer_is_consistent(self, monkeypatch):
+        """Bursts of back-to-back writes keep the version odd for longer
+        than the budget, but each version only for a few milliseconds:
+        the reader waits through them and gets a whole θ."""
+        monkeypatch.setattr(shared_params, "WRITER_STALL_BUDGET_S", 0.02)
+        store = make_store()
+        n = store.total_values
+        theta = store.theta_flat()
+        stop = threading.Event()
+        torn, seen, errors = [], set(), []
+
+        def writer():
+            k = 0.0
+            while not stop.is_set():
+                for _ in range(20):           # 60 ms of writes
+                    k += 1.0
+                    with store.lock:
+                        store.begin_write()
+                        theta[:n // 2] = k
+                        time.sleep(0.003)
+                        theta[n // 2:] = k
+                        store.end_write()
+                time.sleep(0.005)
+
+        def reader():
+            dest = np.empty(n, dtype=np.float32)
+            try:
+                while len(seen) < 3:
+                    store.snapshot_flat_into(dest)
+                    low, high = float(dest.min()), float(dest.max())
+                    if low != high:
+                        torn.append((low, high))
+                    seen.add(low)
+            except RuntimeError as error:
+                errors.append(error)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=writer, daemon=True),
+                   threading.Thread(target=reader, daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert not torn, torn
+        assert len(seen) == 3
