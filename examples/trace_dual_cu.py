@@ -29,15 +29,16 @@ ROUTINES = 12
 
 
 def capture(platform, path):
-    """One observed run -> (ips, busy-lane summary, trace file)."""
+    """One observed run -> (result, its span tracer, span count).  The
+    tracer is the global one: read it before the next capture resets
+    it."""
     obs.enable(reset=True)
     result = measure_ips(platform, AGENTS, routines_per_agent=ROUTINES)
     spans = obs.write_chrome_trace(path, obs.tracer(),
                                    meta={"platform": result.platform,
                                          "agents": AGENTS})
-    gantt = obs.tracer().to_sim_tracer()
     obs.disable()
-    return result, gantt, spans
+    return result, obs.tracer(), spans
 
 
 def main(out_dir="."):
@@ -55,7 +56,7 @@ def main(out_dir="."):
         print(f"{result.platform}: {result.ips:,.0f} IPS with "
               f"{AGENTS} agents -> {path} ({spans} spans)")
         # A window from the middle of the run: past pipeline fill.
-        lo, hi = gantt.window()
+        lo, hi = gantt.window(obs.SIM)
         mid = lo + (hi - lo) * 0.4
         print(gantt.gantt(width=68, start=mid,
                           end=mid + (hi - lo) * 0.2))

@@ -34,7 +34,8 @@ from repro.obs import runtime as _obs
 from repro.perf.hotpath import hot_path
 
 if typing.TYPE_CHECKING:                     # pragma: no cover
-    from repro.sim import Engine, Tracer
+    from repro.obs.tracer import SpanTracer
+    from repro.sim import Engine
 
 #: Multiplier of the per-agent seed derivation.  Prime and larger than
 #: any realistic agent count, so per-agent environment seed streams
@@ -90,7 +91,7 @@ class BackendCapabilities:
     structure: GA3C keeps a single global model, so agents neither sync
     parameters nor run their own bootstrap inference (the predictor
     batches it).  ``supports_tracing`` marks sims whose ``build_sim``
-    accepts a :class:`~repro.sim.Tracer` for per-CU stage Gantt charts.
+    accepts a :class:`~repro.obs.SpanTracer` for per-CU stage Gantt charts.
     ``precision`` is the operand storage format of the datapath (a
     :mod:`repro.precision` name); the registry validates it at create
     time, so an unregistered or misspelt precision fails on ``create``
@@ -134,7 +135,7 @@ class Backend(typing.Protocol):
                     ) -> typing.Dict[str, float]: ...
 
     def build_sim(self, engine: "Engine",
-                  tracer: typing.Optional["Tracer"] = None): ...
+                  tracer: typing.Optional["SpanTracer"] = None): ...
 
     def agent_seed(self, agent_id: int, seed: int) -> int: ...
 
@@ -185,7 +186,7 @@ class PlatformBackend:
         return derive_agent_seed(seed, agent_id)
 
     def build_sim(self, engine: "Engine",
-                  tracer: typing.Optional["Tracer"] = None):
+                  tracer: typing.Optional["SpanTracer"] = None):
         """A fresh discrete-event sim instance on ``engine``."""
         if tracer is not None and not self.capabilities.supports_tracing:
             raise ValueError(

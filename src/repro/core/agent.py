@@ -17,7 +17,6 @@ Figure 2 and Table 2) is:
 from __future__ import annotations
 
 import dataclasses
-import time
 import typing
 
 import numpy as np
@@ -79,28 +78,22 @@ class A3CAgent:
         """Execute one full sync / rollout / train routine.
 
         ``lat`` is an optional :class:`repro.obs.lat.RoutineLatency`;
-        when present the routine's phases are attributed to its
-        ``param_sync`` / ``infer`` / ``batch_form`` / ``train``
-        segments (environment stepping lands in ``other``).
+        when present the routine is lapped into its ``param_sync`` /
+        ``infer`` / ``env_step`` / ``batch_form`` / ``train`` /
+        ``apply`` segments.
         """
-        timed = lat is not None
-        phase_started = time.perf_counter_ns() if timed else 0
         self.server.snapshot_into(self.local_params)
-        if timed:
-            lat.add_ns("param_sync",
-                       time.perf_counter_ns() - phase_started)
+        if lat is not None:
+            lat.lap("param_sync")
         self.rollout.clear()
         self._maps.clear()
         scores: typing.List[float] = []
 
         terminal = False
         for _ in range(self.config.t_max):
-            if timed:
-                phase_started = time.perf_counter_ns()
             action, value, state = self._policy_step()
-            if timed:
-                lat.add_ns("infer",
-                           time.perf_counter_ns() - phase_started)
+            if lat is not None:
+                lat.lap("infer")
             obs, reward, done, info = self.env.step(action)
             self._episode_score += info.get("raw_reward", reward)
             self.rollout.add(state, action, reward, value)
@@ -116,6 +109,9 @@ class A3CAgent:
                     self.episodes_finished += 1
                     self._episode_score = 0.0
                 self._state = self.env.reset()
+            if lat is not None:
+                lat.lap("env_step")
+            if terminal:
                 break
 
         steps = len(self.rollout)
@@ -125,24 +121,18 @@ class A3CAgent:
         bootstrap_inferences = 0
         bootstrap_value = 0.0
         if not terminal:
-            if timed:
-                phase_started = time.perf_counter_ns()
             _, values = self.network.forward(self._state[None],
                                              self.local_params)
-            if timed:
-                lat.add_ns("infer",
-                           time.perf_counter_ns() - phase_started)
+            if lat is not None:
+                lat.lap("infer")
             bootstrap_value = float(values[0])
             bootstrap_inferences = 1
 
         # Training task (the shared rollout-to-update path).
-        if timed:
-            phase_started = time.perf_counter_ns()
         states, actions, returns = self.rollout.batch(
             bootstrap_value, self.config.gamma)
-        if timed:
-            lat.add_ns("batch_form",
-                       time.perf_counter_ns() - phase_started)
+        if lat is not None:
+            lat.lap("batch_form")
         loss = apply_rollout_update(self.network, self.local_params,
                                     self.server, states, actions,
                                     returns, self.config.entropy_beta,

@@ -4,16 +4,13 @@ A3C, GA3C, and PAAC differ in *when* rollouts are collected and *whose*
 parameters run inference, but the rollout-to-update pipeline itself —
 batched forward, objective + head gradients, backward, shared-RMSProp
 application — is one algorithm (paper Figure 2 step 4).  This module
-holds that single copy, plus the per-routine telemetry block and the
-trainer-side hooks into the :mod:`repro.backends` protocol (compute
-backend resolution and the deterministic seeding contract), so the
-trainers stay thin orchestration shells.
+holds that single copy, plus the trainer-side hooks into the
+:mod:`repro.backends` protocol (compute backend resolution and the
+deterministic seeding contract), so the trainers stay thin
+orchestration shells.
 """
 
 from __future__ import annotations
-
-import time
-import typing
 
 import numpy as np
 
@@ -26,11 +23,9 @@ from repro.backends.protocol import (
     derive_policy_seed,
 )
 from repro.nn.losses import A3CLossResult, a3c_loss_and_head_gradients
-from repro.obs import runtime as _obs
 
 __all__ = ["apply_rollout_update", "derive_agent_seed",
-           "derive_eval_seed", "derive_policy_seed",
-           "record_routine", "resolve_backend"]
+           "derive_eval_seed", "derive_policy_seed", "resolve_backend"]
 
 
 def apply_rollout_update(network, params, server,
@@ -56,52 +51,20 @@ def apply_rollout_update(network, params, server,
     its global θ moves between prediction and training.
 
     ``lat`` is an optional :class:`repro.obs.lat.RoutineLatency`; when
-    present the whole update is attributed to its ``train`` segment.
+    present the gradient computation is lapped as ``train`` and the
+    parameter-server update as ``apply``.
     """
-    train_started = time.perf_counter_ns() if lat is not None else 0
     logits, values = network.forward(states, params, maps)
     loss = a3c_loss_and_head_gradients(
         logits, values, actions, returns, entropy_beta=entropy_beta)
     grads = network.backward_and_grads(loss.dlogits, loss.dvalues,
                                        params)
+    if lat is not None:
+        lat.lap("train")
     server.apply_gradients(grads)
     if lat is not None:
-        lat.add_ns("train", time.perf_counter_ns() - train_started)
+        lat.lap("apply")
     return loss
-
-
-def record_routine(trainer: str, started: float, steps: int,
-                   lane: typing.Optional[str] = None,
-                   span_name: str = "routine",
-                   span_labels: typing.Optional[
-                       typing.Dict[str, typing.Any]] = None,
-                   lat=None) -> None:
-    """One finished routine into the metrics/trace sinks.
-
-    Callers gate on :func:`repro.obs.runtime.enabled` (and capture
-    ``started`` from ``time.perf_counter`` only then), so this never
-    runs on the hot path with collection off.  ``lane=None`` skips the
-    tracer span (PAAC records rollout/update spans separately).
-    ``lat``, when present, is the routine's
-    :class:`repro.obs.lat.RoutineLatency`, finished here so the
-    end-to-end latency closes at the same boundary the routine metrics
-    do.
-    """
-    ended = time.perf_counter()
-    elapsed = ended - started
-    metrics = _obs.metrics()
-    metrics.counter("trainer.routines").inc(trainer=trainer)
-    metrics.counter("trainer.steps").inc(steps, trainer=trainer)
-    metrics.histogram("trainer.routine_seconds").observe(
-        elapsed, trainer=trainer)
-    if elapsed > 0:
-        metrics.histogram("trainer.step_rate").observe(
-            steps / elapsed, trainer=trainer)
-    if lane is not None:
-        _obs.tracer().record(lane, span_name, started, ended,
-                             clock="wall", **(span_labels or {}))
-    if lat is not None:
-        lat.finish()
 
 
 def resolve_backend(platform, topology=None):

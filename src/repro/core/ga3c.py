@@ -25,7 +25,6 @@ from repro.core.config import A3CConfig
 from repro.core.execution import (
     apply_rollout_update,
     derive_policy_seed,
-    record_routine,
     resolve_backend,
 )
 from repro.core.scores import ScoreTracker
@@ -112,21 +111,18 @@ class GA3CTrainer:
     def _predict(self, lat=None) -> typing.Tuple[np.ndarray, np.ndarray]:
         """One batched inference over the *global* model.
 
-        ``lat``, when present, receives the request-gathering time as
-        ``batch_form`` and the forward pass as ``infer`` — the
+        ``lat``, when present, is lapped at the gathered request batch
+        (``batch_form``) and after the forward pass (``infer``) — the
         batching-vs-turnaround decomposition FA3C's latency argument
         hinges on.
         """
-        phase_started = time.perf_counter_ns() if lat is not None else 0
         # Already one (N, ...) float32 batch — no gather/copy needed.
         states = self.vector_env.observations
         if lat is not None:
-            lat.add_ns("batch_form",
-                       time.perf_counter_ns() - phase_started)
-            phase_started = time.perf_counter_ns()
+            lat.lap("batch_form")
         logits, values = self.network.forward(states, self.server.params)
         if lat is not None:
-            lat.add_ns("infer", time.perf_counter_ns() - phase_started)
+            lat.lap("infer")
         return logits, values
 
     def _finish_rollout(self, worker: _GA3CWorker, terminal: bool) -> None:
@@ -152,29 +148,22 @@ class GA3CTrainer:
         """Drain queued rollouts into one combined training batch."""
         if len(self._train_queue) < self.training_batch_rollouts:
             return
-        observing = _obs.enabled()
-        started = time.perf_counter() if observing else 0.0
         batches = [self._train_queue.popleft()
                    for _ in range(self.training_batch_rollouts)]
         lat = None
-        if observing:
-            now = time.perf_counter_ns()
-            # Rollouts enqueued before obs was enabled carry stamp 0;
-            # queue wait is measured from the oldest stamped entry.
+        if _obs.enabled():
+            # The routine starts when its oldest rollout was queued.
+            # Rollouts queued before obs was enabled carry stamp 0.
             stamps = [b[3] for b in batches if b[3]]
-            start_ns = min(stamps) if stamps else now
-            lat = _lat.RoutineLatency("ga3c",
-                                      platform=self._lat_platform,
-                                      start_ns=start_ns)
-            if stamps:
-                lat.add_ns("queue_wait", now - start_ns)
-        phase_started = time.perf_counter_ns() if observing else 0
+            lat = _lat.RoutineLatency("ga3c", platform=self._lat_platform,
+                                      lane="ga3c-trainer",
+                                      start_ns=min(stamps, default=None))
+            lat.lap("queue_wait")
         states = np.concatenate([b[0] for b in batches])
         actions = np.concatenate([b[1] for b in batches])
         returns = np.concatenate([b[2] for b in batches])
         if lat is not None:
-            lat.add_ns("batch_form",
-                       time.perf_counter_ns() - phase_started)
+            lat.lap("batch_form")
         # GA3C trains against the single global parameter set (the
         # source of its policy lag) through the shared update path.  It
         # keeps no feature maps: θ has moved since they were computed.
@@ -182,10 +171,8 @@ class GA3CTrainer:
                              self.server, states, actions, returns,
                              self.config.entropy_beta, lat=lat)
         self._routines += 1
-        if observing:
-            record_routine("ga3c", started, len(states),
-                           lane="ga3c-trainer", span_name="train_batch",
-                           span_labels={"samples": len(states)}, lat=lat)
+        if lat is not None:
+            lat.finish(len(states))
 
     @hot_path
     def _advance(self, logits: np.ndarray, values: np.ndarray) -> None:
@@ -220,11 +207,10 @@ class GA3CTrainer:
         while self.server.global_step < self.config.max_steps:
             # Predictor: one batched inference for every waiting agent.
             plat = (_lat.RoutineLatency("ga3c-predict",
-                                        platform=self._lat_platform)
+                                        platform=self._lat_platform,
+                                        lane="ga3c-predictor")
                     if _obs.enabled() else None)
-            with _obs.span("ga3c-predictor", "predict_batch",
-                           batch=len(self.workers)):
-                logits, values = self._predict(lat=plat)
+            logits, values = self._predict(lat=plat)
             if plat is not None:
                 plat.finish()
             self._advance(logits, values)

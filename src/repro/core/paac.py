@@ -19,7 +19,6 @@ from repro.core.config import A3CConfig
 from repro.core.execution import (
     apply_rollout_update,
     derive_policy_seed,
-    record_routine,
     resolve_backend,
 )
 from repro.core.scores import ScoreTracker
@@ -102,26 +101,24 @@ class PAACTrainer:
         Shapes: states ``(T, N, ...)``, actions/rewards/dones ``(T, N)``,
         final bootstrap values ``(N,)``; then the trunk feature maps of
         each step's inference, which the update reuses (θ does not move
-        before it).  ``lat``, when present, receives every batched
-        forward pass as ``infer``.
+        before it).  ``lat``, when present, is lapped at every batched
+        inference (``infer``, action sampling included) and vector env
+        step (``env_step``).
         """
-        timed = lat is not None
         n = self.config.num_agents
         all_states, all_actions, all_rewards, all_dones = [], [], [], []
         maps = []
         for _ in range(self.config.t_max):
             states = self.vector_env.observations
-            phase_started = time.perf_counter_ns() if timed else 0
             logits, _values = self.network.forward(states,
                                                    self.server.params)
             maps.append(self.network.feature_maps())
-            if timed:
-                lat.add_ns("infer",
-                           time.perf_counter_ns() - phase_started)
             probs = softmax(logits)
             actions = np.array([
                 self.rngs[i].choice(probs.shape[1], p=probs[i])
                 for i in range(n)])
+            if lat is not None:
+                lat.lap("infer")
             all_states.append(states)
             step = self.vector_env.step(actions)
             for _slot, score in step.finished_scores:
@@ -131,11 +128,12 @@ class PAACTrainer:
             all_rewards.append(step.rewards)
             all_dones.append(step.dones)
             self.server.add_steps(n)
-        phase_started = time.perf_counter_ns() if timed else 0
+            if lat is not None:
+                lat.lap("env_step")
         _, bootstrap = self.network.forward(self.vector_env.observations,
                                             self.server.params)
-        if timed:
-            lat.add_ns("infer", time.perf_counter_ns() - phase_started)
+        if lat is not None:
+            lat.lap("infer")
         return (np.stack(all_states), np.stack(all_actions),
                 np.stack(all_rewards), np.stack(all_dones), bootstrap,
                 maps)
@@ -159,36 +157,26 @@ class PAACTrainer:
         # perf_counter: monotonic, so rates survive NTP clock steps.
         start = time.perf_counter()
         while self.server.global_step < self.config.max_steps:
-            round_started = time.perf_counter() if _obs.enabled() else 0.0
-            lat = (_lat.RoutineLatency("paac",
-                                       platform=self._lat_platform)
+            lat = (_lat.RoutineLatency("paac", platform=self._lat_platform,
+                                       lane="paac")
                    if _obs.enabled() else None)
-            with _obs.span("paac", "rollout_phase"):
-                states, actions, rewards, dones, bootstrap, maps = \
-                    self._rollout_phase(lat=lat)
-            phase_started = (time.perf_counter_ns()
-                             if lat is not None else 0)
+            states, actions, rewards, dones, bootstrap, maps = \
+                self._rollout_phase(lat=lat)
             returns = self._returns(rewards, dones, bootstrap)
+            flat_states = states.reshape((-1,) + states.shape[2:])
             if lat is not None:
-                lat.add_ns("batch_form",
-                           time.perf_counter_ns() - phase_started)
+                lat.lap("batch_form")
             # One synchronous update over the combined (T*N) batch,
             # through the shared rollout-to-update path.
-            with _obs.span("paac", "update"):
-                flat_states = states.reshape((-1,) + states.shape[2:])
-                apply_rollout_update(
-                    self.network, self.server.params, self.server,
-                    flat_states, actions.reshape(-1).astype(np.int64),
-                    returns.reshape(-1), self.config.entropy_beta,
-                    maps=maps, lat=lat)
-                del maps    # not held through the next rollout
+            apply_rollout_update(
+                self.network, self.server.params, self.server,
+                flat_states, actions.reshape(-1).astype(np.int64),
+                returns.reshape(-1), self.config.entropy_beta,
+                maps=maps, lat=lat)
+            del maps    # not held through the next rollout
             self._routines += 1
-            if _obs.enabled():
-                # Rollout/update tracer spans are recorded above; the
-                # per-routine span is skipped (lane=None).
-                record_routine("paac", round_started,
-                               self.config.t_max * self.config.num_agents,
-                               lat=lat)
+            if lat is not None:
+                lat.finish(self.config.t_max * self.config.num_agents)
         elapsed = time.perf_counter() - start
         return TrainResult(global_steps=self.server.global_step,
                            routines=self._routines,

@@ -11,7 +11,6 @@ bookkeeping the LSTM variant needs:
 
 from __future__ import annotations
 
-import time
 import typing
 
 import numpy as np
@@ -52,29 +51,23 @@ class RecurrentA3CAgent:
         """One sync / rollout / BPTT-train routine.
 
         ``lat`` is an optional :class:`repro.obs.lat.RoutineLatency`,
-        fed the same segment decomposition as the feed-forward agent.
+        lapped into the same segments as the feed-forward agent's.
         """
-        timed = lat is not None
-        phase_started = time.perf_counter_ns() if timed else 0
         self.server.snapshot_into(self.local_params)
-        if timed:
-            lat.add_ns("param_sync",
-                       time.perf_counter_ns() - phase_started)
+        if lat is not None:
+            lat.lap("param_sync")
         self.rollout.clear()
         rollout_carry = self._carry.copy()   # BPTT starting point
         scores: typing.List[float] = []
 
         terminal = False
         for _ in range(self.config.t_max):
-            if timed:
-                phase_started = time.perf_counter_ns()
             logits, values, self._carry = self.network.forward_step(
                 self._state[None], self.local_params, self._carry)
-            if timed:
-                lat.add_ns("infer",
-                           time.perf_counter_ns() - phase_started)
             probs = softmax(logits[0])
             action = int(self.rng.choice(len(probs), p=probs))
+            if lat is not None:
+                lat.lap("infer")
             obs, reward, done, info = self.env.step(action)
             self._episode_score += info.get("raw_reward", reward)
             self.rollout.add(self._state, action, reward,
@@ -88,6 +81,9 @@ class RecurrentA3CAgent:
                     self._episode_score = 0.0
                 self._state = self.env.reset()
                 self._carry = self.network.initial_state()
+            if lat is not None:
+                lat.lap("env_step")
+            if terminal:
                 break
 
         steps = len(self.rollout)
@@ -96,24 +92,17 @@ class RecurrentA3CAgent:
         bootstrap_inferences = 0
         bootstrap_value = 0.0
         if not terminal:
-            if timed:
-                phase_started = time.perf_counter_ns()
             _, values, _ = self.network.forward_step(
                 self._state[None], self.local_params, self._carry)
-            if timed:
-                lat.add_ns("infer",
-                           time.perf_counter_ns() - phase_started)
+            if lat is not None:
+                lat.lap("infer")
             bootstrap_value = float(values[0])
             bootstrap_inferences = 1
 
-        if timed:
-            phase_started = time.perf_counter_ns()
         states, actions, returns = self.rollout.batch(
             bootstrap_value, self.config.gamma)
-        if timed:
-            lat.add_ns("batch_form",
-                       time.perf_counter_ns() - phase_started)
-            phase_started = time.perf_counter_ns()
+        if lat is not None:
+            lat.lap("batch_form")
         logits, values, _ = self.network.forward_rollout(
             states, self.local_params, rollout_carry)
         loss = a3c_loss_and_head_gradients(
@@ -121,10 +110,11 @@ class RecurrentA3CAgent:
             entropy_beta=self.config.entropy_beta)
         grads = self.network.backward_and_grads(
             loss.dlogits, loss.dvalues, self.local_params)
+        if lat is not None:
+            lat.lap("train")
         self.server.apply_gradients(grads)
-        if timed:
-            lat.add_ns("train",
-                       time.perf_counter_ns() - phase_started)
+        if lat is not None:
+            lat.lap("apply")
 
         return RoutineStats(steps=steps,
                             bootstrap_inferences=bootstrap_inferences,

@@ -23,7 +23,6 @@ A worker that fails stops the others and fails the run (:class:`WorkerFailed`).
 from __future__ import annotations
 
 import dataclasses
-import os
 import queue as queue_module
 import threading
 import time
@@ -33,11 +32,7 @@ import numpy as np
 
 from repro.core.agent import A3CAgent
 from repro.core.config import A3CConfig
-from repro.core.execution import (
-    derive_agent_seed,
-    record_routine,
-    resolve_backend,
-)
+from repro.core.execution import derive_agent_seed, resolve_backend
 from repro.core.scores import ScoreTracker
 from repro.core.parameter_server import ParameterServer
 from repro.envs.base import Env
@@ -177,9 +172,9 @@ class A3CTrainer:
             for agent in agents:
                 if server.global_step >= max_steps:
                     break
-                started = time.perf_counter() if _obs.enabled() else 0.0
-                lat = (_lat.RoutineLatency("a3c",
-                                           platform=self._lat_platform)
+                lat = (_lat.RoutineLatency(
+                           "a3c", platform=self._lat_platform,
+                           lane=f"agent-{agent.agent_id}")
                        if _obs.enabled() else None)
                 try:
                     stats = agent.run_routine(lat=lat)
@@ -187,11 +182,8 @@ class A3CTrainer:
                     raise WorkerFailed(
                         f"agent-{agent.agent_id}",
                         f"{type(error).__name__}: {error}") from error
-                if _obs.enabled():
-                    record_routine("a3c", started, stats.steps,
-                                   lane=f"agent-{agent.agent_id}",
-                                   span_labels={"steps": stats.steps},
-                                   lat=lat)
+                if lat is not None:
+                    lat.finish(stats.steps)
                 routines += 1
                 for score in stats.episode_scores:
                     record_score(server.global_step, score)
@@ -349,15 +341,11 @@ class A3CTrainer:
                 self.agents[agent_id].episodes_finished = episodes
             for step, score in record["scores"]:
                 self.tracker.record(step, score)
-            # The worker's final metric snapshot, so ps.* / trainer.*
-            # counters survive the process boundary under a worker label;
-            # priority (generation, pid) makes gauge folding deterministic.
+            # The worker's final metric snapshot, so ps.* / lat.*
+            # counters survive the process boundary under a worker label.
             if record["metrics"] and _obs.enabled():
                 _obs.metrics().absorb_rows(
-                    record["metrics"],
-                    priority=(float(record["generation"]),
-                              float(record["pid"])),
-                    worker=f"worker-{record['worker']}")
+                    record["metrics"], worker=f"worker-{record['worker']}")
         # Fold the shared state back into the in-process server.
         store.read_params_into(self.server.params)
         if statistics is not None:
@@ -402,8 +390,7 @@ class A3CTrainer:
                 shard.flush(final=True, routines=routines,
                             global_step=server.global_step)
             record = {"worker": worker_id, "routines": routines,
-                      "scores": scores, "pid": os.getpid(),
-                      "generation": shard.seq if shard is not None else 0,
+                      "scores": scores,
                       "metrics": (_obs.metrics().snapshot()
                                   if _obs.enabled() else None),
                       "episodes": {agent.agent_id: agent.episodes_finished

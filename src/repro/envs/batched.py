@@ -15,7 +15,8 @@ inherits, with batched NumPy:
   [0, 1];
 * stack the last :data:`STACK` frames, the Table 1 network input;
 * clip rewards to their sign (``info["raw_reward"]`` keeps the sum);
-* end an episode after ``max_episode_steps`` steps, if set.
+* end an episode, and its game, after ``max_episode_steps`` steps, if
+  set.
 
 A single environment (:func:`make_atari_env`) is slot 0 of a one-slot
 ``BatchedVectorEnv``, as a single game is slot 0 of a ``B = 1`` engine.
@@ -206,13 +207,14 @@ class BatchedVectorEnv:
         lives = engine.lives.copy()
         life_lost = ~game_over & (lives > 0) & (lives < self._lives)
         dones = game_over | life_lost
-        self._game_over = game_over
         self._lives = lives
         truncated = np.zeros(self.num_envs, dtype=bool)
         if self.max_episode_steps is not None:
             self._elapsed += 1
             truncated = (self._elapsed >= self.max_episode_steps) & ~dones
             dones |= truncated
+        # A capped episode ends its game: the restart resets it.
+        self._game_over = game_over | truncated
 
         scores = engine.score
         infos: typing.List[dict] = []
@@ -235,9 +237,9 @@ class BatchedVectorEnv:
         """Start a new episode in ``slots``, each stack in ``obs`` filled
         with its first frame.
 
-        A slot whose game goes on (its episode ended at a life loss or
-        at ``max_episode_steps``) plays one NOOP cycle; a slot whose game
-        is over, or ends in that cycle, resets its game.
+        A slot whose game goes on (its episode ended at a life loss)
+        plays one NOOP cycle; a slot whose game is over or was cut at
+        ``max_episode_steps``, or ends in that cycle, resets its game.
         """
         engine = self.engine
         self._elapsed[slots] = 0

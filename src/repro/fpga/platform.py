@@ -31,10 +31,11 @@ from repro.fpga.timing import GLOBAL, LOCAL, StageTiming, TimingModel
 from repro.nn.network import NetworkTopology
 from repro.obs.prof import buckets as _prof
 from repro.precision import Precision, resolve_precision
-from repro.sim import Engine, Tracer
+from repro.sim import Engine
 
 if typing.TYPE_CHECKING:                     # pragma: no cover
     from repro.fpga.simloop import FPGASim
+    from repro.obs.tracer import SpanTracer
 
 
 @dataclasses.dataclass
@@ -225,10 +226,11 @@ class FA3CPlatform:
                              precision=self.config.precision_spec)
 
     def build_sim(self, engine: Engine,
-                  tracer: typing.Optional["Tracer"] = None) -> "FPGASim":
+                  tracer: typing.Optional["SpanTracer"] = None
+                  ) -> "FPGASim":
         """A discrete-event instance with shared CUs and channels.
 
-        Pass a :class:`~repro.sim.Tracer` to record a per-CU stage
+        Pass a :class:`~repro.obs.SpanTracer` to record a per-CU stage
         Gantt chart of the run."""
         from repro.fpga.simloop import FPGASim
 

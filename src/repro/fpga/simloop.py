@@ -18,10 +18,11 @@ import typing
 
 from repro.fpga.binding import BoundTask
 from repro.obs import runtime as _obs
+from repro.obs.tracer import SpanTracer
 from repro.perf import stageplan as _stageplan
 from repro.perf.hotpath import hot_path
 from repro.platforms.chain import AgentChain, ChainSim
-from repro.sim import Engine, Resource, Tracer
+from repro.sim import Engine, Resource
 
 if typing.TYPE_CHECKING:                     # pragma: no cover
     from repro.fpga.platform import FA3CPlatform
@@ -195,7 +196,7 @@ class FPGASim(ChainSim):
     chain_class = _FPGAAgentChain
 
     def __init__(self, platform: "FA3CPlatform", engine: Engine,
-                 tracer: typing.Optional[Tracer] = None):
+                 tracer: typing.Optional[SpanTracer] = None):
         self.platform = platform
         self.engine = engine
         if tracer is None and _obs.enabled():

@@ -46,10 +46,7 @@ _COMPREHENSIONS = (ast.ListComp, ast.DictComp, ast.SetComp,
 #: Shard-write methods, hazards when the receiver mentions shard/runlog.
 RUNLOG_METHODS = frozenset({"flush", "heartbeat", "maybe_heartbeat"})
 #: Latency-recorder methods, hazards when the receiver mentions ``lat``.
-#: "measure" is deliberately absent: the heuristic would catch
-#: `platform.measure(...)` ("platform" contains "lat"), which is a
-#: throughput run, not a latency recorder.
-LATENCY_METHODS = frozenset({"add_ns", "finish"})
+LATENCY_METHODS = frozenset({"lap", "finish"})
 
 
 @dataclasses.dataclass(frozen=True)

@@ -40,10 +40,10 @@ local ``observing = _obs.enabled()`` alias, or the early-return guard
   disk — strictly gated territory.  The name heuristic keeps unrelated
   ``stream.flush()`` calls out of scope.
 * **latency recorders** — anything rooted at :mod:`repro.obs.lat`,
-  and ``add_ns`` / ``finish`` calls on objects whose name mentions
+  and ``lap`` / ``finish`` calls on objects whose name mentions
   ``lat``.  The sanctioned idiom is the sentinel: ``lat =
   _lat.RoutineLatency(...) if _obs.enabled() else None`` then ``if lat
-  is not None: lat.add_ns(...)`` — the gate analysis treats the ``is
+  is not None: lat.lap(...)`` — the gate analysis treats the ``is
   not None`` check as REPRO_OBS-gated.
 
 The rule walks the whole-program call graph
@@ -58,7 +58,7 @@ message that spells out the call path.  Semantics:
 * Traversal stops at callees that are themselves hot — their bodies
   are checked directly, and their own calls get their own traversal.
 * Traversal skips call sites that are themselves obs-gated
-  (``if observing: record_routine(...)``) — everything reached through
+  (``if observing: emit_metrics(...)``) — everything reached through
   a gated call only runs while observing, which is the discipline.
 * Non-allocation hazards are violations at any depth.
 * Allocation hazards count only when they are *per-iteration in

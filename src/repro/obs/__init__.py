@@ -5,10 +5,10 @@ measures.  It provides:
 
 * :class:`MetricsRegistry` — labelled counters / gauges / histograms with
   snapshot, reset, and JSON / JSONL emission (:mod:`repro.obs.registry`);
-* :class:`SpanTracer` — one tracer for *sim-time* spans (drop-in where a
-  :class:`repro.sim.trace.Tracer` is accepted) and *wall-clock* spans
-  (``with obs.span(...)`` / ``@obs.traced(...)``, stamped with
-  ``time.perf_counter``) (:mod:`repro.obs.tracer`);
+* :class:`SpanTracer` — the one span tracer, for *sim-time* spans (the
+  simulators' per-CU stages, rendered as a text Gantt chart or a
+  utilisation summary) and *wall-clock* spans (``with obs.span(...)``,
+  stamped with ``time.perf_counter``) (:mod:`repro.obs.tracer`);
 * a Chrome trace-event exporter loadable in ``chrome://tracing`` and
   Perfetto (:mod:`repro.obs.chrome`);
 * the process-wide switch: collection is off unless ``REPRO_OBS=1`` is
@@ -20,10 +20,12 @@ measures.  It provides:
   shards, shard merging with ``worker`` labels, and the worker-health
   monitor (:mod:`repro.obs.runlog`, :mod:`repro.obs.health` — loaded
   lazily);
-* per-routine latency decomposition (``queue_wait`` / ``batch_form`` /
-  ``infer`` / ``train`` / ``param_sync``) with a sum-to-total invariant
-  and a critical-path extractor over recorded spans
-  (:mod:`repro.obs.lat` — loaded lazily);
+* the one per-routine record: latency timed with laps into segments
+  (``queue_wait`` / ``batch_form`` / ``infer`` / ``env_step`` /
+  ``train`` / ``apply`` / ``param_sync``) that sum exactly to the
+  total, the routine's step count and its wall-clock span, plus a
+  critical-path extractor over recorded spans (:mod:`repro.obs.lat` —
+  loaded lazily);
 * cycle-attribution profiling, folded-stack export and the perf-baseline
   gate (:mod:`repro.obs.prof` — loaded lazily, because the platform
   models it analyses themselves import this package).
@@ -50,7 +52,6 @@ from repro.obs.runtime import (
     enabled_scope,
     metrics,
     span,
-    traced,
     tracer,
 )
 from repro.obs.tracer import SIM, WALL, ObsSpan, SpanTracer
@@ -81,7 +82,6 @@ __all__ = [
     "runlog",
     "span",
     "prof",
-    "traced",
     "tracer",
     "write_chrome_trace",
 ]

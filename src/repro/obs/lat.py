@@ -5,13 +5,14 @@ FPGA keeps actors busy, while GPU-style baselines buy throughput by
 batching requests through queues that add wait time.  This module makes
 that trade measurable end to end:
 
-* :class:`RoutineLatency` — one routine's end-to-end latency decomposed
-  into named segments (``queue_wait``, ``batch_form``, ``infer``,
-  ``train``, ``param_sync``), recorded as integer nanoseconds so the
-  segments-sum-to-total invariant is *exact* (mirroring the attribution
-  profiler's cycles invariant).  Whatever no segment claims lands in
-  ``other``, and a negative remainder — overlapping segment timers —
-  fails loudly via :class:`LatencyError`.
+* :class:`RoutineLatency` — the one record of a routine: its end-to-end
+  latency, timed with laps into named segments (``queue_wait``,
+  ``batch_form``, ``infer``, ``env_step``, ``train``, ``apply``,
+  ``param_sync``), recorded as integer nanoseconds.  Each lap charges
+  the time since the previous one, so the segments tile the routine and
+  sum to its total *exactly*; the tail after the last lap lands in
+  ``other``.  The recorder also counts the routine's steps and, given a
+  lane, traces it as one wall-clock span.
 * :func:`validate_rows` — checks the invariant over snapshot rows, so
   it survives cross-process folds.
 * :func:`critical_path_rows` — the longest nested-span chain per lane
@@ -30,7 +31,7 @@ import time
 import typing
 
 from repro.obs import runtime as _runtime
-from repro.obs.tracer import ObsSpan
+from repro.obs.tracer import WALL, ObsSpan
 
 #: Counter of integer nanoseconds spent per (trainer, segment).
 SEGMENT_NS = "lat.segment_ns"
@@ -41,89 +42,65 @@ TOTAL_NS = "lat.total_ns"
 SEGMENT_SECONDS = "lat.segment_seconds"
 #: Histogram of per-routine end-to-end durations in seconds.
 ROUTINE_SECONDS = "lat.routine_seconds"
-#: Segment name for latency no named segment claimed.
+#: Counter of inference steps per trainer.
+STEPS = "trainer.steps"
+#: Segment name for the time after a routine's last lap.
 OTHER = "other"
-
-#: The named segments trainers record, in report order.
-SEGMENTS = ("queue_wait", "batch_form", "infer", "train",
-            "param_sync", OTHER)
 
 
 class LatencyError(ValueError):
-    """A latency invariant does not hold (segments exceed the total)."""
-
-
-class _SegmentTimer:
-    """Context manager adding its elapsed ns to one segment."""
-
-    __slots__ = ("_lat", "_segment", "_start")
-
-    def __init__(self, lat: "RoutineLatency", segment: str):
-        self._lat = lat
-        self._segment = segment
-        self._start = 0
-
-    def __enter__(self) -> "_SegmentTimer":
-        self._start = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._lat.add_ns(self._segment,
-                         time.perf_counter_ns() - self._start)
+    """A latency invariant does not hold (segments differ from the
+    total)."""
 
 
 class RoutineLatency:
-    """One routine's latency, decomposed into named segments.
+    """One routine's latency, timed with laps.
 
-    Created at routine start (``start_ns`` defaults to now), fed
-    integer-nanosecond segment durations via :meth:`add_ns` or
-    :meth:`measure`, and closed with :meth:`finish`, which records
-    every segment plus the unclaimed ``other`` remainder into the
-    process registry.  All arithmetic is on integer nanoseconds, so
+    Created at routine start (``start_ns`` defaults to now).
+    :meth:`lap` charges the nanoseconds since the previous lap (or the
+    start) to a segment, and :meth:`finish` charges the rest to
+    ``other`` and records the routine into the process registry, once.
+    All arithmetic is on integer nanoseconds of ``clock``, so the
     segments sum to the total *exactly*.
     """
 
-    __slots__ = ("trainer", "platform", "_start_ns", "_segments")
+    __slots__ = ("trainer", "platform", "lane", "_clock", "_start_ns",
+                 "_last_ns", "_segments")
 
     def __init__(self, trainer: str,
                  platform: typing.Optional[str] = None,
-                 start_ns: typing.Optional[int] = None):
+                 lane: typing.Optional[str] = None,
+                 start_ns: typing.Optional[int] = None,
+                 clock: typing.Callable[[], int] = time.perf_counter_ns):
         self.trainer = trainer
         self.platform = platform
-        self._start_ns = (time.perf_counter_ns()
-                          if start_ns is None else int(start_ns))
+        self.lane = lane
+        self._clock = clock
+        self._start_ns = clock() if start_ns is None else int(start_ns)
+        self._last_ns = self._start_ns
         self._segments: typing.Dict[str, int] = {}
 
-    @property
-    def start_ns(self) -> int:
-        return self._start_ns
+    def lap(self, segment: str) -> None:
+        """Charge the time since the previous lap to ``segment``
+        (accumulates over repeated laps)."""
+        now = self._clock()
+        self._segments[segment] = (self._segments.get(segment, 0)
+                                   + now - self._last_ns)
+        self._last_ns = now
 
-    def add_ns(self, segment: str, ns: int) -> None:
-        """Attribute ``ns`` nanoseconds to ``segment`` (accumulates)."""
-        self._segments[segment] = self._segments.get(segment, 0) + int(ns)
-
-    def measure(self, segment: str) -> _SegmentTimer:
-        """``with lat.measure("infer"):`` — time a block into a segment."""
-        return _SegmentTimer(self, segment)
-
-    def finish(self, end_ns: typing.Optional[int] = None) -> int:
+    def finish(self, steps: typing.Optional[int] = None) -> int:
         """Close the routine and record it; returns the total ns.
 
-        Records one ``lat.segment_ns`` counter increment and one
-        ``lat.segment_seconds`` observation per segment (including the
-        ``other`` remainder), plus ``lat.total_ns`` /
-        ``lat.routine_seconds`` for the end-to-end latency.  Raises
-        :class:`LatencyError` if the named segments exceed the total —
-        that means two segment timers overlapped, and a silently
-        clamped remainder would hide it.
+        Charges the time since the last lap to ``other``, then records
+        one ``lat.segment_ns`` increment and one ``lat.segment_seconds``
+        observation per segment, plus ``lat.total_ns`` /
+        ``lat.routine_seconds`` for the end-to-end latency.  ``steps``,
+        when given, adds to ``trainer.steps``; a recorder with a
+        ``lane`` also records the routine as one wall-clock span.
         """
-        end = time.perf_counter_ns() if end_ns is None else int(end_ns)
+        self.lap(OTHER)
+        end = self._last_ns
         total = end - self._start_ns
-        claimed = sum(self._segments.values())
-        if claimed > total:
-            raise LatencyError(
-                f"{self.trainer}: segments sum to {claimed} ns but the "
-                f"routine took {total} ns — segment timers overlap")
         registry = _runtime.metrics()
         seg_ns = registry.counter(
             SEGMENT_NS, "per-routine latency by segment (ns)")
@@ -132,9 +109,7 @@ class RoutineLatency:
         labels: typing.Dict[str, str] = {"trainer": self.trainer}
         if self.platform is not None:
             labels["platform"] = self.platform
-        segments = dict(self._segments)
-        segments[OTHER] = total - claimed
-        for segment, ns in segments.items():
+        for segment, ns in self._segments.items():
             seg_ns.inc(ns, segment=segment, **labels)
             seg_seconds.observe(ns * 1e-9, segment=segment, **labels)
         registry.counter(
@@ -143,6 +118,15 @@ class RoutineLatency:
         registry.histogram(
             ROUTINE_SECONDS, "end-to-end routine latency (s)").observe(
             total * 1e-9, **labels)
+        args: typing.Dict[str, object] = {}
+        if steps is not None:
+            registry.counter(STEPS, "inference steps").inc(
+                steps, trainer=self.trainer)
+            args["steps"] = steps
+        if self.lane is not None:
+            _runtime.tracer().record(self.lane, "routine",
+                                     self._start_ns * 1e-9, end * 1e-9,
+                                     clock=WALL, **args)
         return total
 
 
@@ -188,22 +172,6 @@ def validate_rows(rows: typing.Iterable[typing.Mapping[str, object]]
     return len(totals)
 
 
-def _as_span(row: typing.Union[ObsSpan, typing.Mapping[str, object]]
-             ) -> ObsSpan:
-    if isinstance(row, ObsSpan):
-        return row
-    pid = row.get("pid")
-    return ObsSpan(
-        lane=str(row.get("lane", "?")), label=str(row.get("label", "?")),
-        start=float(typing.cast(float, row.get("start", 0.0))),
-        end=float(typing.cast(float, row.get("end", 0.0))),
-        clock=str(row.get("clock", "sim")),
-        depth=int(typing.cast(int, row.get("depth", 0))),
-        args=dict(typing.cast(typing.Mapping[str, object],
-                              row.get("args") or {})),
-        pid=int(typing.cast(int, pid)) if pid is not None else None)
-
-
 def critical_path_rows(
         spans: typing.Iterable[
             typing.Union[ObsSpan, typing.Mapping[str, object]]],
@@ -222,7 +190,7 @@ def critical_path_rows(
     by_lane: typing.Dict[typing.Tuple[int, str, str],
                          typing.List[ObsSpan]] = {}
     for row in spans:
-        span = _as_span(row)
+        span = row if isinstance(row, ObsSpan) else ObsSpan.from_dict(row)
         key = (span.pid if span.pid is not None else -1,
                span.clock, span.lane)
         by_lane.setdefault(key, []).append(span)

@@ -129,9 +129,6 @@ class AttributionReport:
     def fpga_total_cycles(self) -> float:
         return sum(self.fpga.values())
 
-    def gpu_total_ns(self) -> float:
-        return sum(self.gpu.values())
-
     def fpga_bucket_totals(self) -> typing.Dict[str, float]:
         """Cycles per cause bucket, across all CUs / tasks / layers."""
         out: typing.Dict[str, float] = {}

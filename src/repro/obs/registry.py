@@ -109,10 +109,6 @@ class _Metric:
     def _new_sample(self):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def labels_seen(self) -> typing.List[typing.Dict[str, str]]:
-        """Every label combination this metric has samples for."""
-        return [dict(key) for key in self._samples]
-
     def clear(self) -> None:
         self._samples.clear()
 
@@ -187,40 +183,15 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """A last-write-wins value per label combination.
-
-    Merges (:meth:`set_merged`) are deterministic instead: the value
-    with the highest ``priority`` tuple wins regardless of arrival
-    order, so folding worker snapshots from a queue yields the same
-    gauge no matter which worker's report lands first.
-    """
+    """A last-write-wins value per label combination."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
-        self._priorities: typing.Dict[
-            LabelKey, typing.Tuple[float, ...]] = {}
 
     def _new_sample(self) -> float:
         return 0.0
 
     def set(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
-        self._samples[key] = float(value)
-        # A live set supersedes merged history: last-write-wins resumes.
-        self._priorities.pop(key, None)
-
-    def set_merged(self, value: float,
-                   priority: typing.Tuple[float, ...],
-                   **labels: str) -> None:
-        """Set only if ``priority`` is >= the last merged priority."""
-        key = _label_key(labels)
-        recorded = self._priorities.get(key)
-        if recorded is not None and priority < recorded:
-            return
-        self._samples[key] = float(value)
-        self._priorities[key] = priority
+        self._samples[_label_key(labels)] = float(value)
 
     def add(self, delta: float, **labels: str) -> None:
         key = _label_key(labels)
@@ -228,10 +199,6 @@ class Gauge(_Metric):
 
     def value(self, **labels: str) -> float:
         return self._samples.get(_label_key(labels), 0.0)
-
-    def clear(self) -> None:
-        super().clear()
-        self._priorities.clear()
 
     def _sample_fields(self, sample: float) -> typing.Dict[str, object]:
         return {"value": sample}
@@ -393,7 +360,7 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """Owns named metrics; snapshot / reset / JSON + JSONL emission."""
+    """Owns named metrics; snapshot / reset / JSONL emission."""
 
     def __init__(self):
         self._metrics: typing.Dict[str, _Metric] = {}
@@ -430,7 +397,6 @@ class MetricsRegistry:
 
     def absorb_rows(self, rows: typing.Iterable[
             typing.Mapping[str, object]],
-            priority: typing.Optional[typing.Tuple[float, ...]] = None,
             **extra_labels: str) -> int:
         """Merge snapshot rows from another registry into this one.
 
@@ -438,15 +404,10 @@ class MetricsRegistry:
         registry (:meth:`snapshot`), ships the rows over a queue or a
         run-log shard, and the parent folds them in here — counters sum,
         histograms fold exact moments plus HDR bucket counts
-        (:meth:`Histogram.absorb`), and gauges resolve deterministically
-        by ``priority``: the caller passes a per-source tuple (by
-        convention ``(generation, pid)``), or rows carrying ``gen`` /
-        ``pid`` fields supply their own, so the same gauge wins no
-        matter which worker's report arrives first.  Without either,
-        gauges fall back to last-write-wins.  ``extra_labels``
-        (typically ``worker="worker-0"``) are added to every absorbed
-        sample so merged metrics stay attributable per process.
-        Returns the number of rows absorbed.
+        (:meth:`Histogram.absorb`), and gauges are last-write-wins.
+        ``extra_labels`` (typically ``worker="worker-0"``) are added to
+        every absorbed sample so merged metrics stay attributable per
+        process.  Returns the number of rows absorbed.
         """
         count = 0
         for row in rows:
@@ -457,24 +418,11 @@ class MetricsRegistry:
                                       row.get("labels") or {}))
             labels.update(extra_labels)
             kind = row.get("type")
+            value = float(typing.cast(float, row.get("value", 0.0)) or 0.0)
             if kind == "counter":
-                self.counter(name).inc(float(
-                    typing.cast(float, row.get("value", 0.0)) or 0.0),
-                    **labels)
+                self.counter(name).inc(value, **labels)
             elif kind == "gauge":
-                value = float(
-                    typing.cast(float, row.get("value", 0.0)) or 0.0)
-                row_priority = priority
-                if row_priority is None and (
-                        "gen" in row or "pid" in row):
-                    row_priority = (
-                        float(typing.cast(float, row.get("gen") or 0)),
-                        float(typing.cast(float, row.get("pid") or 0)))
-                if row_priority is not None:
-                    self.gauge(name).set_merged(
-                        value, row_priority, **labels)
-                else:
-                    self.gauge(name).set(value, **labels)
+                self.gauge(name).set(value, **labels)
             elif kind == "histogram":
                 self.histogram(name).absorb(row, **labels)
             else:
@@ -494,10 +442,6 @@ class MetricsRegistry:
             for row in rows:
                 row.update(meta)
         return rows
-
-    def to_json(self, meta: typing.Optional[
-            typing.Mapping[str, object]] = None, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(meta), indent=indent)
 
     def write_jsonl(self, path: str, meta: typing.Optional[
             typing.Mapping[str, object]] = None,

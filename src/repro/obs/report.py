@@ -65,24 +65,34 @@ def dram_traffic_rows(rows: Rows) -> typing.List[typing.Dict[str, object]]:
     return out
 
 
-def trainer_rows(rows: Rows) -> typing.List[typing.Dict[str, object]]:
-    """Per-trainer routine counts and step-rate distribution."""
-    routines = {_label(r, "trainer"): float(r.get("value", 0.0))
-                for r in _select(rows, "trainer.routines")}
-    steps = {_label(r, "trainer"): float(r.get("value", 0.0))
-             for r in _select(rows, "trainer.steps")}
-    out = []
-    for row in _select(rows, "trainer.step_rate"):
+def _per_trainer(rows: Rows, name: str,
+                 field: str = "value") -> typing.Dict[str, float]:
+    """One metric's ``field`` summed per ``trainer`` label."""
+    out: typing.Dict[str, float] = {}
+    for row in _select(rows, name):
         trainer = _label(row, "trainer")
+        out[trainer] = out.get(trainer, 0.0) + float(
+            typing.cast(float, row.get(field, 0.0)) or 0.0)
+    return out
+
+
+def trainer_rows(rows: Rows) -> typing.List[typing.Dict[str, object]]:
+    """Per-trainer routines, steps and steps per second of routine
+    time, from the routine records (``lat.*`` and ``trainer.steps``)."""
+    routines = _per_trainer(rows, "lat.routine_seconds", "count")
+    total_ns = _per_trainer(rows, "lat.total_ns")
+    out = []
+    for trainer, steps in sorted(_per_trainer(rows,
+                                              "trainer.steps").items()):
+        seconds = total_ns.get(trainer, 0.0) * 1e-9
         out.append({
             "trainer": trainer,
             "routines": int(routines.get(trainer, 0.0)),
-            "steps": int(steps.get(trainer, 0.0)),
-            "step_rate_p50": _round(row.get("p50")),
-            "step_rate_p90": _round(row.get("p90")),
-            "step_rate_mean": _round(row.get("mean")),
+            "steps": int(steps),
+            "steps_per_s": _round(steps / seconds, 1)
+            if seconds > 0 else "-",
         })
-    return sorted(out, key=lambda r: r["trainer"])
+    return out
 
 
 def gpu_kernel_rows(rows: Rows) -> typing.List[typing.Dict[str, object]]:
@@ -249,7 +259,8 @@ def obs_report(rows: Rows,
     trainers = trainer_rows(rows)
     if trainers:
         sections.append(format_table(
-            trainers, title="Trainer step rates (steps/s per routine)"))
+            trainers, title="Trainer step rates (steps per second of "
+                            "routine time)"))
     kernels = gpu_kernel_rows(rows)
     if kernels:
         sections.append(format_table(kernels, title="GPU kernel launches"))

@@ -17,8 +17,10 @@ directory** (``runs/<run-id>/``) holding
 rows gain a ``worker`` label, spans gain the recording process's OS pid
 (so :mod:`repro.obs.chrome` places each worker in its own Perfetto
 process group), and :func:`aggregate_rows` collapses the worker label
-back out for whole-run totals.  ``repro runs list`` / ``repro runs
-diff`` / ``repro obs-report --run`` are the CLI surface.
+back out for whole-run totals.  Counters and histograms fold exactly
+in any shard order; gauges are last-write-wins, and only the parent
+sets any (``measure_ips``).  ``repro runs list`` / ``repro runs diff``
+/ ``repro obs-report --run`` are the CLI surface.
 
 Shards are append-only JSONL so a crashed worker's partial shard stays
 readable: each flush appends the *full* cumulative snapshot tagged with
@@ -98,11 +100,6 @@ class ShardWriter:
         self._last_flush = time.perf_counter()
         self._append([{"kind": "open", "pid": self.pid, "worker": worker,
                        "time": time.time(), "interval": interval}])
-
-    @property
-    def seq(self) -> int:
-        """The newest flushed generation (0 before the first flush)."""
-        return self._seq
 
     def _append(self, records: typing.Sequence[
             typing.Mapping[str, object]]) -> None:
@@ -234,9 +231,6 @@ class WorkerShard:
     final: typing.Optional[typing.Dict[str, object]]
     rows: typing.List[typing.Dict[str, object]]
     spans: typing.List[typing.Dict[str, object]]
-    #: The ``seq`` of the retained telemetry generation — with ``pid``
-    #: the deterministic gauge-merge priority (newest flush wins).
-    generation: int = 0
 
     @property
     def last_heartbeat_time(self) -> float:
@@ -297,8 +291,7 @@ def load_shard(path: str) -> WorkerShard:
     return WorkerShard(path=path, pid=pid, worker=worker,
                        opened_time=opened, heartbeats=heartbeats,
                        final=final, rows=by_seq_rows.get(latest, []),
-                       spans=by_seq_spans.get(latest_spans, []),
-                       generation=latest)
+                       spans=by_seq_spans.get(latest_spans, []))
 
 
 def load_manifest(run_dir: str) -> typing.Dict[str, object]:
@@ -401,12 +394,6 @@ class MergedRun:
     def worker_shards(self) -> typing.List[WorkerShard]:
         return [s for s in self.shards if s.pid != self.parent_pid]
 
-    def registry(self) -> MetricsRegistry:
-        """A live registry holding the merged, worker-labelled rows."""
-        registry = MetricsRegistry()
-        registry.absorb_rows(self.rows)
-        return registry
-
     def tracer(self) -> SpanTracer:
         """A tracer holding every shard's spans (worker pids attached)."""
         tracer = SpanTracer()
@@ -450,10 +437,6 @@ def merge_run(run_dir: str) -> MergedRun:
                 labels["worker"] = shard.worker
             merged = dict(row)
             merged["labels"] = labels
-            # Gauge-merge priority: newest generation, then pid, wins
-            # deterministically regardless of shard file order.
-            merged["gen"] = shard.generation
-            merged["pid"] = shard.pid
             rows.append(merged)
         for span in shard.spans:
             merged_span = dict(span)
@@ -468,10 +451,10 @@ def aggregate_rows(rows: typing.Sequence[typing.Mapping[str, object]]
                    ) -> typing.List[typing.Dict[str, object]]:
     """Collapse the ``worker`` label back out: whole-run totals.
 
-    Counters sum across workers, gauges keep the highest-priority write
-    (``(gen, pid)`` when the rows carry them), histograms fold exact
-    moments plus HDR bucket counts — so merged percentiles are real
-    values, identical to a single-process run at bucket resolution.
+    Counters sum across workers, gauges keep the last write, histograms
+    fold exact moments plus HDR bucket counts — so merged percentiles
+    are real values, identical to a single-process run at bucket
+    resolution.
     """
     registry = MetricsRegistry()
     stripped = []

@@ -21,9 +21,7 @@ runtime (the CLI's ``--trace`` / ``--metrics`` flags call
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
-import typing
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import SpanTracer
@@ -86,21 +84,6 @@ def span(lane: str, label: str, **args: object):
     if not _enabled:
         return _NULL_CONTEXT
     return _tracer.span(lane, label, **args)
-
-
-def traced(lane: str, label: typing.Optional[str] = None):
-    """Decorator: wall-clock span around each call while enabled."""
-    def decorate(func):
-        span_label = label or func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            if not _enabled:
-                return func(*args, **kwargs)
-            with _tracer.span(lane, span_label):
-                return func(*args, **kwargs)
-        return wrapper
-    return decorate
 
 
 @contextlib.contextmanager

@@ -1,28 +1,29 @@
-"""Unified span tracing over two clocks.
+"""Span tracing over two clocks.
 
 A :class:`SpanTracer` records both
 
-* **sim-time** spans — it exposes the exact ``record(lane, label, start,
-  end)`` signature of :class:`repro.sim.trace.Tracer`, so it can be passed
-  anywhere a sim tracer is expected (e.g. ``FA3CPlatform.build_sim``) or
-  absorb an existing sim tracer's spans after a run; and
-* **wall-clock** spans — a context manager / decorator API stamped with
-  ``time.perf_counter`` (monotonic; immune to NTP adjustments).
+* **sim-time** spans — ``record(lane, label, start, end)``, which the
+  discrete-event simulators call for every stage a compute unit
+  executes (pass a tracer to ``build_sim``); and
+* **wall-clock** spans — a context manager stamped with
+  ``time.perf_counter`` (monotonic; immune to NTP adjustments), or
+  ``record(..., clock=WALL)`` for an interval timed elsewhere.
 
 Both kinds carry a ``clock`` tag so the Chrome exporter can place them in
-separate trace processes with sensible time scales.
+separate trace processes with sensible time scales.  For one clock at a
+time, :meth:`SpanTracer.gantt` renders a text Gantt chart and
+:meth:`SpanTracer.summary` the per-lane utilisation, which is how the
+platform-level claims (dual-CU overlap, bandwidth sharing, pipeline
+saturation) can be *seen* rather than inferred from totals.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import threading
 import time
 import typing
-
-from repro.sim.trace import Tracer as SimTracer
 
 SIM = "sim"
 WALL = "wall"
@@ -59,6 +60,23 @@ class ObsSpan:
             out["pid"] = self.pid
         return out
 
+    @classmethod
+    def from_dict(cls, row: typing.Mapping[str, object],
+                  pid: typing.Optional[int] = None) -> "ObsSpan":
+        """The inverse of :meth:`as_dict`; a ``pid`` in ``row`` wins
+        over the ``pid`` argument."""
+        row_pid = row.get("pid", pid)
+        return cls(
+            lane=str(row.get("lane", "?")), label=str(row.get("label", "?")),
+            start=float(typing.cast(float, row.get("start", 0.0))),
+            end=float(typing.cast(float, row.get("end", 0.0))),
+            clock=str(row.get("clock", SIM)),
+            depth=int(typing.cast(int, row.get("depth", 0))),
+            args=dict(typing.cast(typing.Mapping[str, object],
+                                  row.get("args") or {})),
+            pid=int(typing.cast(int, row_pid))
+            if row_pid is not None else None)
+
 
 class SpanTracer:
     """Collects :class:`ObsSpan` records from sim and wall clocks."""
@@ -70,8 +88,6 @@ class SpanTracer:
         self._lock = threading.Lock()
         self._stacks = threading.local()
 
-    # -- sim-time API (repro.sim.trace.Tracer compatible) -----------------
-
     def record(self, lane: str, label: str, start: float, end: float,
                clock: str = SIM, **args: object) -> None:
         """Add one completed span (sim-time unless ``clock`` says wall)."""
@@ -81,18 +97,6 @@ class SpanTracer:
                        clock=clock, args=args)
         with self._lock:
             self.spans.append(span)
-
-    def absorb(self, tracer: SimTracer, clock: str = SIM) -> int:
-        """Copy every span out of a :class:`repro.sim.trace.Tracer`.
-
-        Returns the number of spans absorbed.
-        """
-        with self._lock:
-            for span in tracer.spans:
-                self.spans.append(ObsSpan(lane=span.lane, label=span.label,
-                                          start=span.start, end=span.end,
-                                          clock=clock))
-        return len(tracer.spans)
 
     def snapshot(self) -> typing.List[typing.Dict[str, object]]:
         """Every span as a JSON-ready dict (see :meth:`ObsSpan.as_dict`)."""
@@ -109,23 +113,10 @@ class SpanTracer:
         process group; a ``pid`` already present in a row wins.  Returns
         the number of spans absorbed.
         """
-        count = 0
+        spans = [ObsSpan.from_dict(row, pid) for row in rows]
         with self._lock:
-            for row in rows:
-                row_pid = row.get("pid", pid)
-                self.spans.append(ObsSpan(
-                    lane=str(row.get("lane", "?")),
-                    label=str(row.get("label", "?")),
-                    start=float(typing.cast(float, row.get("start", 0.0))),
-                    end=float(typing.cast(float, row.get("end", 0.0))),
-                    clock=str(row.get("clock", SIM)),
-                    depth=int(typing.cast(int, row.get("depth", 0))),
-                    args=dict(typing.cast(typing.Mapping[str, object],
-                                          row.get("args") or {})),
-                    pid=int(typing.cast(int, row_pid))
-                    if row_pid is not None else None))
-                count += 1
-        return count
+            self.spans.extend(spans)
+        return len(spans)
 
     # -- wall-clock API ----------------------------------------------------
 
@@ -152,18 +143,6 @@ class SpanTracer:
                              end=end, clock=WALL, depth=depth, args=args)
             with self._lock:
                 self.spans.append(record)
-
-    def traced(self, lane: str, label: typing.Optional[str] = None):
-        """Decorator form of :meth:`span`."""
-        def decorate(func):
-            span_label = label or func.__qualname__
-
-            @functools.wraps(func)
-            def wrapper(*args, **kwargs):
-                with self.span(lane, span_label):
-                    return func(*args, **kwargs)
-            return wrapper
-        return decorate
 
     # -- queries -----------------------------------------------------------
 
@@ -205,10 +184,57 @@ class SpanTracer:
             return (0.0, 0.0)
         return (min(s.start for s in spans), max(s.end for s in spans))
 
-    def to_sim_tracer(self, clock: str = SIM) -> SimTracer:
-        """A :class:`repro.sim.trace.Tracer` view of one clock's spans
-        (for the text Gantt renderer)."""
-        tracer = SimTracer()
-        for span in self.by_clock(clock):
-            tracer.record(span.lane, span.label, span.start, span.end)
-        return tracer
+    def gantt(self, width: int = 72,
+              lanes: typing.Optional[typing.Sequence[str]] = None,
+              start: typing.Optional[float] = None,
+              end: typing.Optional[float] = None,
+              clock: str = SIM) -> str:
+        """A text Gantt chart of one clock's spans: one row per lane,
+        one char per time bin.
+
+        Bins draw the first letter of the busiest span's label; idle
+        bins draw '.'.
+        """
+        spans = self.by_clock(clock)
+        lanes = list(lanes or self.lanes(clock))
+        lo, hi = self.window(clock)
+        lo = lo if start is None else start
+        hi = hi if end is None else end
+        if hi <= lo:
+            return "(empty trace)"
+        bin_width = (hi - lo) / width
+        name_width = max((len(lane) for lane in lanes), default=4)
+        lines = [f"{'lane'.ljust(name_width)} |{'time ->'.ljust(width)}|"]
+        for lane in lanes:
+            row = []
+            lane_spans = [s for s in spans if s.lane == lane]
+            for index in range(width):
+                b0 = lo + index * bin_width
+                b1 = b0 + bin_width
+                best: typing.Optional[ObsSpan] = None
+                best_overlap = 0.0
+                for span in lane_spans:
+                    overlap = min(span.end, b1) - max(span.start, b0)
+                    if overlap > best_overlap:
+                        best_overlap = overlap
+                        best = span
+                row.append(best.label[0] if best else ".")
+            lines.append(f"{lane.ljust(name_width)} |{''.join(row)}|")
+        return "\n".join(lines)
+
+    def summary(self, clock: str = SIM
+                ) -> typing.List[typing.Dict[str, object]]:
+        """Per-lane busy time and utilisation over one clock's window."""
+        lo, hi = self.window(clock)
+        total = hi - lo
+        rows = []
+        for lane in self.lanes(clock):
+            busy = self.lane_busy(lane, clock)
+            rows.append({
+                "lane": lane,
+                "busy": busy,
+                "utilisation": busy / total if total > 0 else 0.0,
+                "spans": sum(1 for s in self.spans
+                             if s.lane == lane and s.clock == clock),
+            })
+        return rows

@@ -10,21 +10,20 @@ acquire path: a free server is taken in place, a busy one queues a FIFO
 waiter that the releasing call wakes.  Otherwise the design is similar
 in spirit to SimPy but specialised for this project: deterministic
 ordering, simulated seconds as float time, and FIFO resources with
-utilisation accounting.
+utilisation accounting.  The simulators record their per-CU stages into
+a :class:`repro.obs.SpanTracer`, which also renders them as a text
+Gantt chart.
 """
 
 from repro.sim.engine import Engine
 from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.resources import Resource, Store
-from repro.sim.trace import Span, Tracer
 
 __all__ = [
     "AllOf",
     "Engine",
     "Event",
     "Resource",
-    "Span",
     "Store",
-    "Tracer",
     "Timeout",
 ]

@@ -12,7 +12,7 @@ def sentinel_gated_recorder(values):
     for value in values:
         total += value
     if lat is not None:
-        lat.add_ns("infer", 1)
+        lat.lap("infer")
     timed = lat is not None
     if timed:
         lat.finish()
@@ -26,7 +26,7 @@ def block_gated_recorder(values):
         lat = _lat.RoutineLatency("corpus")
     total = sum(values)
     if lat is not None:
-        lat.add_ns("train", 2)
+        lat.lap("train")
         lat.finish()
     return total
 
@@ -34,7 +34,7 @@ def block_gated_recorder(values):
 @hot_path
 def ungated_recorder(lat, values):
     total = sum(values)
-    lat.add_ns("infer", 1)  # EXPECT: hot-path
+    lat.lap("infer")  # EXPECT: hot-path
     lat.finish()  # EXPECT: hot-path
     _lat.RoutineLatency("corpus")  # EXPECT: hot-path
     return total

@@ -18,7 +18,7 @@ from repro.backends.protocol import (
 )
 from repro.obs.prof import AttributionReport
 from repro.platforms import measure_ips
-from repro.sim import Engine, Tracer
+from repro.sim import Engine
 
 ALL_BACKENDS = backends.names()
 
@@ -155,11 +155,12 @@ class TestSimulation:
     def test_tracer_support_matches_capabilities(self, name):
         backend = backends.create(name)
         engine = Engine()
+        tracer = obs.SpanTracer()
         if backend.capabilities.supports_tracing:
-            assert backend.build_sim(engine, tracer=Tracer()) is not None
+            assert backend.build_sim(engine, tracer=tracer) is not None
         else:
             with pytest.raises(ValueError, match="tracing"):
-                backend.build_sim(engine, tracer=Tracer())
+                backend.build_sim(engine, tracer=tracer)
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_matches_direct_platform_numbers(self, name):

@@ -87,7 +87,7 @@ class TestCommands:
         rows = [json.loads(line) for line in open(metrics)]
         names = {row["name"] for row in rows}
         assert {"fpga.cu.utilisation", "fpga.dram.bytes",
-                "trainer.step_rate"} <= names
+                "lat.total_ns", "trainer.steps"} <= names
         out = capsys.readouterr().out
         assert "Compute-unit utilisation" in out
         assert "DRAM traffic by channel" in out

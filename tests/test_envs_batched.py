@@ -60,6 +60,23 @@ def test_time_limit_truncation():
     _run_pair("pong", steps=120, max_episode_steps=25)
 
 
+def test_capped_episode_ends_its_game():
+    """A cut at ``max_episode_steps`` ends the game, as ``TimeLimit``
+    inside ``EpisodicLife`` does in OpenAI Baselines: the finished score
+    is the game's score at the cap, and the restart resets the game."""
+    env = BatchedVectorEnv("pong", num_envs=1, seed=0, max_episode_steps=25)
+    env.reset()
+    rng = np.random.default_rng(0)
+    capped = 0
+    for _ in range(100):
+        step = env.step(rng.integers(0, env.action_space.n, size=1))
+        if step.infos[0].get("truncated"):
+            capped += 1
+            assert step.finished_scores == [(0, step.infos[0]["score"])]
+            assert env.engine.score[0] == 0.0
+    assert capped == 4
+
+
 def test_reset_after_steps_matches():
     """A mid-run reset (the life-loss pseudo-reset regime) stays aligned."""
     name = "breakout"

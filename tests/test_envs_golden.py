@@ -50,12 +50,12 @@ VECTOR_ENVS = 3
 CAPPED_STEPS = 60
 EPISODE_STEPS = 20
 CAPPED = {
-    "beam_rider": "8ed7bd80774003ea",
-    "breakout": "b0bc584ca6af5a12",
-    "pong": "30710c235ae3599e",
-    "qbert": "3bf5286b5a4a2093",
-    "seaquest": "569376c9d3f8c45e",
-    "space_invaders": "3f3bb34efc5bd1ec",
+    "beam_rider": "6d6369611c151632",
+    "breakout": "1504902146fd547c",
+    "pong": "6cfe97bed6aaea0e",
+    "qbert": "270bfd86e5e2cd0a",
+    "seaquest": "3a8b163a56e86b98",
+    "space_invaders": "d448b2cbec9e849d",
 }
 
 RESET_STEPS = 200

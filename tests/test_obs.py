@@ -1,8 +1,8 @@
 """The repro.obs observability layer.
 
 Covers the registry (labels, histogram percentiles, snapshot/reset,
-JSONL round-trip), the unified tracer (sim + wall spans, nesting,
-absorbing a sim tracer), the Chrome trace-event export schema, the
+JSONL round-trip), the span tracer (sim + wall spans, nesting), the
+Chrome trace-event export schema, the
 disabled-mode no-op guarantee of instrumented hot paths, and the
 IPSMeter warm-up boundary fix.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro import obs
 from repro.obs.registry import HISTOGRAM_WINDOW
 from repro.platforms.metrics import IPSMeter
-from repro.sim.trace import Tracer as SimTracer
 
 
 @pytest.fixture
@@ -129,17 +128,6 @@ class TestSpanTracer:
         # Busy counts top-level spans only: no double counting.
         assert tracer.lane_busy("lane") == pytest.approx(outer.duration)
 
-    def test_decorator_records_span(self):
-        tracer = obs.SpanTracer()
-
-        @tracer.traced("work")
-        def double(x):
-            return 2 * x
-
-        assert double(21) == 42
-        assert len(tracer) == 1
-        assert tracer.spans[0].lane == "work"
-
     def test_sim_record_signature_matches_sim_tracer(self):
         tracer = obs.SpanTracer()
         tracer.record("icu0", "FW:conv1", 0.0, 1e-3)
@@ -148,18 +136,6 @@ class TestSpanTracer:
         assert span.duration == pytest.approx(1e-3)
         with pytest.raises(ValueError):
             tracer.record("icu0", "bad", 1.0, 0.5)
-
-    def test_absorb_sim_tracer_and_sink_forwarding(self):
-        sim_tracer = SimTracer()
-        sim_tracer.record("tcu0", "BW:fc1", 0.0, 2.0)
-        unified = obs.SpanTracer()
-        assert unified.absorb(sim_tracer) == 1
-        assert unified.by_clock(obs.SIM)[0].lane == "tcu0"
-        # Live forwarding: a sim Tracer with an obs sink mirrors spans.
-        mirrored = obs.SpanTracer()
-        live = SimTracer(sink=mirrored)
-        live.record("icu0", "FW:conv1", 0.0, 1.0)
-        assert len(live.spans) == 1 and len(mirrored) == 1
 
     def test_thread_local_nesting_depths(self):
         tracer = obs.SpanTracer()

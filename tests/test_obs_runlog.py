@@ -53,38 +53,6 @@ class TestRegistryMerge:
         b.absorb_rows(a.snapshot())
         assert b.gauge("x").value() == 1.0
 
-    def test_gauge_fold_is_arrival_order_independent(self):
-        """(gen, pid) priority makes the merged gauge deterministic."""
-        def gauge_row(value, gen, pid):
-            return {"name": "x", "type": "gauge", "labels": {},
-                    "value": value, "gen": gen, "pid": pid}
-
-        rows = [gauge_row(1.0, 1, 50), gauge_row(2.0, 2, 40)]
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        forward.absorb_rows(rows)
-        backward.absorb_rows(list(reversed(rows)))
-        assert forward.gauge("x").value() == 2.0
-        assert backward.gauge("x").value() == 2.0
-
-    def test_gauge_pid_breaks_generation_ties(self):
-        def gauge_row(value, gen, pid):
-            return {"name": "x", "type": "gauge", "labels": {},
-                    "value": value, "gen": gen, "pid": pid}
-
-        for ordering in ([(3.0, 2, 9001), (4.0, 2, 9002)],
-                         [(4.0, 2, 9002), (3.0, 2, 9001)]):
-            registry = MetricsRegistry()
-            registry.absorb_rows([gauge_row(*row) for row in ordering])
-            assert registry.gauge("x").value() == 4.0
-
-    def test_gauge_live_set_resumes_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.absorb_rows([{"name": "x", "type": "gauge",
-                               "labels": {}, "value": 5.0,
-                               "gen": 9, "pid": 9}])
-        registry.gauge("x").set(1.0)
-        assert registry.gauge("x").value() == 1.0
-
 
 class TestTracerMerge:
     def test_snapshot_roundtrip_with_pid(self):

@@ -34,7 +34,7 @@ from repro import backends, obs
 from repro.obs.tracer import SIM
 from repro.perf import stageplan
 from repro.platforms import HostModel, ThroughputSetup
-from repro.sim import Tracer
+from repro.obs import SpanTracer as Tracer
 
 T_MAX = 5
 ROUTINES = 8

@@ -15,14 +15,15 @@ from repro.fpga.schedule import (
 )
 from repro.nn import mlp_lstm_network
 from repro.nn.network import A3CNetwork, MLPPolicyNetwork
+from repro.obs import SpanTracer
 from repro.platforms.metrics import IPSMeter
 from repro.platforms.throughput import HostModel
-from repro.sim import Engine, Tracer
+from repro.sim import Engine
 
 
 class TestTracer:
     def _traced(self):
-        tracer = Tracer()
+        tracer = SpanTracer()
         tracer.record("cu0", "FW:Conv1", 0.0, 1.0)
         tracer.record("cu0", "FW:Conv2", 1.0, 1.5)
         tracer.record("cu1", "GC:FC3", 0.5, 2.0)
@@ -39,7 +40,7 @@ class TestTracer:
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
-            Tracer().record("x", "bad", 2.0, 1.0)
+            SpanTracer().record("x", "bad", 2.0, 1.0)
 
     def test_gantt_renders_lanes(self):
         text = self._traced().gantt(width=20)
@@ -50,7 +51,7 @@ class TestTracer:
         assert "G" in lines[2]
 
     def test_gantt_empty(self):
-        assert Tracer().gantt() == "(empty trace)"
+        assert SpanTracer().gantt() == "(empty trace)"
 
     def test_summary_utilisation(self):
         rows = {row["lane"]: row for row in self._traced().summary()}
@@ -63,7 +64,7 @@ class TestTracer:
         topology = A3CNetwork(6).topology()
         platform = FA3CPlatform.fa3c(topology, cu_pairs=1)
         engine = Engine()
-        tracer = Tracer()
+        tracer = SpanTracer()
         sim = platform.build_sim(engine, tracer=tracer)
         meter = IPSMeter(5)
         chains = [sim.agent_chain(i, 5, 4, HostModel(), meter, True, True)
