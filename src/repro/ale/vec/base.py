@@ -26,7 +26,11 @@ the batch width or on which other slots step alongside it:
   the listed slots share is stamped across them in one masked write,
   and what a slot changes rarely may live in a per-slot layer that is
   repainted where it differs from that slot's state and copied in
-  (Breakout's bricks and life icons).
+  (Breakout's bricks and life icons);
+* a frame is a function of its slot's state, not of which earlier
+  frames were rendered, and rendering draws no random numbers, so a
+  caller may step with ``_advance(..., render=False)`` and
+  :meth:`VecAtariGame.render_slots` only the frames it reads.
 
 ``tests/test_ale_golden.py`` pins every game's trace by digest, at
 ``B = 1`` and under random sub-batch stepping.
@@ -84,14 +88,28 @@ class BatchScreen:
         # batch buffer (contiguous block copy vs strided pattern fill).
         self._clear_frames: typing.Dict[typing.Tuple[int, int, int],
                                         np.ndarray] = {}
+        # Each colour as a uint8 array, which a rectangle write takes
+        # without converting a tuple first.
+        self._colors: typing.Dict[typing.Tuple[int, int, int],
+                                  np.ndarray] = {}
 
     def _clipped(self, top: float, left: float, height: float,
                  width: float) -> typing.Tuple[int, int, int, int]:
-        t = min(max(int(round(top)), 0), self.height)
-        l = min(max(int(round(left)), 0), self.width)
-        b = min(max(int(round(top + height)), 0), self.height)
-        r = min(max(int(round(left + width)), 0), self.width)
+        # Python floats: the same sums and round-half-even as NumPy
+        # scalars, at a fraction of the per-call cost.
+        top = float(top)
+        left = float(left)
+        t = min(max(round(top), 0), self.height)
+        l = min(max(round(left), 0), self.width)
+        b = min(max(round(top + float(height)), 0), self.height)
+        r = min(max(round(left + float(width)), 0), self.width)
         return t, l, b, r
+
+    def _color(self, color: typing.Tuple[int, int, int]) -> np.ndarray:
+        value = self._colors.get(color)
+        if value is None:
+            value = self._colors[color] = np.array(color, dtype=np.uint8)
+        return value
 
     def clear_slots(self, slots: np.ndarray,
                     color: typing.Tuple[int, int, int]) -> None:
@@ -124,7 +142,7 @@ class BatchScreen:
         """Fill a rectangle in one slot, clipped to the frame."""
         t, l, b, r = self._clipped(top, left, height, width)
         if b > t and r > l:
-            self.pixels[slot, t:b, l:r] = color
+            self.pixels[slot, t:b, l:r] = self._color(color)
 
     def fill_rect_slots(self, slots: np.ndarray, top: float, left: float,
                         height: float, width: float,
@@ -133,9 +151,9 @@ class BatchScreen:
         t, l, b, r = self._clipped(top, left, height, width)
         if b > t and r > l:
             if slots.size == self.batch:
-                self.pixels[:, t:b, l:r] = color
+                self.pixels[:, t:b, l:r] = self._color(color)
             else:
-                self.pixels[slots, t:b, l:r] = color
+                self.pixels[slots, t:b, l:r] = self._color(color)
 
 
 class VecAtariGame:
@@ -205,8 +223,25 @@ class VecAtariGame:
         raise NotImplementedError
 
     def _render_slots(self, slots: np.ndarray) -> None:
-        """Draw the listed slots into :attr:`screen`."""
+        """Draw the listed slots into :attr:`screen`.
+
+        A frame is a function of the slot's state alone, whatever frames
+        were or were not rendered before it, and drawing it takes no
+        random numbers: a caller may skip renders nobody reads.
+        """
         raise NotImplementedError
+
+    def may_end(self, slots: np.ndarray) -> np.ndarray:
+        """Per listed live slot: may its next frame end its game?
+
+        A frame-skip cycle renders a sub-frame before its last two only
+        where this says True (see
+        :meth:`repro.envs.batched.BatchedVectorEnv._skip_slots`), so a
+        False must be certain.  The default answers True everywhere; a
+        game overrides it only where its game over is predictable a
+        frame ahead.
+        """
+        return np.ones(slots.size, dtype=bool)
 
     # -- batched protocol --------------------------------------------------
 
@@ -232,6 +267,12 @@ class VecAtariGame:
         self.game_over[slots] = False
         self._reset_slots(slots)
         self._render_slots(slots)
+
+    def render_slots(self, slots: np.ndarray) -> None:
+        """Draw the listed slots' current state into :attr:`screen`
+        (nothing when ``slots`` is empty)."""
+        if slots.size:
+            self._render_slots(slots)
 
     @hot_path
     def step(self, actions: typing.Sequence[int],
@@ -263,13 +304,16 @@ class VecAtariGame:
         return self._advance(actions, slots)
 
     @hot_path
-    def _advance(self, actions: np.ndarray, slots: np.ndarray
+    def _advance(self, actions: np.ndarray, slots: np.ndarray,
+                 render: bool = True
                  ) -> typing.Tuple[np.ndarray, np.ndarray]:
         """One frame for ``slots`` under already-checked ``actions``.
 
-        The core that :meth:`step` and
-        :meth:`repro.ale.games.base.AtariGame.step` share after their
-        own argument checks.
+        The core that :meth:`step`,
+        :meth:`repro.ale.games.base.AtariGame.step` and the batched
+        frame skip share after their own argument checks.  With
+        ``render=False`` the screen keeps the slots' older frames until
+        :meth:`render_slots` draws them.
         """
         rewards = self._step_slots(slots, actions)
         self.frame[slots] += 1
@@ -277,7 +321,8 @@ class VecAtariGame:
         dones = (self.lives[slots] <= 0) | \
             (self.frame[slots] >= self.MAX_FRAMES)
         self.game_over[slots] = dones
-        self._render_slots(slots)
+        if render:
+            self._render_slots(slots)
         return rewards, dones
 
     @property

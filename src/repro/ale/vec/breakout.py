@@ -225,9 +225,18 @@ class VecBreakout(VecAtariGame):
             self._drawn_lives[slots] = lives
         scr = self.screen
         scr.copy_slots_from(slots, layer)
-        for k in slots.tolist():
-            scr.fill_rect(k, _PADDLE_Y, self.paddle_x[k], _PADDLE_H,
-                          _PADDLE_W, _PADDLE)
-            if self.ball_in_play[k]:
-                scr.fill_rect(k, self.ball[k, 1], self.ball[k, 0],
-                              _BALL_SIZE, _BALL_SIZE, _BALL)
+        # Coordinates as Python floats: one conversion per array, not
+        # a NumPy scalar per read.
+        for k, x, in_play, (bx, by) in zip(
+                slots.tolist(), self.paddle_x[slots].tolist(),
+                self.ball_in_play[slots].tolist(),
+                self.ball[slots].tolist()):
+            scr.fill_rect(k, _PADDLE_Y, x, _PADDLE_H, _PADDLE_W, _PADDLE)
+            if in_play:
+                scr.fill_rect(k, by, bx, _BALL_SIZE, _BALL_SIZE, _BALL)
+
+    def may_end(self, slots: np.ndarray) -> np.ndarray:
+        # A frame loses at most one life, so only a slot on its last
+        # life, or at the frame cap, can end its game at the next frame.
+        return (self.lives[slots] <= 1) | \
+            (self.frame[slots] + 1 >= self.MAX_FRAMES)

@@ -12,6 +12,8 @@ orchestration shells.
 
 from __future__ import annotations
 
+import typing
+
 import numpy as np
 
 # Protocol-level import only: the seeding contract is defined with the
@@ -25,7 +27,43 @@ from repro.backends.protocol import (
 from repro.nn.losses import A3CLossResult, a3c_loss_and_head_gradients
 
 __all__ = ["apply_rollout_update", "derive_agent_seed",
-           "derive_eval_seed", "derive_policy_seed", "resolve_backend"]
+           "derive_eval_seed", "derive_policy_seed", "resolve_backend",
+           "sample_actions"]
+
+#: ``Generator.choice``'s tolerance on a probability row's sum.
+_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def sample_actions(rngs: typing.Sequence[np.random.Generator],
+                   probs: np.ndarray) -> np.ndarray:
+    """One action per row of the ``(N, A)`` policy ``probs``, row ``i``
+    drawn with ``rngs[i]``.
+
+    Equal, in the actions and in every generator's state, to
+    ``rngs[i].choice(A, p=probs[i])`` row by row: one ``random()`` per
+    row, compared against the float64 cumulative sum divided by its last
+    element, and the index is the count of cdf values at or below the
+    draw (``choice``'s right-sided search).  ``choice``'s checks are
+    kept: a row with a NaN, a negative entry or a sum off 1 raises
+    ``ValueError`` before any generator draws.  The sum checked is the
+    cumulative sum's last element, which can differ from ``choice``'s
+    Kahan sum only by an ulp or so.
+    """
+    atol = _SUM_ATOL
+    if np.issubdtype(probs.dtype, np.floating):
+        atol = max(atol, float(np.sqrt(np.finfo(probs.dtype).eps)))
+    p = probs.astype(np.float64)
+    cdf = p.cumsum(axis=1)
+    total = cdf[:, -1:].copy()
+    if np.isnan(total).any():
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if (np.abs(total - 1.0) > atol).any():
+        raise ValueError("Probabilities do not sum to 1")
+    cdf /= total
+    draws = np.array([rng.random() for rng in rngs])
+    return (cdf <= draws[:, None]).sum(axis=1)
 
 
 def apply_rollout_update(network, params, server,

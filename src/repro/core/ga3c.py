@@ -26,6 +26,7 @@ from repro.core.execution import (
     apply_rollout_update,
     derive_policy_seed,
     resolve_backend,
+    sample_actions,
 )
 from repro.core.scores import ScoreTracker
 from repro.core.parameter_server import ParameterServer
@@ -178,10 +179,8 @@ class GA3CTrainer:
     def _advance(self, logits: np.ndarray, values: np.ndarray) -> None:
         """Sample every worker's action, then advance all slots in one
         vector env step (finished slots auto-reset inside it)."""
-        probs = softmax(logits)
-        actions = np.array([
-            int(worker.rng.choice(probs.shape[1], p=probs[index]))
-            for index, worker in enumerate(self.workers)])
+        actions = sample_actions([worker.rng for worker in self.workers],
+                                 softmax(logits))
         step = self.vector_env.step(actions)
         for _slot, score in step.finished_scores:
             self.tracker.record(self.server.global_step, score)

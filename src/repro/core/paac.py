@@ -20,6 +20,7 @@ from repro.core.execution import (
     apply_rollout_update,
     derive_policy_seed,
     resolve_backend,
+    sample_actions,
 )
 from repro.core.scores import ScoreTracker
 from repro.core.parameter_server import ParameterServer
@@ -113,10 +114,7 @@ class PAACTrainer:
             logits, _values = self.network.forward(states,
                                                    self.server.params)
             maps.append(self.network.feature_maps())
-            probs = softmax(logits)
-            actions = np.array([
-                self.rngs[i].choice(probs.shape[1], p=probs[i])
-                for i in range(n)])
+            actions = sample_actions(self.rngs, softmax(logits))
             if lat is not None:
                 lat.lap("infer")
             all_states.append(states)

@@ -341,11 +341,14 @@ class A3CTrainer:
                 self.agents[agent_id].episodes_finished = episodes
             for step, score in record["scores"]:
                 self.tracker.record(step, score)
-            # The worker's final metric snapshot, so ps.* / lat.*
-            # counters survive the process boundary under a worker label.
-            if record["metrics"] and _obs.enabled():
+            # The worker's final metric and span snapshots, so ps.* /
+            # lat.* counters survive the process boundary under a worker
+            # label and its agents' routine spans under its OS pid.
+            if _obs.enabled() and record["metrics"] is not None:
                 _obs.metrics().absorb_rows(
                     record["metrics"], worker=f"worker-{record['worker']}")
+                _obs.tracer().absorb_rows(
+                    record["spans"], pid=procs[record["worker"]].pid)
         # Fold the shared state back into the in-process server.
         store.read_params_into(self.server.params)
         if statistics is not None:
@@ -359,9 +362,9 @@ class A3CTrainer:
 
         Runs in a forked child, so ``self`` is an inherited copy.  Puts one
         dict on ``results``: the routines, scores, episodes and (obs on)
-        final metric snapshot, or a :class:`WorkerFailed` carrying the
-        formatted traceback.  ``runlog`` gives the worker a telemetry
-        shard, flushed by heartbeat and on exit."""
+        final metric and span snapshots, or a :class:`WorkerFailed`
+        carrying the formatted traceback.  ``runlog`` gives the worker a
+        telemetry shard, flushed by heartbeat and on exit."""
         import traceback
 
         from repro.core.shared_params import SharedParameterServer
@@ -393,6 +396,8 @@ class A3CTrainer:
                       "scores": scores,
                       "metrics": (_obs.metrics().snapshot()
                                   if _obs.enabled() else None),
+                      "spans": (_obs.tracer().snapshot()
+                                if _obs.enabled() else None),
                       "episodes": {agent.agent_id: agent.episodes_finished
                                    for agent in agents}}
         except Exception:

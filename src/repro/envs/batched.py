@@ -7,7 +7,8 @@ inherits, with batched NumPy:
 
 * repeat each action for :data:`FRAME_SKIP` frames and observe the
   pixelwise max of the last two (de-flickers sprites drawn on
-  alternating frames); a slot whose game ends mid-cycle stops there;
+  alternating frames); a slot whose game ends mid-cycle stops there,
+  and only the frames the max can read are rendered;
 * end a training episode at a life loss, but reset the game only once
   it is over: the new episode of a game that goes on starts with one
   NOOP cycle;
@@ -153,32 +154,50 @@ class BatchedVectorEnv:
     def _skip_slots(self, slots: np.ndarray,
                     actions: np.ndarray) -> typing.Tuple[np.ndarray,
                                                          np.ndarray]:
-        """One frame-skip cycle for ``slots``; the de-flickered frames
-        land in ``self._raw[slots]``.  Returns (total_rewards,
-        game_overs)."""
+        """One frame-skip cycle for ``slots`` under checked ``actions``;
+        the de-flickered frames land in ``self._raw[slots]``.  Returns
+        (total_rewards, game_overs).
+
+        Only frames an observation can read are rendered: every live
+        slot's last two sub-frames, and before those a slot's sub-frame
+        only where its game ended or may end at the next one
+        (:meth:`~repro.ale.vec.base.VecAtariGame.may_end`).  The frame a
+        slot ends on and the one before it are thus always drawn, and a
+        slot that lives through the cycle leaves it drawn.
+        """
         engine = self.engine
         batch = self.num_envs
         rewards = np.zeros(slots.size)
         dones = np.zeros(slots.size, dtype=bool)
         seen = np.zeros(slots.size, dtype=np.int64)
         alive = np.ones(slots.size, dtype=bool)
-        # ``slots`` never repeats a slot, so ``batch`` of them are every
-        # slot: whole frames then move as slices, not as gathers.
+        # Live slots whose previous sub-frame was rendered: the frames
+        # to keep in ``_prev`` before they step again.  ``slots`` never
+        # repeats a slot, so ``batch`` of them are every slot: whole
+        # frames then move as slices, not as gathers.
+        drawn = slots[:0]
         for sub in range(FRAME_SKIP):
             idx = np.nonzero(alive)[0]
             if idx.size == 0:
                 break
             current = slots[idx]
-            if sub:
-                if current.size == batch:
-                    np.copyto(self._prev, engine.frames)
-                else:
-                    self._prev[current] = engine.frames[current]
-            sub_rewards, sub_dones = engine.step(actions[idx], current)
+            if drawn.size == batch:
+                np.copyto(self._prev, engine.frames)
+            elif drawn.size:
+                self._prev[drawn] = engine.frames[drawn]
+            sub_rewards, sub_dones = engine._advance(actions[idx], current,
+                                                     render=False)
             rewards[idx] += sub_rewards
             seen[idx] += 1
             dones[idx] = sub_dones
             alive[idx] = ~sub_dones
+            if sub >= FRAME_SKIP - 2:
+                engine.render_slots(current)
+                drawn = current[~sub_dones]
+            else:
+                show = sub_dones | engine.may_end(current)
+                engine.render_slots(current[show])
+                drawn = current[show & ~sub_dones]
         two = seen >= 2
         pair = slots[two]
         if pair.size == batch:
@@ -279,8 +298,9 @@ class BatchedVectorEnv:
     def step(self, actions: typing.Sequence[int]) -> VectorStep:
         """Step every slot; finished slots auto-reset.
 
-        ``actions`` must be integers; floats and strings raise
-        ``ValueError`` rather than being truncated.
+        ``actions`` must be integers in the action space; floats and
+        strings raise ``ValueError`` rather than being truncated.  They
+        are checked here once, not at every sub-frame.
         """
         if len(actions) != self.num_envs:
             raise ValueError(f"expected {self.num_envs} actions, "
@@ -289,6 +309,13 @@ class BatchedVectorEnv:
         if actions.dtype.kind not in "iu":
             raise ValueError(f"actions must be integers, got dtype "
                              f"{actions.dtype}")
+        engine = self.engine
+        if ((actions < 0) | (actions >= engine.action_space.n)).any():
+            raise ValueError(f"invalid action for "
+                             f"{type(engine).__name__}")
+        if engine.game_over.any():
+            raise RuntimeError("step() called on a finished slot; "
+                               "reset() the vector env first")
         rewards, dones, infos, obs = self._advance(
             actions.astype(np.int64, copy=False))
         self._scores += rewards

@@ -404,10 +404,10 @@ class MergedRun:
 def merge_run(run_dir: str) -> MergedRun:
     """Load the manifest and every shard; label rows/spans per worker.
 
-    The parent's shard may contain rows it absorbed back from workers
-    (they already carry a ``worker`` label); those are dropped here so
-    each sample is counted exactly once — the worker's own shard is the
-    authoritative copy.
+    The parent's shard may contain rows and spans it absorbed back from
+    workers (rows carry a ``worker`` label, spans a ``pid``); those are
+    dropped here so each sample is counted exactly once — the worker's
+    own shard is the authoritative copy.
 
     A torn manifest (crashed parent) degrades to a stub with outcome
     ``crashed`` — the shards are still merged, so ``obs-report --run``
@@ -439,6 +439,8 @@ def merge_run(run_dir: str) -> MergedRun:
             merged["labels"] = labels
             rows.append(merged)
         for span in shard.spans:
+            if is_parent and "pid" in span:
+                continue
             merged_span = dict(span)
             if not is_parent:
                 merged_span.setdefault("pid", shard.pid)

@@ -190,6 +190,29 @@ class TestProcsObservability:
             assert all(value > 0 for value in per_worker)
             assert sum(per_worker) == updates.total()
 
+    def test_worker_spans_reach_parent_tracer(self):
+        """Workers ship their routine spans with their metrics; the
+        parent's trace has wall spans on every agent's lane, each under
+        its worker's OS pid."""
+        from repro import obs
+        from repro.obs.chrome import chrome_trace_events
+        from repro.obs.tracer import WALL
+
+        with obs.enabled_scope():
+            self._trainer().train(actors="procs", workers=2)
+            spans = [span for span in obs.tracer().spans
+                     if span.clock == WALL and span.lane.startswith("agent-")]
+            events = chrome_trace_events(obs.tracer().spans)
+        assert {span.lane for span in spans} == {"agent-0", "agent-1"}
+        pids = {span.lane: span.pid for span in spans}
+        assert None not in pids.values() and len(set(pids.values())) == 2
+        lanes = {(event["pid"], event["tid"]): event["args"]["name"]
+                 for event in events if event["ph"] == "M"
+                 and event["name"] == "thread_name"}
+        traced = {lanes[(event["pid"], event["tid"])] for event in events
+                  if event["ph"] == "X" and event["dur"] > 0}
+        assert {"agent-0", "agent-1"} <= traced
+
     def test_procs_run_writes_worker_shards(self, tmp_path):
         from repro import obs
         from repro.obs import runlog

@@ -204,6 +204,24 @@ class TestMergeRun:
                        if r["name"] == "platform.ips"]
         assert parent_rows[0]["labels"]["worker"] == "main"
 
+    def test_parent_reimported_spans_are_dropped(self, runs_root):
+        """Spans the parent absorbed from a worker carry that worker's
+        pid; its shard must not repeat them beside the worker's own."""
+        routine = {"lane": "agent-0", "label": "routine", "start": 0.0,
+                   "end": 1.0, "clock": WALL}
+        local = {"lane": "trainer", "label": "run", "start": 0.0,
+                 "end": 2.0, "clock": WALL}
+        log = open_run(runs_root)
+        write_worker_shard(log.path, os.getpid(), "main",
+                           spans=[dict(routine, pid=9001), local])
+        write_worker_shard(log.path, 9001, "worker-0", spans=[routine])
+        log.finish()
+        spans = runlog.merge_run(log.path).spans
+        assert sorted(span["lane"] for span in spans) == ["agent-0",
+                                                          "trainer"]
+        assert [span.get("pid") for span in spans
+                if span["lane"] == "agent-0"] == [9001]
+
     def test_aggregate_strips_worker_and_sums(self, runs_root):
         log = open_run(runs_root)
         write_worker_shard(log.path, 9001, "worker-0",

@@ -11,7 +11,7 @@ request batching.  Each case runs :meth:`ThroughputSetup.measure`
 * with telemetry on, also the full ``obs.metrics().snapshot()`` and every
   sim-clock span in ``obs.tracer()``;
 * for :data:`TRACED_GOLDEN`, every span a caller-supplied
-  :class:`~repro.sim.Tracer` records with telemetry off.
+  :class:`~repro.obs.tracer.SpanTracer` records with telemetry off.
 
 Floats are hashed as ``float.hex``, so a digest pins exact bits, not a
 rounding.  Each case runs twice on one setup: first from an empty
