@@ -14,8 +14,8 @@ Commands:
 * ``obs-report`` — summarise a previous run's ``--metrics`` /
   ``--trace`` files (utilisation, DRAM traffic, step rates, cycle
   attribution), optionally re-exporting a folded flamegraph profile;
-  ``--run <id>`` renders a run directory instead (merged tables,
-  per-worker breakdown, health events).
+  ``--run <id>`` renders a run directory instead (a failed run's error,
+  whole-run tables, per-worker breakdown).
 * ``bench``   — the modelled-snapshot gate: ``--baseline`` records IPS,
   cycle-attribution shares and the per-request latency distribution
   (HDR buckets + percentiles) of every scenario into
@@ -28,11 +28,17 @@ Commands:
   determinism, hot-path hygiene, seqlock protocol, fp32 reduction
   order, attribution coverage.  ``--strict`` exits non-zero on
   findings; ``--format json`` for machines.
+
+``train``, ``sweep`` and ``bench`` record a run directory: its manifest
+and, for a ``train`` with telemetry on, the run's metrics and spans.  A
+command that raises stamps the manifest ``outcome: failed`` with the
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import typing
 
@@ -41,7 +47,6 @@ from repro.core import A3CConfig, A3CTrainer, RecurrentA3CAgent, \
     WorkerFailed
 from repro.envs import make_atari_env
 from repro.harness import format_curve, format_series, format_table
-from repro.nn.checkpoint import save_checkpoint
 from repro.nn.network import A3CNetwork
 from repro.nn.network_lstm import lstm_a3c_network
 
@@ -66,78 +71,81 @@ def _build_trainer(args) -> A3CTrainer:
                       config, platform=args.platform)
 
 
-def _open_runlog(args, command: str, **meta):
-    """A :class:`repro.obs.runlog.RunLog` for this invocation (or None).
+@contextlib.contextmanager
+def _run_directory(args, command: str, **meta):
+    """Yield a :class:`repro.obs.runlog.RunLog` for this invocation, or
+    ``None`` under ``--no-runlog`` (the root honours ``--runs-root`` and
+    the ``REPRO_RUNS_DIR`` environment override).
 
-    Disabled by ``--no-runlog``; the root honours ``--runs-root`` and
-    the ``REPRO_RUNS_DIR`` environment override.
+    An exception that escapes the block stamps the manifest ``outcome:
+    failed`` with ``error: "<Type>: <message>"`` (a
+    :class:`WorkerFailed` already names the worker and its error's
+    type), then propagates.
     """
-    if getattr(args, "no_runlog", False):
-        return None
-    from repro.obs import runlog as runlog_mod
+    runlog = None
+    if not args.no_runlog:
+        from repro.obs import runlog as runlog_mod
 
-    return runlog_mod.RunLog.open(
-        command, argv=list(sys.argv[1:]),
-        platform=getattr(args, "platform", None),
-        seed=getattr(args, "seed", None),
-        root=getattr(args, "runs_root", None), **meta)
+        runlog = runlog_mod.RunLog.open(
+            command, argv=list(sys.argv[1:]),
+            platform=getattr(args, "platform", None),
+            seed=getattr(args, "seed", None), root=args.runs_root, **meta)
+    try:
+        yield runlog
+    except BaseException as error:
+        if runlog is not None:
+            runlog.finish(outcome="failed", error=(
+                str(error) if isinstance(error, WorkerFailed)
+                else f"{type(error).__name__}: {error}"))
+        raise
 
 
 def cmd_train(args) -> int:
+    from repro import obs
+
     observing = bool(args.trace or args.metrics or args.folded)
     if observing:
-        from repro import obs
         obs.enable(reset=True)
     trainer = _build_trainer(args)
     variant = "A3C-LSTM" if args.lstm else "A3C"
-    runlog = _open_runlog(
-        args, "train",
-        config={"game": args.game, "steps": args.steps,
-                "agents": args.agents, "t_max": args.t_max,
-                "learning_rate": args.learning_rate,
-                "actors": args.actors, "workers": args.workers,
-                "lstm": args.lstm},
-        topology={"variant": variant,
-                  "params": trainer.server.params.names()})
-    print(f"Training {variant} on {args.game}: {args.agents} agents, "
-          f"{args.steps} steps, lr {args.learning_rate}, "
-          f"actors {args.actors}"
-          + (f", platform {args.platform}" if args.platform else ""))
-    try:
+    with _run_directory(
+            args, "train",
+            config={"game": args.game, "steps": args.steps,
+                    "agents": args.agents, "t_max": args.t_max,
+                    "learning_rate": args.learning_rate,
+                    "actors": args.actors, "workers": args.workers,
+                    "lstm": args.lstm},
+            topology={"variant": variant,
+                      "params": trainer.server.params.names()}) as runlog:
+        print(f"Training {variant} on {args.game}: {args.agents} agents, "
+              f"{args.steps} steps, lr {args.learning_rate}, "
+              f"actors {args.actors}"
+              + (f", platform {args.platform}" if args.platform else ""))
         result = trainer.train(
             actors=args.actors, workers=args.workers,
             progress=lambda step, tracker: print(
                 f"  step {step:>8}: episodes={len(tracker)} "
                 f"mean={tracker.recent_mean(100):.1f}"),
-            progress_interval=max(args.steps // 10, 1), runlog=runlog)
-    except WorkerFailed as error:
-        if runlog is not None:
-            runlog.finish(outcome="failed", error=str(error))
-        raise
-    steps, scores = result.tracker.curve()
-    print(format_curve(steps, scores, args.game))
-    print(f"{result.global_steps} steps, {result.episodes} episodes, "
-          f"{result.steps_per_second:.0f} steps/s")
-    if args.checkpoint:
-        save_checkpoint(args.checkpoint, result.params,
-                        optimizer=trainer.server.optimizer,
-                        metadata={"game": args.game,
-                                  "global_step": result.global_steps,
-                                  "lstm": args.lstm})
-        print(f"checkpoint written to {args.checkpoint}")
-    if observing:
-        _emit_observability(args)
-    if runlog is not None:
+            progress_interval=max(args.steps // 10, 1))
+        steps, scores = result.tracker.curve()
+        print(format_curve(steps, scores, args.game))
+        print(f"{result.global_steps} steps, {result.episodes} episodes, "
+              f"{result.steps_per_second:.0f} steps/s")
+        if args.checkpoint:
+            trainer.save_checkpoint(args.checkpoint, game=args.game,
+                                    lstm=args.lstm)
+            print(f"checkpoint written to {args.checkpoint}")
         if observing:
-            # After _emit_observability so the parent shard carries the
-            # shadow-sim platform metrics alongside the trainer's.
-            runlog.shard("main").flush(
-                final=True, routines=result.routines,
-                global_step=result.global_steps)
-        runlog.finish(outcome="ok", global_steps=result.global_steps,
-                      episodes=result.episodes,
-                      train_wall_seconds=result.wall_seconds)
-        print(f"run log: {runlog.path}")
+            _emit_observability(args)
+        if runlog is not None:
+            if obs.enabled():
+                # After _emit_observability, so the rows carry the
+                # shadow-sim platform metrics beside the trainer's.
+                runlog.write_telemetry(obs.metrics(), obs.tracer())
+            runlog.finish(outcome="ok", global_steps=result.global_steps,
+                          episodes=result.episodes,
+                          train_wall_seconds=result.wall_seconds)
+            print(f"run log: {runlog.path}")
     return 0
 
 
@@ -182,30 +190,26 @@ def _emit_observability(args) -> None:
 
 
 def _obs_report_run(args) -> int:
-    """Render a run directory: merged tables, workers, health events."""
+    """Render a run directory: its manifest, tables and workers."""
     from repro import obs
-    from repro.obs import health as health_mod
     from repro.obs import runlog as runlog_mod
 
     try:
-        run_dir = runlog_mod.resolve_run(args.run, root=args.runs_root)
-        merged = runlog_mod.merge_run(run_dir)
+        run = runlog_mod.load_run(
+            runlog_mod.resolve_run(args.run, root=args.runs_root))
     except (OSError, ValueError) as exc:
         print(f"obs-report: {exc}")
         return 2
-    events = health_mod.health_events(merged)
-    runlog_mod.write_health(run_dir, events)
     if args.folded:
         from repro.obs.prof import AttributionReport, write_folded
-        report = AttributionReport(
-            runlog_mod.aggregate_rows(merged.rows))
+        report = AttributionReport(runlog_mod.aggregate_rows(run.rows))
         if report.has_fpga or report.has_gpu:
             lines = write_folded(report, args.folded)
             print(f"folded profile: {lines} stacks -> {args.folded}")
         else:
             print("obs-report: no attribution metrics in the run; "
                   "--folded skipped")
-    print(obs.run_report(merged, events, latency=args.latency))
+    print(obs.run_report(run, latency=args.latency))
     return 0
 
 
@@ -263,15 +267,16 @@ def cmd_backends_list(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    runlog = _open_runlog(args, "bench", ablation=args.ablation or "")
-    if args.ablation:
-        code = _cmd_bench_ablation(args, runlog)
-    else:
-        code = _cmd_bench_modelled(args, runlog)
-    if runlog is not None:
-        runlog.finish(outcome={0: "ok", 1: "regression"}.get(
-            code, "error"))
-        print(f"run log: {runlog.path}")
+    with _run_directory(args, "bench",
+                        ablation=args.ablation or "") as runlog:
+        if args.ablation:
+            code = _cmd_bench_ablation(args, runlog)
+        else:
+            code = _cmd_bench_modelled(args, runlog)
+        if runlog is not None:
+            runlog.finish(outcome={0: "ok", 1: "regression"}.get(
+                code, "error"))
+            print(f"run log: {runlog.path}")
     return code
 
 
@@ -546,28 +551,29 @@ def cmd_sweep(args) -> int:
     config = A3CConfig(num_agents=args.agents, t_max=args.t_max,
                        max_steps=args.steps, anneal_steps=10 ** 9,
                        seed=args.seed)
-    runlog = _open_runlog(
-        args, "sweep",
-        config={"game": args.game, "steps": args.steps,
-                "agents": args.agents, "t_max": args.t_max,
-                "rates": list(args.rates), "seeds": args.seeds})
-    result = sweep_learning_rates(
-        lambda i: make_atari_env(make_game(args.game),
-                                 max_episode_steps=args.episode_cap),
-        lambda: A3CNetwork(num_actions), config,
-        learning_rates=args.rates, seeds=tuple(range(args.seeds)),
-        actors="threads", platform=args.platform)
-    print(format_table(result.rows(),
-                       title=f"Learning-rate sweep on {args.game} "
-                             f"({args.steps} steps/run)"))
-    best = result.best
-    print(f"best: lr={best.learning_rate} (seed {best.seed}), "
-          f"final score {best.final_score:.1f}")
-    if runlog is not None:
-        runlog.finish(outcome="ok", best_rate=best.learning_rate,
-                      best_seed=best.seed,
-                      best_final_score=best.final_score)
-        print(f"run log: {runlog.path}")
+    with _run_directory(
+            args, "sweep",
+            config={"game": args.game, "steps": args.steps,
+                    "agents": args.agents, "t_max": args.t_max,
+                    "rates": list(args.rates),
+                    "seeds": args.seeds}) as runlog:
+        result = sweep_learning_rates(
+            lambda i: make_atari_env(make_game(args.game),
+                                     max_episode_steps=args.episode_cap),
+            lambda: A3CNetwork(num_actions), config,
+            learning_rates=args.rates, seeds=tuple(range(args.seeds)),
+            actors="threads", platform=args.platform)
+        print(format_table(result.rows(),
+                           title=f"Learning-rate sweep on {args.game} "
+                                 f"({args.steps} steps/run)"))
+        best = result.best
+        print(f"best: lr={best.learning_rate} (seed {best.seed}), "
+              f"final score {best.final_score:.1f}")
+        if runlog is not None:
+            runlog.finish(outcome="ok", best_rate=best.learning_rate,
+                          best_seed=best.seed,
+                          best_final_score=best.final_score)
+            print(f"run log: {runlog.path}")
     return 0
 
 

@@ -123,15 +123,17 @@ class A3CTrainer:
             self._backend = resolve_backend(self._platform)
         return self._backend
 
-    def save_checkpoint(self, path: str) -> None:
+    def save_checkpoint(self, path: str, **metadata: object) -> None:
         """Write global theta, shared RMSProp statistics, and the step
-        counter to a resumable archive."""
+        counter to a resumable archive; keyword ``metadata`` (JSON
+        values, e.g. ``game=``) is stored beside the config."""
         from repro.nn.checkpoint import save_checkpoint
         save_checkpoint(path, self.server.snapshot(),
                         optimizer=self.server.optimizer,
                         metadata={
                             "global_step": self.server.global_step,
                             "config": dataclasses.asdict(self.config),
+                            **metadata,
                         })
 
     def restore_checkpoint(self, path: str) -> dict:
@@ -162,8 +164,8 @@ class A3CTrainer:
         """The routine driver of every actor mode: ``agents`` take turns,
         one routine each, against ``server`` until its global step reaches
         ``max_steps`` or the ``stop`` event is set.  Scores go to
-        ``record_score(global_step, score)``; ``on_round(routines)`` runs
-        after each round.  Returns the routine count.  A routine that
+        ``record_score(global_step, score)``; ``on_round()`` runs after
+        each round.  Returns the routine count.  A routine that
         raises becomes a :class:`WorkerFailed` naming its agent."""
         max_steps = self.config.max_steps
         routines = 0
@@ -188,7 +190,7 @@ class A3CTrainer:
                 for score in stats.episode_scores:
                     record_score(server.global_step, score)
             if on_round is not None:
-                on_round(routines)
+                on_round()
         return routines
 
     def train(self, max_steps: typing.Optional[int] = None,
@@ -196,8 +198,7 @@ class A3CTrainer:
               workers: typing.Optional[int] = None,
               progress: typing.Optional[
                   typing.Callable[[int, ScoreTracker], None]] = None,
-              progress_interval: int = 10_000,
-              runlog=None) -> TrainResult:
+              progress_interval: int = 10_000) -> TrainResult:
         """Run until ``max_steps`` global inference steps.
 
         ``actors`` is ``"threads"`` (one host thread per agent),
@@ -205,10 +206,8 @@ class A3CTrainer:
         default ``num_agents``) or ``"serial"`` (deterministic round-robin
         on the calling thread).  ``progress(global_step, tracker)`` runs
         about every ``progress_interval`` steps, at a deterministic cadence
-        only in serial mode.  With ``actors="procs"`` and a ``runlog``
-        (:class:`repro.obs.runlog.RunLog`), each worker writes heartbeat
-        and telemetry shards into the run directory.  A failed worker
-        raises :class:`WorkerFailed` once the others are stopped.
+        only in serial mode.  A failed worker raises :class:`WorkerFailed`
+        once the others are stopped.
         """
         if actors not in ("threads", "procs", "serial"):
             raise ValueError(f"unknown actor backend {actors!r}; "
@@ -228,11 +227,11 @@ class A3CTrainer:
         if actors == "serial":
             self._routines += self._drive(
                 self.agents, self.server, self.tracker.record,
-                on_round=lambda _: report(self.server.global_step))
+                on_round=lambda: report(self.server.global_step))
         elif actors == "threads":
             self._train_threads(report)
         else:
-            self._train_procs(workers, report, runlog)
+            self._train_procs(workers, report)
         elapsed = time.perf_counter() - start
         episodes = sum(agent.episodes_finished for agent in self.agents)
         return TrainResult(global_steps=self.server.global_step,
@@ -299,7 +298,7 @@ class A3CTrainer:
                                halt=stop.set)
         self._routines += sum(record["routines"] for record in records)
 
-    def _train_procs(self, workers, report, runlog=None) -> None:
+    def _train_procs(self, workers, report) -> None:
         """Partition the agents over forked worker processes, which drive
         them against θ and the RMSProp statistics in a shared-memory
         :class:`~repro.core.shared_params.SharedParameterStore`.  The final
@@ -324,7 +323,7 @@ class A3CTrainer:
         results: "multiprocessing.Queue" = ctx.Queue()
         procs = [ctx.Process(target=self._proc_worker,
                              args=(worker_id, num_workers, store,
-                                   results, runlog),
+                                   results),
                              name=f"a3c-worker-{worker_id}", daemon=True)
                  for worker_id in range(num_workers)]
 
@@ -357,14 +356,13 @@ class A3CTrainer:
         self.server.updates_applied += store.updates_applied
 
     def _proc_worker(self, worker_id: int, num_workers: int,
-                     store, results, runlog=None) -> None:
+                     store, results) -> None:
         """Worker-process body: drive this worker's share of the agents.
 
         Runs in a forked child, so ``self`` is an inherited copy.  Puts one
         dict on ``results``: the routines, scores, episodes and (obs on)
         final metric and span snapshots, or a :class:`WorkerFailed`
-        carrying the formatted traceback.  ``runlog`` gives the worker a
-        telemetry shard, flushed by heartbeat and on exit."""
+        carrying the formatted traceback."""
         import traceback
 
         from repro.core.shared_params import SharedParameterServer
@@ -376,22 +374,13 @@ class A3CTrainer:
                 # clean so the shipped snapshot is this worker's work.
                 _obs.metrics().reset()
                 _obs.tracer().clear()
-            shard = (runlog.shard(f"worker-{worker_id}")
-                     if runlog is not None else None)
             server = SharedParameterServer(store, self.config)
             agents = self.agents[worker_id::num_workers]
             for agent in agents:
                 agent.server = server
             scores: typing.List[typing.Tuple[int, float]] = []
-            heartbeat = None if shard is None else (
-                lambda routines: shard.maybe_heartbeat(
-                    routines=routines, global_step=server.global_step))
-            routines = self._drive(
-                agents, server, lambda *pair: scores.append(pair),
-                on_round=heartbeat)
-            if shard is not None:
-                shard.flush(final=True, routines=routines,
-                            global_step=server.global_step)
+            routines = self._drive(agents, server,
+                                   lambda *pair: scores.append(pair))
             record = {"worker": worker_id, "routines": routines,
                       "scores": scores,
                       "metrics": (_obs.metrics().snapshot()

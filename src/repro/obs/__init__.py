@@ -16,10 +16,10 @@ measures.  It provides:
   gated on :func:`enabled` so disabled runs pay one boolean branch
   (:mod:`repro.obs.runtime`);
 * report rendering for ``repro obs-report`` (:mod:`repro.obs.report`);
-* run-scoped telemetry: run directories with manifests and per-process
-  shards, shard merging with ``worker`` labels, and the worker-health
-  monitor (:mod:`repro.obs.runlog`, :mod:`repro.obs.health` — loaded
-  lazily);
+* run-scoped telemetry: run directories holding a manifest and, for a
+  run with telemetry on, the metrics and spans the parent collected
+  (procs workers' under their ``worker`` label and OS pid), written by
+  the parent alone (:mod:`repro.obs.runlog` — loaded lazily);
 * the one per-routine record: latency timed with laps into segments
   (``queue_wait`` / ``batch_form`` / ``infer`` / ``env_step`` /
   ``train`` / ``apply`` / ``param_sync``) that sum exactly to the
@@ -71,7 +71,6 @@ __all__ = [
     "enable",
     "enabled",
     "enabled_scope",
-    "health",
     "lat",
     "load_chrome_trace",
     "load_jsonl",
@@ -86,7 +85,7 @@ __all__ = [
     "write_chrome_trace",
 ]
 
-_LAZY_SUBMODULES = ("prof", "runlog", "health", "lat")
+_LAZY_SUBMODULES = ("prof", "runlog", "lat")
 
 
 def __getattr__(name):

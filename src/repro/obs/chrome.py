@@ -22,7 +22,7 @@ from repro.obs.tracer import SIM, WALL, ObsSpan, SpanTracer
 PID_SIM = 1
 PID_WALL = 2
 
-#: Spans merged from worker shards carry real OS pids; any that collide
+#: Spans absorbed from worker processes carry real OS pids; any that collide
 #: with the pseudo-pids above are offset by this base (real pids 1 and 2
 #: belong to init/kthreadd on Linux, so collisions are container-only
 #: oddities — but the offset makes the invariant unconditional).
@@ -67,7 +67,7 @@ def chrome_trace_events(spans: typing.Sequence[ObsSpan]
 
     Wall-clock spans are rebased to the earliest wall start so traces
     begin near ts=0; sim spans already start near zero.  Spans carrying
-    an OS ``pid`` (merged worker shards) become their own Perfetto
+    an OS ``pid`` (absorbed from workers) become their own Perfetto
     process groups named ``worker-<ospid>``, alongside the sim/wall
     pseudo-processes.
     """

@@ -136,7 +136,7 @@ def validate_rows(rows: typing.Iterable[typing.Mapping[str, object]]
     number of (trainer, platform, …) groups checked.
 
     Works on any registry snapshot — including one folded from worker
-    shards — because counters merge exactly.  Raises
+    processes — because counters merge exactly.  Raises
     :class:`LatencyError` on a mismatch or on segment rows with no
     matching total.
     """

@@ -62,7 +62,7 @@ def hdr_percentile(buckets: typing.Mapping[object, object],
     to observation count.  Quantised to the bucket resolution but
     deterministic and mergeable — unlike window percentiles, the answer
     is identical whether the counts came from one process or were
-    folded from many shards.
+    folded from many.
     """
     counts = []
     total = 0
@@ -401,10 +401,10 @@ class MetricsRegistry:
         """Merge snapshot rows from another registry into this one.
 
         The cross-process merge API: a worker process snapshots its
-        registry (:meth:`snapshot`), ships the rows over a queue or a
-        run-log shard, and the parent folds them in here — counters sum,
-        histograms fold exact moments plus HDR bucket counts
-        (:meth:`Histogram.absorb`), and gauges are last-write-wins.
+        registry (:meth:`snapshot`), ships the rows over a queue, and
+        the parent folds them in here — counters sum, histograms fold
+        exact moments plus HDR bucket counts (:meth:`Histogram.absorb`),
+        and gauges are last-write-wins.
         ``extra_labels`` (typically ``worker="worker-0"``) are added to
         every absorbed sample so merged metrics stay attributable per
         process.  Returns the number of rows absorbed.

@@ -65,33 +65,58 @@ def dram_traffic_rows(rows: Rows) -> typing.List[typing.Dict[str, object]]:
     return out
 
 
-def _per_trainer(rows: Rows, name: str,
-                 field: str = "value") -> typing.Dict[str, float]:
-    """One metric's ``field`` summed per ``trainer`` label."""
+def _per_label(rows: Rows, name: str, key: str,
+               field: str = "value") -> typing.Dict[str, float]:
+    """One metric's ``field`` summed per value of its ``key`` label."""
     out: typing.Dict[str, float] = {}
     for row in _select(rows, name):
-        trainer = _label(row, "trainer")
-        out[trainer] = out.get(trainer, 0.0) + float(
+        group = _label(row, key)
+        out[group] = out.get(group, 0.0) + float(
             typing.cast(float, row.get(field, 0.0)) or 0.0)
     return out
 
 
-def trainer_rows(rows: Rows) -> typing.List[typing.Dict[str, object]]:
+def trainer_rows(rows: Rows, by: str = "trainer"
+                 ) -> typing.List[typing.Dict[str, object]]:
     """Per-trainer routines, steps and steps per second of routine
-    time, from the routine records (``lat.*`` and ``trainer.steps``)."""
-    routines = _per_trainer(rows, "lat.routine_seconds", "count")
-    total_ns = _per_trainer(rows, "lat.total_ns")
+    time, from the routine records (``lat.*`` and ``trainer.steps``);
+    ``by`` names the label to group by instead of ``trainer``."""
+    routines = _per_label(rows, "lat.routine_seconds", by, "count")
+    total_ns = _per_label(rows, "lat.total_ns", by)
     out = []
-    for trainer, steps in sorted(_per_trainer(rows,
-                                              "trainer.steps").items()):
-        seconds = total_ns.get(trainer, 0.0) * 1e-9
+    for group, steps in sorted(_per_label(rows, "trainer.steps",
+                                          by).items()):
+        seconds = total_ns.get(group, 0.0) * 1e-9
         out.append({
-            "trainer": trainer,
-            "routines": int(routines.get(trainer, 0.0)),
+            by: group,
+            "routines": int(routines.get(group, 0.0)),
             "steps": int(steps),
             "steps_per_s": _round(steps / seconds, 1)
             if seconds > 0 else "-",
         })
+    return out
+
+
+def worker_rows(rows: Rows) -> typing.List[typing.Dict[str, object]]:
+    """Per-worker breakdown of a procs run: :func:`trainer_rows` by the
+    ``worker`` label the parent gives each worker's rows, with the
+    worker's parameter-server updates and seqlock wait
+    (``ps.lock_wait_seconds``, summed over its ``op`` labels), and that
+    wait's share of the worker's routine time."""
+    updates = _per_label(rows, "ps.updates", "worker")
+    lock_wait = _per_label(rows, "ps.lock_wait_seconds", "worker", "sum")
+    total_ns = _per_label(rows, "lat.total_ns", "worker")
+    out = []
+    for row in trainer_rows(rows, by="worker"):
+        worker = str(row["worker"])
+        if worker == "-":
+            continue
+        seconds = total_ns.get(worker, 0.0) * 1e-9
+        wait = lock_wait.get(worker, 0.0)
+        out.append(dict(row, updates=int(updates.get(worker, 0.0)),
+                        lock_wait_s=round(wait, 4),
+                        lock_wait_share=round(wait / seconds, 4)
+                        if seconds > 0 else "-"))
     return out
 
 
@@ -132,8 +157,8 @@ def latency_rows(rows: Rows) -> typing.List[typing.Dict[str, object]]:
     """Per-segment latency percentiles (ms) with share of total time.
 
     Reads the ``lat.segment_seconds`` histograms — HDR-folded, so the
-    percentiles are real values even when the rows were merged from
-    worker shards — and the ``lat.segment_ns`` / ``lat.total_ns``
+    percentiles are real values even when the rows were absorbed from
+    worker processes — and the ``lat.segment_ns`` / ``lat.total_ns``
     counters for each segment's exact share of end-to-end time.
     """
     def group_key(row):
@@ -307,26 +332,20 @@ def registry_report(registry: MetricsRegistry,
     return obs_report(registry.snapshot(), trace_doc, latency=latency)
 
 
-def run_report(merged,
-               events: typing.Optional[typing.Sequence[
-                   typing.Mapping[str, object]]] = None,
-               latency: bool = False) -> str:
-    """The ``repro obs-report --run`` rendering for one merged run.
+def run_report(run, latency: bool = False) -> str:
+    """The ``repro obs-report --run`` rendering for one recorded run.
 
-    Composes the manifest summary, the whole-run metric tables (worker
-    label aggregated out), the per-worker breakdown, and the health
-    events.  ``merged`` is a :class:`repro.obs.runlog.MergedRun`;
-    ``events`` defaults to a fresh :func:`repro.obs.health.health_events`
-    pass.  ``latency=True`` additionally renders the per-worker latency
-    tables and the critical path through each lane's recorded spans.
+    Composes the manifest summary (with a failed run's error), the
+    whole-run metric tables (worker label aggregated out) and the
+    per-worker breakdown.  ``run`` is a
+    :class:`repro.obs.runlog.RecordedRun`.  ``latency=True``
+    additionally renders the per-worker latency table and the critical
+    path through each lane's recorded spans.
     """
-    from repro.obs import health as health_mod
     from repro.obs import lat as lat_mod
     from repro.obs import runlog as runlog_mod
 
-    if events is None:
-        events = health_mod.health_events(merged)
-    manifest = merged.manifest
+    manifest = run.manifest
     head = [f"run {manifest.get('run_id', '?')}: "
             f"command={manifest.get('command', '?')} "
             f"outcome={manifest.get('outcome', '?')}"]
@@ -338,19 +357,20 @@ def run_report(merged,
                            else f"{key}={manifest[key]}")
     if details:
         head.append("  " + "  ".join(details))
-    head.append(f"  shards={len(merged.shards)} "
-                f"(workers={len(merged.worker_shards())})")
-    sections = ["\n".join(head)]
-    aggregate = runlog_mod.aggregate_rows(merged.rows)
-    if aggregate:
-        sections.append(obs_report(aggregate, latency=latency))
+    if manifest.get("error") is not None:
+        head.append("  error:")
+        head.extend(f"    {line}"
+                    for line in str(manifest["error"]).splitlines())
+    sections = ["\n".join(head),
+                obs_report(runlog_mod.aggregate_rows(run.rows),
+                           latency=latency)]
     if latency:
-        per_worker = latency_rows(merged.rows)
+        per_worker = [row for row in latency_rows(run.rows)
+                      if row["worker"] != "-"]
         if per_worker:
             sections.append(format_table(
-                per_worker,
-                title="Latency by segment, per worker (unaggregated)"))
-        chains = lat_mod.critical_path_rows(merged.spans)
+                per_worker, title="Latency by segment, per worker"))
+        chains = lat_mod.critical_path_rows(run.spans)
         if chains:
             for chain in chains:
                 chain["duration"] = _round(chain["duration"], 6)
@@ -358,17 +378,9 @@ def run_report(merged,
                 chains, title="Critical path per lane (longest nested "
                               "span chain; duration in the lane's "
                               "clock units)"))
-    workers = health_mod.worker_rows(merged, events)
+    workers = worker_rows(run.rows)
     if workers:
         sections.append(format_table(
-            workers, title="Per-worker breakdown (merged shards)"))
-    if events:
-        lines = [f"Health events ({len(events)}):"]
-        for event in events:
-            lines.append(f"  - [{event.get('event', '?')}] "
-                         f"{event.get('worker', '?')}: "
-                         f"{event.get('reason', '')}")
-        sections.append("\n".join(lines))
-    else:
-        sections.append("Health: all workers finished cleanly.")
+            workers, title="Per-worker breakdown (steps per second of "
+                           "routine time; lock-wait share of it)"))
     return "\n\n".join(sections)

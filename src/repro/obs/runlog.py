@@ -1,31 +1,24 @@
-"""Run-scoped telemetry: run directories, manifests, and shards.
+"""Run-scoped telemetry: run directories and their manifests.
 
 Every ``train`` / ``sweep`` / ``bench`` invocation opens a **run
 directory** (``runs/<run-id>/``) holding
 
 * ``manifest.json`` — what ran: command, argv, config, platform registry
-  name, seed, topology, start/end timestamps, and the outcome;
-* ``shard-<pid>.jsonl`` — one telemetry shard per participating process.
-  Workers in the procs backend flush their
-  :class:`~repro.obs.registry.MetricsRegistry` snapshot and
-  :class:`~repro.obs.tracer.SpanTracer` spans at a heartbeat interval
-  and on exit; the parent flushes its own shard at the end of the run;
-* ``health.jsonl`` — structured straggler/stall events computed by
-  :mod:`repro.obs.health` over the merged shards.
+  name, seed, topology, start/end timestamps, the outcome, and the
+  error of a failed run;
+* ``metrics.jsonl`` and ``spans.jsonl`` — the run's
+  :class:`~repro.obs.registry.MetricsRegistry` rows and
+  :class:`~repro.obs.tracer.SpanTracer` spans, written once at the end
+  of a ``train`` recorded with telemetry on
+  (:meth:`RunLog.write_telemetry`).
 
-:func:`merge_run` folds the shards into one labelled timeline: metric
-rows gain a ``worker`` label, spans gain the recording process's OS pid
+The parent process is the only writer.  A procs worker ships its final
+metric and span snapshots back with its result, and the parent absorbs
+them: rows under the worker's ``worker`` label, spans under its OS pid
 (so :mod:`repro.obs.chrome` places each worker in its own Perfetto
-process group), and :func:`aggregate_rows` collapses the worker label
-back out for whole-run totals.  Counters and histograms fold exactly
-in any shard order; gauges are last-write-wins, and only the parent
-sets any (``measure_ips``).  ``repro runs list`` / ``repro runs diff``
-/ ``repro obs-report --run`` are the CLI surface.
-
-Shards are append-only JSONL so a crashed worker's partial shard stays
-readable: each flush appends the *full* cumulative snapshot tagged with
-a monotonically increasing ``seq``, and the loader keeps only the
-newest generation.
+process group).  :func:`aggregate_rows` collapses the worker label back
+out for whole-run totals.  ``repro runs list`` / ``repro runs diff`` /
+``repro obs-report --run`` are the CLI surface.
 """
 
 from __future__ import annotations
@@ -37,14 +30,12 @@ import os
 import time
 import typing
 
-from repro.obs import runtime
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, load_jsonl
 from repro.obs.tracer import SpanTracer
 
 MANIFEST_NAME = "manifest.json"
-HEALTH_NAME = "health.jsonl"
-SHARD_PREFIX = "shard-"
-SHARD_SUFFIX = ".jsonl"
+METRICS_NAME = "metrics.jsonl"
+SPANS_NAME = "spans.jsonl"
 
 #: Environment override for the run-directory root (default ``runs/``
 #: under the current working directory).
@@ -52,10 +43,6 @@ ROOT_ENV = "REPRO_RUNS_DIR"
 DEFAULT_ROOT = "runs"
 
 SCHEMA_VERSION = 1
-
-#: Seconds between worker heartbeat flushes (see
-#: :meth:`ShardWriter.maybe_heartbeat`).
-DEFAULT_HEARTBEAT_SECONDS = 2.0
 
 _run_sequence = itertools.count()
 
@@ -79,72 +66,8 @@ def new_run_id(command: str) -> str:
     return f"{stamp}-{command}-p{os.getpid()}-{next(_run_sequence)}"
 
 
-class ShardWriter:
-    """Appends one process's telemetry to ``shard-<pid>.jsonl``.
-
-    Each :meth:`flush` appends the process's full metric snapshot and
-    span list under a new ``seq`` generation; readers keep the newest.
-    Telemetry rows are only gathered when the obs runtime is enabled —
-    heartbeat records are written regardless, so worker liveness is
-    observable even on metric-free runs.
-    """
-
-    def __init__(self, run_dir: str, worker: str,
-                 interval: float = DEFAULT_HEARTBEAT_SECONDS):
-        self.worker = worker
-        self.interval = interval
-        self.pid = os.getpid()
-        self.path = os.path.join(
-            run_dir, f"{SHARD_PREFIX}{self.pid}{SHARD_SUFFIX}")
-        self._seq = 0
-        self._last_flush = time.perf_counter()
-        self._append([{"kind": "open", "pid": self.pid, "worker": worker,
-                       "time": time.time(), "interval": interval}])
-
-    def _append(self, records: typing.Sequence[
-            typing.Mapping[str, object]]) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def flush(self, final: bool = False, **stats: object) -> int:
-        """Append a heartbeat plus the current cumulative telemetry.
-
-        ``stats`` (e.g. ``routines=...``, ``global_step=...``) ride on
-        the heartbeat record and feed the health monitor's rate
-        estimates.  ``final=True`` marks a clean exit — a shard without
-        a final record is a killed or hung worker.  Returns the number
-        of records appended.
-        """
-        now = time.time()
-        self._seq += 1
-        records: typing.List[typing.Dict[str, object]] = [
-            {"kind": "heartbeat", "seq": self._seq, "time": now,
-             "stats": dict(stats)}]
-        if runtime.enabled():
-            for row in runtime.metrics().snapshot():
-                records.append({"kind": "metric", "seq": self._seq,
-                                "row": row})
-            for span in runtime.tracer().snapshot():
-                records.append({"kind": "span", "seq": self._seq,
-                                "row": span})
-        if final:
-            records.append({"kind": "final", "seq": self._seq,
-                            "time": now, "stats": dict(stats)})
-        self._append(records)
-        self._last_flush = time.perf_counter()
-        return len(records)
-
-    def maybe_heartbeat(self, **stats: object) -> bool:
-        """Flush if at least ``interval`` seconds passed since the last."""
-        if time.perf_counter() - self._last_flush < self.interval:
-            return False
-        self.flush(**stats)
-        return True
-
-
 class RunLog:
-    """One run directory: the manifest plus shard handles."""
+    """One run directory, written by the process that opened it."""
 
     def __init__(self, path: str,
                  manifest: typing.Dict[str, object]):
@@ -210,88 +133,18 @@ class RunLog:
         self.update(outcome=outcome, end_time=ended, end=_iso(ended),
                     wall_seconds=ended - start, **fields)
 
-    def shard(self, worker: str,
-              interval: float = DEFAULT_HEARTBEAT_SECONDS) -> ShardWriter:
-        """A shard writer for the *calling* process (pid-named file)."""
-        return ShardWriter(self.path, worker, interval=interval)
+    def write_telemetry(self, registry: MetricsRegistry,
+                        tracer: SpanTracer) -> None:
+        """Write ``metrics.jsonl`` (the rows ``--metrics`` writes) and
+        ``spans.jsonl`` (:meth:`SpanTracer.snapshot` rows)."""
+        registry.write_jsonl(os.path.join(self.path, METRICS_NAME))
+        with open(os.path.join(self.path, SPANS_NAME), "w",
+                  encoding="utf-8") as fh:
+            for span in tracer.snapshot():
+                fh.write(json.dumps(span, sort_keys=True) + "\n")
 
 
 # -- reading runs back -----------------------------------------------------
-
-
-@dataclasses.dataclass
-class WorkerShard:
-    """One process's shard, reduced to its newest telemetry generation."""
-
-    path: str
-    pid: int
-    worker: str
-    opened_time: float
-    heartbeats: typing.List[typing.Dict[str, object]]
-    final: typing.Optional[typing.Dict[str, object]]
-    rows: typing.List[typing.Dict[str, object]]
-    spans: typing.List[typing.Dict[str, object]]
-
-    @property
-    def last_heartbeat_time(self) -> float:
-        if self.heartbeats:
-            return float(typing.cast(
-                float, self.heartbeats[-1].get("time", self.opened_time)))
-        return self.opened_time
-
-    def stats(self) -> typing.Dict[str, object]:
-        """The most recent heartbeat/final stats payload."""
-        record = self.final or (self.heartbeats[-1]
-                                if self.heartbeats else None)
-        if not record:
-            return {}
-        return dict(typing.cast(typing.Mapping[str, object],
-                                record.get("stats") or {}))
-
-
-def load_shard(path: str) -> WorkerShard:
-    """Parse one shard file, keeping only the newest ``seq`` generation."""
-    pid = 0
-    worker = "?"
-    opened = 0.0
-    heartbeats: typing.List[typing.Dict[str, object]] = []
-    final: typing.Optional[typing.Dict[str, object]] = None
-    by_seq_rows: typing.Dict[int, typing.List[dict]] = {}
-    by_seq_spans: typing.Dict[int, typing.List[dict]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail write from a killed worker
-            kind = record.get("kind")
-            if kind == "open":
-                pid = int(record.get("pid", 0))
-                worker = str(record.get("worker", "?"))
-                opened = float(record.get("time", 0.0))
-            elif kind == "heartbeat":
-                heartbeats.append(record)
-            elif kind == "final":
-                final = record
-            elif kind == "metric":
-                by_seq_rows.setdefault(
-                    int(record.get("seq", 0)), []).append(record["row"])
-            elif kind == "span":
-                by_seq_spans.setdefault(
-                    int(record.get("seq", 0)), []).append(record["row"])
-    if not pid:
-        stem = os.path.basename(path)
-        digits = stem[len(SHARD_PREFIX):-len(SHARD_SUFFIX)]
-        pid = int(digits) if digits.isdigit() else 0
-    latest = max(by_seq_rows, default=0)
-    latest_spans = max(by_seq_spans, default=0)
-    return WorkerShard(path=path, pid=pid, worker=worker,
-                       opened_time=opened, heartbeats=heartbeats,
-                       final=final, rows=by_seq_rows.get(latest, []),
-                       spans=by_seq_spans.get(latest_spans, []))
 
 
 def load_manifest(run_dir: str) -> typing.Dict[str, object]:
@@ -335,16 +188,12 @@ def list_runs(root: typing.Optional[str] = None
             manifest = load_manifest(run_dir)
         except (OSError, ValueError):
             manifest = {"run_id": name, "outcome": "crashed"}
-        shards = [f for f in os.listdir(run_dir)
-                  if f.startswith(SHARD_PREFIX)
-                  and f.endswith(SHARD_SUFFIX)]
         out.append({
             "run_id": manifest.get("run_id", name),
             "command": manifest.get("command", "?"),
             "platform": manifest.get("platform", "-"),
             "start": manifest.get("start", "-"),
             "wall_seconds": manifest.get("wall_seconds"),
-            "shards": len(shards),
             "outcome": _manifest_outcome(manifest),
         })
     out.sort(key=lambda row: str(row["start"]))
@@ -371,82 +220,38 @@ def resolve_run(ref: str, root: typing.Optional[str] = None) -> str:
     raise ValueError(f"no run matching {ref!r} under {base}")
 
 
-# -- merging ---------------------------------------------------------------
-
-
 @dataclasses.dataclass
-class MergedRun:
-    """All shards of one run folded into a single labelled timeline."""
+class RecordedRun:
+    """One run directory read back: its manifest and telemetry."""
 
-    run_dir: str
     manifest: typing.Dict[str, object]
-    shards: typing.List[WorkerShard]
-    #: Metric rows with a ``worker`` label naming the source process.
+    #: Metric rows; a procs worker's rows carry its ``worker`` label.
     rows: typing.List[typing.Dict[str, object]]
-    #: Span dicts; worker spans carry the recording OS ``pid``.
+    #: Span dicts; a procs worker's spans carry its OS ``pid``.
     spans: typing.List[typing.Dict[str, object]]
 
-    @property
-    def parent_pid(self) -> typing.Optional[int]:
-        pid = self.manifest.get("pid")
-        return int(typing.cast(int, pid)) if pid is not None else None
 
-    def worker_shards(self) -> typing.List[WorkerShard]:
-        return [s for s in self.shards if s.pid != self.parent_pid]
+def load_run(run_dir: str) -> RecordedRun:
+    """Read a run directory's manifest, ``metrics.jsonl`` and
+    ``spans.jsonl``.
 
-    def tracer(self) -> SpanTracer:
-        """A tracer holding every shard's spans (worker pids attached)."""
-        tracer = SpanTracer()
-        tracer.absorb_rows(self.spans)
-        return tracer
-
-
-def merge_run(run_dir: str) -> MergedRun:
-    """Load the manifest and every shard; label rows/spans per worker.
-
-    The parent's shard may contain rows and spans it absorbed back from
-    workers (rows carry a ``worker`` label, spans a ``pid``); those are
-    dropped here so each sample is counted exactly once — the worker's
-    own shard is the authoritative copy.
-
-    A torn manifest (crashed parent) degrades to a stub with outcome
-    ``crashed`` — the shards are still merged, so ``obs-report --run``
-    and ``runs diff`` keep working on interrupted runs.
+    A run recorded without telemetry reads as no rows and no spans.  A
+    torn manifest (crashed parent) degrades to a stub with outcome
+    ``crashed``, so ``obs-report --run`` and ``runs diff`` keep working
+    on interrupted runs.
     """
     try:
         manifest = load_manifest(run_dir)
     except (OSError, ValueError):
         manifest = {"run_id": os.path.basename(run_dir.rstrip(os.sep)),
                     "outcome": "crashed"}
-    parent_pid = manifest.get("pid")
-    shards = []
-    for name in sorted(os.listdir(run_dir)):
-        if name.startswith(SHARD_PREFIX) and name.endswith(SHARD_SUFFIX):
-            shards.append(load_shard(os.path.join(run_dir, name)))
-    rows: typing.List[typing.Dict[str, object]] = []
-    spans: typing.List[typing.Dict[str, object]] = []
-    for shard in shards:
-        is_parent = (parent_pid is not None and shard.pid == parent_pid)
-        for row in shard.rows:
-            labels = dict(typing.cast(typing.Mapping[str, str],
-                                      row.get("labels") or {}))
-            if "worker" in labels:
-                if is_parent:
-                    continue
-            else:
-                labels["worker"] = shard.worker
-            merged = dict(row)
-            merged["labels"] = labels
-            rows.append(merged)
-        for span in shard.spans:
-            if is_parent and "pid" in span:
-                continue
-            merged_span = dict(span)
-            if not is_parent:
-                merged_span.setdefault("pid", shard.pid)
-            spans.append(merged_span)
-    return MergedRun(run_dir=run_dir, manifest=manifest, shards=shards,
-                     rows=rows, spans=spans)
+
+    def rows(name: str) -> typing.List[typing.Dict[str, object]]:
+        path = os.path.join(run_dir, name)
+        return load_jsonl(path) if os.path.isfile(path) else []
+
+    return RecordedRun(manifest=manifest, rows=rows(METRICS_NAME),
+                       spans=rows(SPANS_NAME))
 
 
 def aggregate_rows(rows: typing.Sequence[typing.Mapping[str, object]]
@@ -596,24 +401,12 @@ def diff_runs(ref_a: str, ref_b: str,
               root: typing.Optional[str] = None
               ) -> typing.Dict[str, object]:
     """Metric and scenario deltas between two runs (b minus a)."""
-    merged_a = merge_run(resolve_run(ref_a, root))
-    merged_b = merge_run(resolve_run(ref_b, root))
+    run_a = load_run(resolve_run(ref_a, root))
+    run_b = load_run(resolve_run(ref_b, root))
     return {
-        "a": merged_a.manifest.get("run_id"),
-        "b": merged_b.manifest.get("run_id"),
-        "scenarios": _scenario_diff(merged_a.manifest,
-                                    merged_b.manifest),
-        "metrics": diff_metric_rows(merged_a.rows, merged_b.rows),
-        "latency": diff_latency_rows(merged_a.rows, merged_b.rows),
+        "a": run_a.manifest.get("run_id"),
+        "b": run_b.manifest.get("run_id"),
+        "scenarios": _scenario_diff(run_a.manifest, run_b.manifest),
+        "metrics": diff_metric_rows(run_a.rows, run_b.rows),
+        "latency": diff_latency_rows(run_a.rows, run_b.rows),
     }
-
-
-def write_health(run_dir: str,
-                 events: typing.Sequence[typing.Mapping[str, object]]
-                 ) -> int:
-    """Persist health events next to the shards; returns the count."""
-    path = os.path.join(run_dir, HEALTH_NAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-    return len(events)

@@ -41,9 +41,9 @@ class ObsSpan:
     depth: int = 0
     args: typing.Mapping[str, object] = dataclasses.field(
         default_factory=dict)
-    #: OS pid of the process that recorded the span, for spans merged in
-    #: from another process's run-log shard.  ``None`` for spans recorded
-    #: locally — the Chrome exporter then groups purely by clock.
+    #: OS pid of the process that recorded the span, for spans absorbed
+    #: from a worker process.  ``None`` for spans recorded locally — the
+    #: Chrome exporter then groups purely by clock.
     pid: typing.Optional[int] = None
 
     @property

@@ -60,6 +60,31 @@ class TestCommands:
         assert "Conv1.weight" in params
         assert stats is not None
 
+    def test_cli_checkpoint_restores_into_a_built_trainer(self, capsys,
+                                                          tmp_path):
+        """The checkpoint ``train --checkpoint`` writes restores into a
+        trainer built from the same arguments: θ and the global step
+        equal those of the same serial run trained in-process."""
+        import numpy as np
+
+        from repro.cli import _build_trainer
+
+        argv = ["train", "--game", "pong", "--steps", "40",
+                "--agents", "1", "--episode-cap", "50",
+                "--actors", "serial", "--no-runlog",
+                "--checkpoint", os.path.join(tmp_path, "ckpt.npz")]
+        assert main(argv) == 0
+        args = build_parser().parse_args(argv)
+        trained = _build_trainer(args).train(actors="serial")
+        restored = _build_trainer(args)
+        metadata = restored.restore_checkpoint(args.checkpoint)
+        assert metadata["game"] == "pong" and metadata["lstm"] is False
+        assert metadata["config"]["max_steps"] == 40
+        assert restored.server.global_step == trained.global_steps
+        for name, value in trained.params.items():
+            np.testing.assert_array_equal(restored.server.params[name],
+                                          value)
+
     def test_train_lstm_tiny_run(self, capsys):
         code = main(["train", "--game", "pong", "--steps", "30",
                      "--agents", "1", "--episode-cap", "50",
@@ -160,6 +185,39 @@ class TestRunLogCLI:
         manifest = runlog.load_manifest(runlog.resolve_run(run["run_id"]))
         assert manifest["error"] == \
             "agent-0 failed: RuntimeError: injected fault"
+        assert main(["obs-report", "--run", run["run_id"]]) == 0
+        assert ("  error:\n    agent-0 failed: RuntimeError: injected "
+                "fault\n") in capsys.readouterr().out
+
+    def test_train_that_raises_after_opening_fails_the_run(
+            self, capsys, tmp_path):
+        from repro.obs import runlog
+
+        checkpoint = os.path.join(tmp_path, "missing", "x.npz")
+        with pytest.raises(FileNotFoundError):
+            main(["train", "--game", "pong", "--steps", "40",
+                  "--agents", "1", "--episode-cap", "50",
+                  "--actors", "serial", "--checkpoint", checkpoint])
+        [run] = runlog.list_runs()
+        assert run["outcome"] == "failed"
+        manifest = runlog.load_manifest(runlog.resolve_run(run["run_id"]))
+        assert manifest["error"].startswith("FileNotFoundError: ")
+        assert "missing" in manifest["error"]
+
+    def test_bench_that_raises_fails_the_run(self, capsys, monkeypatch):
+        from repro.obs import runlog
+        from repro.obs.prof import baseline
+
+        def raise_runtime_error(name):
+            raise RuntimeError(f"injected fault in {name}")
+        monkeypatch.setattr(baseline, "run_scenario", raise_runtime_error)
+        with pytest.raises(RuntimeError):
+            main(["bench", "--scenarios", "fa3c-n8"])
+        [run] = runlog.list_runs()
+        assert run["command"] == "bench" and run["outcome"] == "failed"
+        manifest = runlog.load_manifest(runlog.resolve_run(run["run_id"]))
+        assert manifest["error"] == \
+            "RuntimeError: injected fault in fa3c-n8"
 
     def test_runs_list_and_diff_between_benches(self, capsys):
         from repro.obs import runlog
@@ -198,6 +256,3 @@ class TestRunLogCLI:
         out = capsys.readouterr().out
         assert "Per-worker breakdown" in out
         assert "worker-0" in out and "worker-1" in out
-        health_path = os.path.join(runlog.resolve_run(run_id),
-                                   runlog.HEALTH_NAME)
-        assert os.path.exists(health_path)

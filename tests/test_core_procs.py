@@ -213,21 +213,31 @@ class TestProcsObservability:
                   if event["ph"] == "X" and event["dur"] > 0}
         assert {"agent-0", "agent-1"} <= traced
 
-    def test_procs_run_writes_worker_shards(self, tmp_path):
+    def test_procs_run_records_each_worker_once(self, tmp_path):
+        """The parent absorbs each worker's rows once and is the only
+        writer of the run directory."""
         from repro import obs
         from repro.obs import runlog
 
         log = runlog.RunLog.open("train", root=str(tmp_path / "runs"))
+        trainer = self._trainer()
         with obs.enabled_scope():
-            self._trainer().train(actors="procs", workers=2, runlog=log)
+            result = trainer.train(actors="procs", workers=2)
+            log.write_telemetry(obs.metrics(), obs.tracer())
         log.finish()
-        merged = runlog.merge_run(log.path)
-        workers = merged.worker_shards()
-        assert {shard.worker for shard in workers} == {"worker-0",
-                                                       "worker-1"}
-        for shard in workers:
-            assert shard.final is not None
-            assert shard.stats()["routines"] > 0
-            names = {row["name"] for row in shard.rows}
-            assert "ps.updates" in names
-            assert "ps.lock_wait_seconds" in names
+        assert sorted(os.listdir(log.path)) == [
+            "manifest.json", "metrics.jsonl", "spans.jsonl"]
+        rows = runlog.load_run(log.path).rows
+
+        def per_worker(name):
+            return {row["labels"]["worker"]: row["value"]
+                    for row in rows if row["name"] == name}
+
+        steps = per_worker("trainer.steps")
+        updates = per_worker("ps.updates")
+        assert sorted(steps) == sorted(updates) == ["worker-0", "worker-1"]
+        assert sum(steps.values()) == result.global_steps
+        assert sum(updates.values()) == trainer.server.updates_applied
+        assert {row["labels"]["worker"] for row in rows
+                if row["name"] == "ps.lock_wait_seconds"} == {
+                    "worker-0", "worker-1"}

@@ -1,6 +1,6 @@
-"""Tests for run directories, shard merging, and the chrome pid map."""
+"""Tests for run directories, worker-labelled telemetry, and the
+chrome pid map."""
 
-import json
 import os
 
 import pytest
@@ -9,6 +9,7 @@ from repro import obs
 from repro.obs import chrome
 from repro.obs import runlog
 from repro.obs.registry import MetricsRegistry
+from repro.obs.report import worker_rows
 from repro.obs.tracer import SIM, WALL, ObsSpan, SpanTracer
 
 
@@ -20,6 +21,30 @@ def runs_root(tmp_path):
 def open_run(runs_root, command="train", **meta):
     return runlog.RunLog.open(command, argv=["train", "--x"],
                               root=runs_root, **meta)
+
+
+def record_run(runs_root, workers=(), rows=(), command="train"):
+    """An unfinished run whose parent absorbed each ``(worker, pid,
+    rows, spans)`` as ``A3CTrainer._train_procs`` does, beside its own
+    ``rows``, and wrote the lot as ``repro train`` does."""
+    log = open_run(runs_root, command=command)
+    registry, tracer = MetricsRegistry(), SpanTracer()
+    registry.absorb_rows(rows)
+    for worker, pid, snapshot, spans in workers:
+        registry.absorb_rows(snapshot, worker=worker)
+        tracer.absorb_rows(spans, pid=pid)
+    log.write_telemetry(registry, tracer)
+    return log
+
+
+def counter_row(name, value, **labels):
+    return {"name": name, "type": "counter", "labels": labels,
+            "value": value}
+
+
+def routine_span(lane, start=0.0, end=1.0):
+    return {"lane": lane, "label": "routine", "start": start,
+            "end": end, "clock": WALL}
 
 
 class TestRegistryMerge:
@@ -40,7 +65,7 @@ class TestRegistryMerge:
                if r["name"] == "ps.lock_wait_seconds"][0]
         assert row["count"] == 2 and row["sum"] == 4.0
         assert row["min"] == 1.0 and row["max"] == 3.0
-        # HDR buckets fold across shards, so percentiles stay real
+        # HDR buckets fold across processes, so percentiles stay real
         # (bucket midpoints: within the ~6% bucket resolution).
         assert row["p50"] == pytest.approx(1.0, rel=0.07)
         assert row["p99"] == pytest.approx(3.0, rel=0.07)
@@ -90,34 +115,28 @@ class TestRunLog:
         ids = {open_run(runs_root).run_id for _ in range(3)}
         assert len(ids) == 3
 
-    def test_shard_flush_and_load(self, runs_root):
+    def test_telemetry_written_and_loaded(self, runs_root):
         log = open_run(runs_root)
-        with obs.enabled_scope():
-            obs.metrics().counter("ps.updates").inc(5.0)
-            obs.tracer().record("lane", "work", 0.0, 1.0)
-            shard = log.shard("main", interval=0.0)
-            shard.flush(routines=1)
-            obs.metrics().counter("ps.updates").inc(2.0)
-            shard.flush(final=True, routines=2)
-        obs.metrics().reset()
-        obs.tracer().clear()
-        loaded = runlog.load_shard(shard.path)
-        assert loaded.pid == os.getpid()
-        assert loaded.worker == "main"
-        assert loaded.final is not None
-        assert len(loaded.heartbeats) == 2
-        # Only the newest generation survives: the counter reads 7.
-        rows = [r for r in loaded.rows if r["name"] == "ps.updates"]
-        assert rows[0]["value"] == 7.0
-        assert loaded.spans[0]["lane"] == "lane"
-        assert loaded.stats() == {"routines": 2}
+        registry, tracer = MetricsRegistry(), SpanTracer()
+        registry.counter("ps.updates").inc(7.0)
+        registry.histogram("lat.routine_seconds").observe(0.5)
+        tracer.record("lane", "work", 0.0, 1.0)
+        log.write_telemetry(registry, tracer)
+        log.finish()
+        assert sorted(os.listdir(log.path)) == [
+            runlog.MANIFEST_NAME, runlog.METRICS_NAME, runlog.SPANS_NAME]
+        run = runlog.load_run(log.path)
+        assert run.manifest["outcome"] == "ok"
+        assert run.rows == registry.snapshot()
+        assert [row["name"] for row in run.rows] == [
+            "lat.routine_seconds", "ps.updates"]
+        assert run.spans == tracer.snapshot()
 
-    def test_maybe_heartbeat_respects_interval(self, runs_root):
+    def test_run_without_telemetry_loads_empty(self, runs_root):
         log = open_run(runs_root)
-        shard = log.shard("main", interval=3600.0)
-        assert not shard.maybe_heartbeat(routines=1)
-        shard.interval = 0.0
-        assert shard.maybe_heartbeat(routines=2)
+        log.finish()
+        run = runlog.load_run(log.path)
+        assert run.rows == [] and run.spans == []
 
     def test_list_and_resolve(self, runs_root):
         log_a = open_run(runs_root)
@@ -137,100 +156,31 @@ class TestRunLog:
             runlog.resolve_run("train", runs_root)
 
 
-def write_worker_shard(run_dir, pid, worker, rows=(), spans=(),
-                       final=True, routines=10, opened=100.0,
-                       beat=101.0):
-    records = [{"kind": "open", "pid": pid, "worker": worker,
-                "time": opened, "interval": 2.0},
-               {"kind": "heartbeat", "seq": 1, "time": beat,
-                "stats": {"routines": routines}}]
-    records.extend({"kind": "metric", "seq": 1, "row": row}
-                   for row in rows)
-    records.extend({"kind": "span", "seq": 1, "row": span}
-                   for span in spans)
-    if final:
-        records.append({"kind": "final", "seq": 1, "time": beat,
-                        "stats": {"routines": routines}})
-    path = os.path.join(
-        run_dir, f"{runlog.SHARD_PREFIX}{pid}{runlog.SHARD_SUFFIX}")
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-    return path
-
-
-def counter_row(name, value, **labels):
-    return {"name": name, "type": "counter", "labels": labels,
-            "value": value}
-
-
 class TestMergeRun:
+    """The parent's copy of its workers' telemetry, read back."""
+
     def test_merge_labels_rows_and_spans_per_worker(self, runs_root):
-        log = open_run(runs_root)
-        write_worker_shard(
-            log.path, 9001, "worker-0",
-            rows=[counter_row("ps.updates", 3.0)],
-            spans=[{"lane": "agent-0", "label": "routine",
-                    "start": 0.0, "end": 1.0, "clock": WALL}])
-        write_worker_shard(
-            log.path, 9002, "worker-1",
-            rows=[counter_row("ps.updates", 4.0)])
+        log = record_run(runs_root, workers=[
+            ("worker-0", 9001, [counter_row("ps.updates", 3.0)],
+             [routine_span("agent-0")]),
+            ("worker-1", 9002, [counter_row("ps.updates", 4.0)], [])],
+            rows=[counter_row("platform.ips", 100.0)])
         log.finish()
-        merged = runlog.merge_run(log.path)
+        run = runlog.load_run(log.path)
         by_worker = {r["labels"]["worker"]: r["value"]
-                     for r in merged.rows if r["name"] == "ps.updates"}
+                     for r in run.rows if r["name"] == "ps.updates"}
         assert by_worker == {"worker-0": 3.0, "worker-1": 4.0}
-        assert merged.spans[0]["pid"] == 9001
-        assert len(merged.worker_shards()) == 2
-
-    def test_parent_reimported_rows_are_dropped(self, runs_root):
-        """The parent absorbs worker rows back into its registry; its
-        shard must not double-count them against the worker's shard."""
-        log = open_run(runs_root)
-        write_worker_shard(
-            log.path, os.getpid(), "main",
-            rows=[counter_row("ps.updates", 3.0, worker="worker-0"),
-                  counter_row("platform.ips", 100.0)])
-        write_worker_shard(
-            log.path, 9001, "worker-0",
-            rows=[counter_row("ps.updates", 3.0)])
-        log.finish()
-        merged = runlog.merge_run(log.path)
-        aggregate = runlog.aggregate_rows(merged.rows)
-        updates = [r for r in aggregate if r["name"] == "ps.updates"]
-        assert updates[0]["value"] == 3.0
-        # Parent spans keep no pid (they stay in the sim/wall groups).
-        parent_rows = [r for r in merged.rows
-                       if r["name"] == "platform.ips"]
-        assert parent_rows[0]["labels"]["worker"] == "main"
-
-    def test_parent_reimported_spans_are_dropped(self, runs_root):
-        """Spans the parent absorbed from a worker carry that worker's
-        pid; its shard must not repeat them beside the worker's own."""
-        routine = {"lane": "agent-0", "label": "routine", "start": 0.0,
-                   "end": 1.0, "clock": WALL}
-        local = {"lane": "trainer", "label": "run", "start": 0.0,
-                 "end": 2.0, "clock": WALL}
-        log = open_run(runs_root)
-        write_worker_shard(log.path, os.getpid(), "main",
-                           spans=[dict(routine, pid=9001), local])
-        write_worker_shard(log.path, 9001, "worker-0", spans=[routine])
-        log.finish()
-        spans = runlog.merge_run(log.path).spans
-        assert sorted(span["lane"] for span in spans) == ["agent-0",
-                                                          "trainer"]
-        assert [span.get("pid") for span in spans
-                if span["lane"] == "agent-0"] == [9001]
+        # The parent's own rows and spans carry no worker label or pid.
+        [ips] = [r for r in run.rows if r["name"] == "platform.ips"]
+        assert ips["labels"] == {}
+        assert [span["pid"] for span in run.spans] == [9001]
 
     def test_aggregate_strips_worker_and_sums(self, runs_root):
-        log = open_run(runs_root)
-        write_worker_shard(log.path, 9001, "worker-0",
-                           rows=[counter_row("ps.updates", 3.0)])
-        write_worker_shard(log.path, 9002, "worker-1",
-                           rows=[counter_row("ps.updates", 4.0)])
+        log = record_run(runs_root, workers=[
+            ("worker-0", 9001, [counter_row("ps.updates", 3.0)], []),
+            ("worker-1", 9002, [counter_row("ps.updates", 4.0)], [])])
         log.finish()
-        aggregate = runlog.aggregate_rows(
-            runlog.merge_run(log.path).rows)
+        aggregate = runlog.aggregate_rows(runlog.load_run(log.path).rows)
         row = [r for r in aggregate if r["name"] == "ps.updates"][0]
         assert row["value"] == 7.0
         assert "worker" not in row["labels"]
@@ -239,9 +189,8 @@ class TestMergeRun:
 class TestDiffRuns:
     def _run_with(self, runs_root, updates, command="bench",
                   scenarios=None):
-        log = open_run(runs_root, command=command)
-        write_worker_shard(log.path, 9001, "worker-0",
-                           rows=[counter_row("ps.updates", updates)])
+        log = record_run(runs_root, command=command, workers=[
+            ("worker-0", 9001, [counter_row("ps.updates", updates)], [])])
         if scenarios is not None:
             log.update(scenarios=scenarios)
         log.finish()
@@ -274,9 +223,7 @@ class TestDiffRuns:
 
         logs = []
         for seconds in (0.001, 0.002):
-            log = open_run(runs_root)
-            write_worker_shard(log.path, 9001, "worker-0",
-                               rows=lat_rows(seconds))
+            log = record_run(runs_root, rows=lat_rows(seconds))
             log.finish()
             logs.append(log)
         diff = runlog.diff_runs(logs[0].run_id, logs[1].run_id,
@@ -307,14 +254,12 @@ class TestCrashedRuns:
         assert rows[0]["run_id"] == os.path.basename(log.path)
 
     def test_diff_tolerates_crashed_run(self, runs_root):
-        log_a = open_run(runs_root)
-        write_worker_shard(log_a.path, 9001, "worker-0",
+        log_a = record_run(runs_root,
                            rows=[counter_row("ps.updates", 3.0)])
         with open(os.path.join(log_a.path, runlog.MANIFEST_NAME), "w",
                   encoding="utf-8") as fh:
             fh.write("{not json")
-        log_b = open_run(runs_root)
-        write_worker_shard(log_b.path, 9002, "worker-0",
+        log_b = record_run(runs_root,
                            rows=[counter_row("ps.updates", 5.0)])
         log_b.finish()
         diff = runlog.diff_runs(log_a.path, log_b.path, root=runs_root)
@@ -323,38 +268,32 @@ class TestCrashedRuns:
                   if r["metric"] == "ps.updates"][0]
         assert metric["delta"] == 2.0
 
-    def test_merge_run_stub_manifest_outcome(self, runs_root):
+    def test_load_run_stub_manifest_outcome(self, runs_root):
         log = open_run(runs_root)
         with open(os.path.join(log.path, runlog.MANIFEST_NAME), "w",
                   encoding="utf-8") as fh:
             fh.write("")
-        merged = runlog.merge_run(log.path)
-        assert merged.manifest["outcome"] == "crashed"
+        run = runlog.load_run(log.path)
+        assert run.manifest["outcome"] == "crashed"
 
 
 class TestChromeMultiProcess:
-    def _merged_tracer(self, runs_root):
-        """Two synthetic worker shards plus local sim/wall spans."""
-        log = open_run(runs_root)
-        write_worker_shard(
-            log.path, 9001, "worker-0",
-            spans=[{"lane": "agent-0", "label": "routine",
-                    "start": 10.0, "end": 11.0, "clock": WALL},
-                   {"lane": "agent-2", "label": "routine",
-                    "start": 11.0, "end": 12.0, "clock": WALL}])
-        write_worker_shard(
-            log.path, 9002, "worker-1",
-            spans=[{"lane": "agent-1", "label": "routine",
-                    "start": 10.5, "end": 11.5, "clock": WALL}])
-        log.finish()
-        tracer = runlog.merge_run(log.path).tracer()
+    def _merged_tracer(self):
+        """Two workers' spans absorbed under their OS pids, as
+        ``A3CTrainer._train_procs`` absorbs them, plus local sim/wall
+        spans."""
+        tracer = SpanTracer()
+        tracer.absorb_rows([routine_span("agent-0", 10.0, 11.0),
+                            routine_span("agent-2", 11.0, 12.0)],
+                           pid=9001)
+        tracer.absorb_rows([routine_span("agent-1", 10.5, 11.5)],
+                           pid=9002)
         tracer.record("cu0", "FW", 0.0, 5.0, clock=SIM)
         tracer.record("trainer", "step", 10.0, 12.0, clock=WALL)
         return tracer
 
-    def test_workers_get_distinct_process_groups(self, runs_root):
-        events = chrome.chrome_trace_events(
-            self._merged_tracer(runs_root).spans)
+    def test_workers_get_distinct_process_groups(self):
+        events = chrome.chrome_trace_events(self._merged_tracer().spans)
         names = {e["pid"]: e["args"]["name"] for e in events
                  if e.get("ph") == "M"
                  and e.get("name") == "process_name"}
@@ -365,14 +304,12 @@ class TestChromeMultiProcess:
         pids = {e["pid"] for e in events if e.get("ph") == "X"}
         assert {chrome.PID_SIM, chrome.PID_WALL, 9001, 9002} == pids
 
-    def test_tid_ordering_is_first_appearance_per_process(
-            self, runs_root):
-        events = chrome.chrome_trace_events(
-            self._merged_tracer(runs_root).spans)
+    def test_tid_ordering_is_first_appearance_per_process(self):
+        events = chrome.chrome_trace_events(self._merged_tracer().spans)
         threads = {(e["pid"], e["args"]["name"]): e["tid"]
                    for e in events if e.get("ph") == "M"
                    and e.get("name") == "thread_name"}
-        # worker-9001's lanes in shard order: agent-0 then agent-2.
+        # worker-9001's lanes in absorbed order: agent-0 then agent-2.
         assert threads[(9001, "agent-0")] == 1
         assert threads[(9001, "agent-2")] == 2
         assert threads[(9002, "agent-1")] == 1
@@ -419,26 +356,54 @@ class TestChromeMultiProcess:
             f"worker-{chrome.WORKER_PID_BASE + 1}"
 
 
+def worker_snapshot(steps, updates, routine_s=0.5, lock_wait_s=0.1):
+    """One worker's routine records and parameter-server metrics."""
+    registry = MetricsRegistry()
+    registry.histogram("lat.routine_seconds").observe(routine_s,
+                                                     trainer="a3c")
+    registry.counter("lat.total_ns").inc(routine_s * 1e9, trainer="a3c")
+    registry.counter("trainer.steps").inc(steps, trainer="a3c")
+    registry.counter("ps.updates").inc(updates)
+    registry.histogram("ps.lock_wait_seconds").observe(lock_wait_s,
+                                                      op="apply")
+    return registry.snapshot()
+
+
 class TestRunReport:
-    def test_run_report_renders_workers_and_health(self, runs_root):
-        log = open_run(runs_root)
-        write_worker_shard(log.path, 9001, "worker-0",
-                           rows=[counter_row("ps.updates", 3.0)])
-        write_worker_shard(log.path, 9002, "worker-1",
-                           rows=[counter_row("ps.updates", 4.0)],
-                           final=False)
+    def test_run_report_renders_workers(self, runs_root):
+        log = record_run(runs_root, workers=[
+            ("worker-0", 9001, worker_snapshot(10, 3), []),
+            ("worker-1", 9002, worker_snapshot(30, 4, lock_wait_s=0.25),
+             [])],
+            rows=worker_snapshot(5, 1))   # the parent's own rows
         log.finish()
-        merged = runlog.merge_run(log.path)
-        text = obs.run_report(merged)
+        run = runlog.load_run(log.path)
+        rows = {row["worker"]: row for row in worker_rows(run.rows)}
+        assert sorted(rows) == ["worker-0", "worker-1"]
+        assert rows["worker-0"] == {
+            "worker": "worker-0", "routines": 1, "steps": 10,
+            "steps_per_s": 20.0, "updates": 3, "lock_wait_s": 0.1,
+            "lock_wait_share": 0.2}
+        assert rows["worker-1"]["lock_wait_share"] == 0.5
+        text = obs.run_report(run)
         assert "Per-worker breakdown" in text
         assert "worker-0" in text and "worker-1" in text
-        assert "straggler" in text
+        assert "error" not in text
 
-    def test_write_health_jsonl(self, runs_root):
-        log = open_run(runs_root)
+    def test_run_without_workers_has_no_breakdown(self, runs_root):
+        log = record_run(runs_root, rows=worker_snapshot(5, 1))
         log.finish()
-        count = runlog.write_health(
-            log.path, [{"kind": "health", "event": "stall"}])
-        assert count == 1
-        path = os.path.join(log.path, runlog.HEALTH_NAME)
-        assert json.loads(open(path).readline())["event"] == "stall"
+        run = runlog.load_run(log.path)
+        assert worker_rows(run.rows) == []
+        assert "Per-worker breakdown" not in obs.run_report(run)
+
+    def test_run_report_prints_the_error_indented(self, runs_root):
+        log = open_run(runs_root)
+        log.finish(outcome="failed", error="worker-1 failed: \n"
+                   "Traceback (most recent call last):\n"
+                   "RuntimeError: boom")
+        text = obs.run_report(runlog.load_run(log.path))
+        assert "outcome=failed" in text
+        assert ("  error:\n    worker-1 failed: \n"
+                "    Traceback (most recent call last):\n"
+                "    RuntimeError: boom") in text
